@@ -10,19 +10,24 @@ reductive when it has a nonempty absorbing part and phi strictly
 decreases along every transient transition except self-loops.  On finite
 chains that is equivalent to every transient strongly-connected component
 being a singleton, which is how the verdict is computed.
+
+Everything structural is read off one condensation per chain: its
+strongly-connected components and the distinct edges between them.  The
+condensation is computed on a chain's first structure query and kept on
+the chain, which never changes.
 """
 
 from __future__ import annotations
 
-import graphlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ModelError, NotReductive
-from .mdp import gather_ranges
+from .mdp import MarkovChain, _unique_sorted, gather_ranges
 
 # Violation kinds reported in a ReductivityVerdict.
 NO_ABSORBING_SET = "NoAbsorbingSet"
@@ -95,28 +100,81 @@ class LevelSetSchedule:
     levels: tuple[np.ndarray, ...]
 
 
-def _scc_labels(chain):
-    mat = csr_matrix(
-        (chain.prob, chain.col, chain.row_ptr),
-        shape=(chain.state_count, chain.state_count),
-    )
+class _Condensation(NamedTuple):
+    """Strongly-connected components of a chain and the edges between them.
+
+    labels[x] is the component of state x.  members lists the states
+    grouped by component (ascending inside each group), component c owning
+    members[member_ptr[c]:member_ptr[c + 1]].  succ[succ_ptr[c]:
+    succ_ptr[c + 1]] are the distinct other components that c has an edge
+    into, ascending; is_open[c] says that there is at least one.
+    """
+
+    labels: np.ndarray
+    members: np.ndarray
+    member_ptr: np.ndarray
+    succ_ptr: np.ndarray
+    succ: np.ndarray
+    is_open: np.ndarray
+
+
+def _condensation(chain):
+    """The chain's condensation, computed on first use and kept on the chain."""
+    if chain._condensation is not None:
+        return chain._condensation
+    n = chain.state_count
+    mat = csr_matrix((chain.prob, chain.col, chain.row_ptr), shape=(n, n))
     n_comp, labels = connected_components(mat, directed=True, connection="strong")
-    return n_comp, labels.astype(np.int64)
+    labels = labels.astype(np.int64)
+
+    member_ptr = np.zeros(n_comp + 1, dtype=np.int64)
+    np.cumsum(np.bincount(labels, minlength=n_comp), out=member_ptr[1:])
+
+    src = labels[_entry_sources(chain)]
+    dst = labels[chain.col]
+    cross = src != dst
+    keys, _ = _unique_sorted(src[cross] * np.int64(n_comp) + dst[cross])
+    out_degree = np.bincount(keys // n_comp, minlength=n_comp)
+    succ_ptr = np.zeros(n_comp + 1, dtype=np.int64)
+    np.cumsum(out_degree, out=succ_ptr[1:])
+
+    cond = _Condensation(
+        labels=labels,
+        members=np.argsort(labels, kind="stable"),
+        member_ptr=member_ptr,
+        succ_ptr=succ_ptr,
+        succ=keys % n_comp,
+        is_open=out_degree > 0,
+    )
+    for arr in cond:
+        arr.setflags(write=False)
+    chain._condensation = cond
+    return cond
+
+
+def _successors_first(cond):
+    """Components ordered so that each comes after all of its successors.
+
+    Kahn's algorithm from the components without predecessors, reversed;
+    scipy's component numbering is not relied upon.  Edge lists are
+    converted per component, as one list of every edge would hold a
+    Python int per edge.
+    """
+    succ_ptr = cond.succ_ptr.tolist()
+    waiting = np.bincount(cond.succ, minlength=cond.is_open.size).tolist()
+    order = [c for c, w in enumerate(waiting) if not w]
+    for c in order:
+        for d in cond.succ[succ_ptr[c] : succ_ptr[c + 1]].tolist():
+            waiting[d] -= 1
+            if not waiting[d]:
+                order.append(d)
+    return order[::-1]
 
 
 def _entry_sources(chain):
     return np.repeat(
         np.arange(chain.state_count, dtype=np.int64), np.diff(chain.row_ptr)
     )
-
-
-def _open_components(chain, n_comp, labels):
-    """Boolean flag per component: has an edge leaving the component."""
-    src_comp = labels[_entry_sources(chain)]
-    dst_comp = labels[chain.col]
-    is_open = np.zeros(n_comp, dtype=bool)
-    is_open[src_comp[src_comp != dst_comp]] = True
-    return is_open
 
 
 def reachable_set(chain, x):
@@ -137,67 +195,45 @@ def reachable_set(chain, x):
     return set(np.where(seen)[0].tolist())
 
 
-def _set_bits(row, states):
-    words = (states >> 6).astype(np.int64)
-    bits = np.uint64(1) << (states & 63).astype(np.uint64)
-    np.bitwise_or.at(row, words, bits)
-
-
 def counting_potential(chain):
-    """Number of reachable states per state, via one condensation pass.
+    """Number of reachable states per state, via the chain's condensation.
 
-    Strongly-connected components are condensed, ordered topologically,
-    and reach sets are propagated as bitsets from successors to
-    predecessors; a component's set is freed once every predecessor has
-    consumed it, so memory stays bounded on large chains.  The result is
-    exact at every size.
+    Components are visited in an order derived from the condensed edges,
+    every successor before its predecessors, and each component's reach
+    set is built as a bitset: its own members plus the sets of its
+    successor components.  A successor whose representative state is
+    already in the set being built is skipped: some other successor
+    reaches it, so its whole set is already contained, and the result is
+    exact whatever order the successors are visited in.  A component's set
+    is freed once its last predecessor has been built, so memory stays
+    bounded on large chains.
     """
-    n = chain.state_count
-    n_comp, labels = _scc_labels(chain)
+    cond = _condensation(chain)
+    members = cond.members.tolist()
+    member_ptr = cond.member_ptr.tolist()
+    succ_ptr = cond.succ_ptr.tolist()
+    rep = [members[i] for i in member_ptr[:-1]]
+    pending = np.bincount(cond.succ, minlength=len(rep)).tolist()
 
-    src_comp = labels[_entry_sources(chain)]
-    dst_comp = labels[chain.col]
-    cross = src_comp != dst_comp
-    if np.any(cross):
-        keys = np.unique(src_comp[cross] * np.int64(n_comp) + dst_comp[cross])
-        edge_src = keys // n_comp
-        edge_dst = keys % n_comp
-    else:
-        edge_src = np.empty(0, dtype=np.int64)
-        edge_dst = np.empty(0, dtype=np.int64)
-
-    succ_ptr = np.zeros(n_comp + 1, dtype=np.int64)
-    np.cumsum(np.bincount(edge_src, minlength=n_comp), out=succ_ptr[1:])
-    # edge_src is sorted, so edge_dst is already grouped by source.
-    graph = {
-        c: edge_dst[succ_ptr[c] : succ_ptr[c + 1]].tolist() for c in range(n_comp)
-    }
-    topo = graphlib.TopologicalSorter(graph).static_order()
-
-    members = {c: [] for c in range(n_comp)}
-    for x, c in enumerate(labels):
-        members[int(c)].append(x)
-    pending = np.bincount(edge_dst, minlength=n_comp).astype(np.int64)
-
-    words = (n + 63) >> 6
-    sets = {}
-    phi_comp = np.zeros(n_comp, dtype=np.int64)
-    for c in topo:
-        row = np.zeros(words, dtype=np.uint64)
-        _set_bits(row, np.asarray(members[c], dtype=np.int64))
-        for d in graph[c]:
-            row |= sets[d]
-        phi_comp[c] = int(np.bitwise_count(row).sum())
-        sets[c] = row
-        for d in graph[c]:
+    sets = [None] * len(rep)
+    phi_comp = np.zeros(len(rep), dtype=np.int64)
+    for c in _successors_first(cond):
+        row = 0
+        for x in members[member_ptr[c] : member_ptr[c + 1]]:
+            row |= 1 << x
+        for d in cond.succ[succ_ptr[c] : succ_ptr[c + 1]].tolist():
+            if not row >> rep[d] & 1:
+                row |= sets[d]
             pending[d] -= 1
-            if pending[d] == 0:
-                del sets[d]
+            if not pending[d]:
+                sets[d] = None
+        phi_comp[c] = row.bit_count()
+        if pending[c]:
+            sets[c] = row
 
-    phi = phi_comp[labels]
-    diag = _self_loop_probs(chain)
-    loops = np.where((diag > 0.0) & (diag < 1.0))[0]
-    return PotentialTable(phi=phi, self_loops=frozenset(int(x) for x in loops))
+    return PotentialTable(
+        phi=phi_comp[cond.labels], self_loops=frozenset(self_loop_states(chain))
+    )
 
 
 def _self_loop_probs(chain):
@@ -231,30 +267,18 @@ def absorbing_decomposition(chain):
     Classes are exactly the strongly-connected components with no outgoing
     edges; everything else is transient.
     """
-    n_comp, labels = _scc_labels(chain)
-    is_open = _open_components(chain, n_comp, labels)
-    transient = np.where(is_open[labels])[0].astype(np.int64)
-    absorbing = np.where(~is_open[labels])[0].astype(np.int64)
-    closed = np.where(~is_open)[0]
-    groups = []
-    for c in closed:
-        groups.append(np.where(labels == c)[0].astype(np.int64))
+    cond = _condensation(chain)
+    is_open = cond.is_open[cond.labels]
+    transient = np.flatnonzero(is_open)
+    absorbing = np.flatnonzero(~is_open)
+    groups = [
+        cond.members[cond.member_ptr[c] : cond.member_ptr[c + 1]]
+        for c in np.flatnonzero(~cond.is_open)
+    ]
     groups.sort(key=lambda g: int(g[0]))
     return AbsorbingDecomposition(
         transient=transient, absorbing=absorbing, classes=tuple(groups)
     )
-
-
-def _transient_cycle_violations(chain, n_comp, labels, is_open):
-    """All intra-component non-self edges of multi-state open components."""
-    src = _entry_sources(chain)
-    comp_sizes = np.bincount(labels, minlength=n_comp)
-    bad_comp = is_open & (comp_sizes >= 2)
-    mask = bad_comp[labels[src]] & (labels[src] == labels[chain.col]) & (
-        src != chain.col
-    )
-    edges = sorted(zip(src[mask].tolist(), chain.col[mask].tolist()))
-    return [Violation(int(x), int(xp), NON_DECREASING_TRANSIENT) for x, xp in edges]
 
 
 def verify_reductive(chain):
@@ -266,15 +290,24 @@ def verify_reductive(chain):
     i.e. when both ends share a multi-state strongly-connected component
     that is not closed, so the verdict needs no potential values.
     """
-    n_comp, labels = _scc_labels(chain)
-    is_open = _open_components(chain, n_comp, labels)
-    violations = _transient_cycle_violations(chain, n_comp, labels, is_open)
-    if not np.any(~is_open):
+    cond = _condensation(chain)
+    labels = cond.labels
+    src = _entry_sources(chain)
+    bad_comp = cond.is_open & (np.diff(cond.member_ptr) >= 2)
+    mask = bad_comp[labels[src]] & (labels[src] == labels[chain.col]) & (
+        src != chain.col
+    )
+    # Entries are sorted by (row, successor), so the edges come out sorted.
+    violations = [
+        Violation(x, xp, NON_DECREASING_TRANSIENT)
+        for x, xp in zip(src[mask].tolist(), chain.col[mask].tolist())
+    ]
+    if np.all(cond.is_open):
         # Unreachable for row-stochastic inputs: a finite chain always has
         # at least one closed component.  Kept as a defensive report.
         violations.append(Violation(0, 0, NO_ABSORBING_SET))
     diag = _self_loop_probs(chain)
-    certain = np.where((diag == 1.0) & is_open[labels])[0]
+    certain = np.where((diag == 1.0) & cond.is_open[labels])[0]
     for x in certain:
         # Also unreachable: p(x,x)=1 makes {x} a closed component.
         violations.append(Violation(int(x), int(x), CERTAIN_SELF_LOOP_MARKED_TRANSIENT))
@@ -283,30 +316,7 @@ def verify_reductive(chain):
     )
 
 
-def _cycle_at_state(chain, x, seeds):
-    """True when x is reachable from any seed via the chain's edges."""
-    seen = np.zeros(chain.state_count, dtype=bool)
-    frontier = []
-    for s in seeds:
-        if s == x:
-            continue
-        if not seen[s]:
-            seen[s] = True
-            frontier.append(int(s))
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for c in chain.col[chain.row_ptr[s] : chain.row_ptr[s + 1]]:
-                if c == x:
-                    return True
-                if not seen[c]:
-                    seen[c] = True
-                    nxt.append(int(c))
-        frontier = nxt
-    return False
-
-
-def _class_invariance_violations(mdp, union, block):
+def _class_invariance_violations(mdp, block):
     """Check one multi-state closed class against every restricted policy.
 
     A class stays valid under a policy only if no strict subset turns into
@@ -331,7 +341,6 @@ def _class_invariance_violations(mdp, union, block):
             return out
 
     local = {int(s): i for i, s in enumerate(block)}
-    m = len(block)
     fixed_rows = []
     for s in block:
         a, b = mdp.state_ptr[s], mdp.state_ptr[s + 1]
@@ -357,65 +366,28 @@ def _class_invariance_violations(mdp, union, block):
         rows = list(fixed_rows)
         for x, row in zip(free, chosen):
             rows[local[x]] = row
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        cols = []
-        for i, row in enumerate(rows):
-            cols.append(np.asarray([local[int(c)] for c in row], dtype=np.int64))
-            indptr[i + 1] = indptr[i] + row.size
-        cols = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-        mat = csr_matrix(
-            (np.ones(cols.size), cols, indptr), shape=(m, m)
+        restricted = MarkovChain.from_rows(
+            [[(local[int(c)], 1.0 / row.size) for c in row] for row in rows]
         )
-        n_comp, labels = connected_components(mat, directed=True, connection="strong")
-        sizes = np.bincount(labels, minlength=n_comp)
-        src = np.repeat(np.arange(m, dtype=np.int64), np.diff(indptr))
-        is_open = np.zeros(n_comp, dtype=bool)
-        cross = labels[src] != labels[cols]
-        is_open[labels[src[cross]]] = True
-        bad = is_open & (sizes >= 2)
-        if np.any(bad):
-            sel = bad[labels[src]] & (labels[src] == labels[cols]) & (src != cols)
-            for i, j in zip(src[sel], cols[sel]):
-                out.append(
-                    Violation(int(block[i]), int(block[j]), NON_DECREASING_TRANSIENT)
-                )
+        for v in verify_reductive(restricted).violations:
+            out.append(Violation(int(block[v.x]), int(block[v.xp]), v.kind))
     return sorted(set(out), key=lambda v: (v.x, v.xp))
 
 
 def verify_reductive_mdp(mdp):
     """Certify that every deterministic policy induces a reductive chain.
 
-    Checks the union-support chain.  Transient-side cycles found there are
-    re-tested against single-action deviations before being reported: a
-    state's violations are dropped only if no admissible action can close
-    a cycle through it.  Multi-state absorbing classes of the union chain
-    additionally get a policy-invariance check, since a policy could turn
-    a strict subset of such a class into a transient cycle.
+    Checks the union-support chain: any transient-side cycle there is
+    reported, whichever actions close it.  Multi-state absorbing classes
+    of the union chain additionally get a policy-invariance check, since a
+    policy could turn a strict subset of such a class into a transient
+    cycle.
     """
     union = mdp.union_chain()
-    base = verify_reductive(union)
-
-    violations = []
-    by_state = {}
-    for v in base.violations:
-        if v.kind == NON_DECREASING_TRANSIENT:
-            by_state.setdefault(v.x, []).append(v)
-        else:
-            violations.append(v)
-    for x, vs in by_state.items():
-        cycle_possible = False
-        for i in range(mdp.state_ptr[x], mdp.state_ptr[x + 1]):
-            seeds = mdp.col[mdp.pair_ptr[i] : mdp.pair_ptr[i + 1]]
-            if _cycle_at_state(union, x, seeds):
-                cycle_possible = True
-                break
-        if cycle_possible:
-            violations.extend(vs)
-
-    decomp = absorbing_decomposition(union)
-    for block in decomp.classes:
+    violations = list(verify_reductive(union).violations)
+    for block in absorbing_decomposition(union).classes:
         if block.size >= 2:
-            violations.extend(_class_invariance_violations(mdp, union, block))
+            violations.extend(_class_invariance_violations(mdp, block))
 
     violations = sorted(set(violations), key=lambda v: (v.kind, v.x, v.xp))
     return ReductivityVerdict(

@@ -1,7 +1,8 @@
 """End-to-end tests of the command-line interface via subprocesses.
 
 Each test drives `python -m rmdp.cli` exactly as a user would and checks
-exit codes, JSON payloads, and CSV layouts.  Most tests pin
+exit codes, JSON payloads, and CSV layouts; the one test that counts
+SCC passes calls the CLI's main() in-process instead.  Most tests pin
 RMDP_BACKEND=numpy so the suite does not depend on JIT compilation; one
 bench test runs under the default backend to cover that path too.
 """
@@ -11,8 +12,11 @@ import json
 import numpy as np
 import pytest
 
+import rmdp.cli
+import rmdp.reachability
 from rmdp import (
     LiquidationParams,
+    Mdp,
     build_liquidation,
     build_spiral,
     mdp_to_spec,
@@ -156,7 +160,42 @@ def test_verify_model_file_roundtrip(cli, tmp_path):
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["reductive"] is True
-    assert sorted(payload["order"]) == list(range(25))
+    # The spiral's potentials are all distinct, so the order is unique:
+    # the walk from the outer corner inwards to the absorbing centre.
+    assert payload["order"] == [
+        0, 1, 2, 3, 4, 9, 14, 19, 24, 23, 22, 21, 20,
+        15, 10, 5, 6, 7, 8, 13, 18, 17, 16, 11, 12,
+    ]
+
+
+def test_verify_condenses_each_chain_once(tmp_path, monkeypatch):
+    """Every structure query on a chain shares one SCC pass."""
+    mdp, _, _ = build_spiral()
+    model = write_json(tmp_path / "spiral.json", mdp_to_spec(mdp))
+
+    chains = []
+    union_chain = Mdp.union_chain
+
+    def recording_union_chain(self):
+        chains.append(union_chain(self))
+        return chains[-1]
+
+    scc_calls = []
+    scc = rmdp.reachability.connected_components
+
+    def counting_scc(*args, **kwargs):
+        scc_calls.append(args)
+        return scc(*args, **kwargs)
+
+    monkeypatch.setattr(Mdp, "union_chain", recording_union_chain)
+    monkeypatch.setattr(rmdp.reachability, "connected_components", counting_scc)
+    out = tmp_path / "verify.json"
+    assert rmdp.cli.main(["verify", "--model", model, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["reductive"] is True
+    # Each union chain's verdict, decomposition, potential and permutation
+    # share that chain's single SCC pass.
+    assert chains
+    assert len(scc_calls) == len({id(c) for c in chains})
 
 
 def test_broken_models_exit_2(cli, tmp_path):
@@ -179,6 +218,17 @@ def test_broken_models_exit_2(cli, tmp_path):
     notjson = tmp_path / "garbage.json"
     notjson.write_text("{not json")
     assert cli("verify", "--model", str(notjson), env_extra=NP_ENV).returncode == 2
+
+    # json.dumps writes NaN, which json.loads reads back as a float.
+    for field in ("p", "r"):
+        nan = dict(TWO_CYCLE_SPEC)
+        nan["transitions"] = [dict(t) for t in TWO_CYCLE_SPEC["transitions"]]
+        nan["transitions"][0][field] = float("nan")
+        model = write_json(tmp_path / f"nan_{field}.json", nan)
+        for cmd in ("verify", "solve"):
+            proc = cli(cmd, "--model", model, env_extra=NP_ENV)
+            assert proc.returncode == 2, (field, cmd, proc.stderr)
+            assert "non-finite" in proc.stderr
 
 
 def test_bench_csv_layout(cli):
