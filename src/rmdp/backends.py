@@ -6,6 +6,13 @@ version and a numpy fallback with identical semantics.  The active
 implementation is chosen at import time from the RMDP_BACKEND environment
 variable ("numba" or "numpy"); unset picks numba when it is importable.
 
+A Gauss-Seidel sweep takes its order cut into conflict-free runs
+(conflict_free_runs): no state in a run reads a state placed earlier in
+the same run, so every state of a run sees exactly the values the
+one-state-at-a-time loop would show it.  The numpy sweep backs up each
+run in vectorized form, with results bit-identical to that serial loop;
+the numba sweep walks the runs state by state.
+
 Kernels communicate failure through status codes instead of exceptions so
 the compiled versions stay object-mode free:
   RVI pass: 0 ok, 1 unsolved successor, 2 divergent self-loop.
@@ -52,6 +59,13 @@ BACKEND, _numba = _select_backend()
 # numpy implementations
 
 
+def _offsets(lengths):
+    """Start offsets of consecutive segments of the given lengths, plus the end."""
+    out = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
 def _rvi_pass_np(
     level_ptr,
     level_states,
@@ -86,8 +100,7 @@ def _rvi_pass_np(
         if np.any(unsolved):
             return RVI_UNSOLVED_SUCCESSOR, int(x_of_entry[np.where(unsolved)[0][0]])
 
-        ebounds = np.zeros(pairs.size, dtype=np.int64)
-        np.cumsum(e_lens[:-1], out=ebounds[1:])
+        ebounds = _offsets(e_lens)[:-1]
         rbar = np.add.reduceat(eprob * rew[entries], ebounds)
         alpha = np.add.reduceat(np.where(is_self, eprob, 0.0), ebounds)
         s = np.add.reduceat(np.where(is_self, 0.0, eprob * v[ecol]), ebounds)
@@ -98,8 +111,7 @@ def _rvi_pass_np(
         qvals = (rbar + gamma * s) / denom
         q[pairs] = qvals
 
-        sbounds = np.zeros(xs.size, dtype=np.int64)
-        np.cumsum(p_lens[:-1], out=sbounds[1:])
+        sbounds = _offsets(p_lens)[:-1]
         vmax = np.maximum.reduceat(qvals, sbounds)
         v[xs] = vmax
         hit = qvals == vmax[state_of_pair]
@@ -110,24 +122,79 @@ def _rvi_pass_np(
     return RVI_OK, -1
 
 
+def conflict_free_runs(order, state_ptr, pair_ptr, col):
+    """Cut a sweep order into maximal conflict-free runs.
+
+    order lists distinct states.  Returns run_ptr: run k is
+    order[run_ptr[k]:run_ptr[k + 1]].  No state in a run has a stored
+    successor placed earlier in the same run, so a run can be backed up
+    at once from the values before it.  Self-loops and successors outside
+    the order never conflict.  Runs are greedy and maximal: each run after
+    the first starts at a state that reads a member of the run before it.
+    """
+    m = order.size
+    if m == 0:
+        return np.zeros(1, dtype=np.int64)
+    pos = np.full(state_ptr.size - 1, m, dtype=np.int64)
+    pos[order] = np.arange(m, dtype=np.int64)
+    e_starts = pair_ptr[state_ptr[order]]
+    e_lens = pair_ptr[state_ptr[order + 1]] - e_starts
+    succ_pos = pos[col[gather_ranges(e_starts, e_lens)]]
+    own_pos = np.repeat(np.arange(m, dtype=np.int64), e_lens)
+    earlier = np.where(succ_pos < own_pos, succ_pos, -1)
+    latest = np.maximum.reduceat(earlier, _offsets(e_lens)[:-1]).tolist()
+    cuts = [0]
+    start = 0
+    for i, j in enumerate(latest):
+        if j >= start:
+            cuts.append(i)
+            start = i
+    cuts.append(m)
+    return np.asarray(cuts, dtype=np.int64)
+
+
 def _gs_sweep_np(
-    order, state_ptr, pair_action, pair_ptr, col, prob, rew, gamma, v, q, pol
+    order, state_ptr, pair_action, pair_ptr, col, prob, rew, gamma, v, q, pol, run_ptr
 ):
-    max_delta = 0.0
-    for x in order:
-        a, b = state_ptr[x], state_ptr[x + 1]
-        lo, hi = pair_ptr[a], pair_ptr[b]
-        vals = prob[lo:hi] * (rew[lo:hi] + gamma * v[col[lo:hi]])
-        bounds = pair_ptr[a:b] - lo
-        qvals = np.add.reduceat(vals, bounds)
-        q[a:b] = qvals
-        best = int(np.argmax(qvals))
-        delta = abs(qvals[best] - v[x])
-        if delta > max_delta:
-            max_delta = delta
-        v[x] = qvals[best]
-        pol[x] = pair_action[a + best]
-    return max_delta
+    # Gather the sweep's pairs and entries in sweep order once, so each run
+    # is a slice of the gathered arrays.  Only v is read during the sweep
+    # and each state is backed up once, so q, pol and the deltas are
+    # settled after the last run.
+    m = order.size
+    if m == 0:
+        return 0.0
+    p_starts = state_ptr[order]
+    p_lens = state_ptr[order + 1] - p_starts
+    pairs = gather_ranges(p_starts, p_lens)
+    e_starts = pair_ptr[p_starts]
+    entries = gather_ranges(e_starts, pair_ptr[p_starts + p_lens] - e_starts)
+    ecol = col[entries]
+    eprob = prob[entries]
+    erew = rew[entries]
+    pair_off = _offsets(p_lens)
+    entry_off = _offsets(pair_ptr[pairs + 1] - pair_ptr[pairs])
+    pair_idx = np.arange(pairs.size, dtype=np.int64)
+    v_old = v[order]
+    qall = np.empty(pairs.size, dtype=np.float64)
+    first = np.empty(m, dtype=np.int64)
+
+    for k in range(run_ptr.size - 1):
+        s, t = run_ptr[k], run_ptr[k + 1]
+        pa, pb = pair_off[s], pair_off[t]
+        ea, eb = entry_off[pa], entry_off[pb]
+        vals = eprob[ea:eb] * (erew[ea:eb] + gamma * v[ecol[ea:eb]])
+        qvals = np.add.reduceat(vals, entry_off[pa:pb] - ea, out=qall[pa:pb])
+        sbounds = pair_off[s:t] - pa
+        vmax = np.maximum.reduceat(qvals, sbounds)
+        hit = qvals == np.repeat(vmax, p_lens[s:t])
+        np.minimum.reduceat(
+            np.where(hit, pair_idx[pa:pb], pairs.size), sbounds, out=first[s:t]
+        )
+        v[order[s:t]] = qall[first[s:t]]
+
+    q[pairs] = qall
+    pol[order] = pair_action[pairs[first]]
+    return float(np.max(np.abs(v[order] - v_old)))
 
 
 def _backup_state_np(x, state_ptr, pair_action, pair_ptr, col, prob, rew, gamma, v, q):
@@ -268,26 +335,38 @@ if _numba is not None:
 
     @njit(cache=True)
     def _gs_sweep_nb(
-        order, state_ptr, pair_action, pair_ptr, col, prob, rew, gamma, v, q, pol
+        order,
+        state_ptr,
+        pair_action,
+        pair_ptr,
+        col,
+        prob,
+        rew,
+        gamma,
+        v,
+        q,
+        pol,
+        run_ptr,
     ):
         max_delta = 0.0
-        for k in range(order.size):
-            x = order[k]
-            best = -np.inf
-            best_pair = -1
-            for i in range(state_ptr[x], state_ptr[x + 1]):
-                acc = 0.0
-                for e in range(pair_ptr[i], pair_ptr[i + 1]):
-                    acc += prob[e] * (rew[e] + gamma * v[col[e]])
-                q[i] = acc
-                if acc > best:
-                    best = acc
-                    best_pair = i
-            delta = abs(best - v[x])
-            if delta > max_delta:
-                max_delta = delta
-            v[x] = best
-            pol[x] = pair_action[best_pair]
+        for r in range(run_ptr.size - 1):
+            for k in range(run_ptr[r], run_ptr[r + 1]):
+                x = order[k]
+                best = -np.inf
+                best_pair = -1
+                for i in range(state_ptr[x], state_ptr[x + 1]):
+                    acc = 0.0
+                    for e in range(pair_ptr[i], pair_ptr[i + 1]):
+                        acc += prob[e] * (rew[e] + gamma * v[col[e]])
+                    q[i] = acc
+                    if acc > best:
+                        best = acc
+                        best_pair = i
+                delta = abs(best - v[x])
+                if delta > max_delta:
+                    max_delta = delta
+                v[x] = best
+                pol[x] = pair_action[best_pair]
         return max_delta
 
     @njit(cache=True)
@@ -427,7 +506,8 @@ def warmup():
         1.0, v, solved, q, pol,
     )
     gs_sweep(
-        level_states, state_ptr, pair_action, pair_ptr, col, prob, rew, 1.0, v, q, pol
+        level_states, state_ptr, pair_action, pair_ptr, col, prob, rew, 1.0, v, q, pol,
+        conflict_free_runs(level_states, state_ptr, pair_ptr, col),
     )
     bvi_run(
         level_states,

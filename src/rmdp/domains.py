@@ -379,6 +379,8 @@ def build_fig2(variant, loop_prob=0.5):
 
 MULTIPLICATIVE = "Multiplicative"
 DELTA_INTERVAL = "DeltaInterval"
+# Uniforms held at once by DeltaInterval's blocked simulation.
+_SHRINK_BLOCK_DRAWS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -418,24 +420,30 @@ def shrink_simulate(params):
     children = np.random.SeedSequence(params.seed).spawn(params.trials)
     finals = np.empty(params.trials, dtype=np.float64)
     all_monotone = True
-    for t in range(params.trials):
-        rng = np.random.Generator(np.random.PCG64(children[t]))
-        if params.mode == MULTIPLICATIVE:
+    if params.mode == MULTIPLICATIVE:
+        for t in range(params.trials):
+            rng = np.random.Generator(np.random.PCG64(children[t]))
             path = np.cumprod(rng.random(params.steps))
             if path[0] > 1.0 or np.any(np.diff(path) > 0.0):
                 all_monotone = False
             finals[t] = path[-1]
-        else:
-            x = 1.0
-            monotone = True
-            for _ in range(params.steps):
-                nxt = rng.random() * max(x - params.delta, 0.0)
-                if nxt > x:
-                    monotone = False
+    else:
+        # Step a block of trials together; row k of u holds each trial's
+        # k-th uniform, drawn from that trial's own stream.
+        block = max(1, _SHRINK_BLOCK_DRAWS // params.steps)
+        for lo in range(0, params.trials, block):
+            hi = min(lo + block, params.trials)
+            u = np.empty((params.steps, hi - lo), dtype=np.float64)
+            for t in range(lo, hi):
+                rng = np.random.Generator(np.random.PCG64(children[t]))
+                u[:, t - lo] = rng.random(params.steps)
+            x = np.ones(hi - lo, dtype=np.float64)
+            for k in range(params.steps):
+                nxt = u[k] * np.maximum(x - params.delta, 0.0)
+                if np.any(nxt > x):
+                    all_monotone = False
                 x = nxt
-            if not monotone:
-                all_monotone = False
-            finals[t] = x
+            finals[lo:hi] = x
     final_abs = np.abs(finals)
     return ShrinkResult(
         final_abs=final_abs,

@@ -47,8 +47,8 @@ def gather_ranges(starts, lengths):
     if total == 0:
         return np.empty(0, dtype=np.int64)
     ends = np.cumsum(lengths)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - lengths, lengths)
-    return np.repeat(starts, lengths) + offsets
+    base = np.repeat(starts - (ends - lengths), lengths)
+    return base + np.arange(total, dtype=np.int64)
 
 
 def _unique_sorted(keys):

@@ -125,6 +125,28 @@ def _lowest_actions(mdp, states, pol):
     pol[states] = mdp.pair_action[mdp.state_ptr[states]]
 
 
+def _runs(mdp, order):
+    return backends.conflict_free_runs(order, mdp.state_ptr, mdp.pair_ptr, mdp.col)
+
+
+def _sweep(mdp, order, run_ptr, v, q, pol):
+    """One Gauss-Seidel sweep over order, cut into run_ptr; returns the max delta."""
+    return backends.gs_sweep(
+        order,
+        mdp.state_ptr,
+        mdp.pair_action,
+        mdp.pair_ptr,
+        mdp.col,
+        mdp.prob,
+        mdp.rew,
+        mdp.discount,
+        v,
+        q,
+        pol,
+        run_ptr,
+    )
+
+
 def _solve_absorbing(mdp, decomp, cfg, v, q, pol):
     """Fill v/q/pol on the absorbing part.  Returns (residual, sweeps)."""
     absorbing = decomp.absorbing
@@ -144,22 +166,11 @@ def _solve_absorbing(mdp, decomp, cfg, v, q, pol):
                     f"containing state {int(block[0])}"
                 )
     order = np.sort(absorbing).astype(np.int64)
+    run_ptr = _runs(mdp, order)
     residual = np.inf
     sweeps = 0
     while True:
-        residual = backends.gs_sweep(
-            order,
-            mdp.state_ptr,
-            mdp.pair_action,
-            mdp.pair_ptr,
-            mdp.col,
-            mdp.prob,
-            mdp.rew,
-            mdp.discount,
-            v,
-            q,
-            pol,
-        )
+        residual = _sweep(mdp, order, run_ptr, v, q, pol)
         sweeps += 1
         if residual < cfg.epsilon:
             return float(residual), sweeps
@@ -279,13 +290,15 @@ def qvi_solve(mdp, cfg, schedule=None, v0=None):
     """
     t0 = time.perf_counter_ns()
     n = mdp.state_count
+    rng = None
     if cfg.ordering == REVERSED_LEVEL_SETS:
-        fixed_order = _reversed_order(mdp, schedule)
+        order = _reversed_order(mdp, schedule)
     elif cfg.ordering == NATURAL:
-        fixed_order = np.arange(n, dtype=np.int64)
+        order = np.arange(n, dtype=np.int64)
     else:
-        fixed_order = None
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    if rng is None:
+        run_ptr = _runs(mdp, order)
 
     v = (
         np.array(v0, dtype=np.float64, copy=True)
@@ -301,24 +314,10 @@ def qvi_solve(mdp, cfg, schedule=None, v0=None):
     sweeps = 0
     q_updates = 0
     while True:
-        order = (
-            fixed_order
-            if fixed_order is not None
-            else rng.permutation(n).astype(np.int64)
-        )
-        residual = backends.gs_sweep(
-            order,
-            mdp.state_ptr,
-            mdp.pair_action,
-            mdp.pair_ptr,
-            mdp.col,
-            mdp.prob,
-            mdp.rew,
-            mdp.discount,
-            v,
-            q,
-            pol,
-        )
+        if rng is not None:
+            order = rng.permutation(n).astype(np.int64)
+            run_ptr = _runs(mdp, order)
+        residual = _sweep(mdp, order, run_ptr, v, q, pol)
         sweeps += 1
         q_updates += per_sweep
         if residual < cfg.epsilon:
@@ -415,7 +414,7 @@ def bvi_solve(mdp, decomp, cfg):
         sweeps=int(dequeues),
         wall_nanos=time.perf_counter_ns() - t0,
         converged=True,
-        residual=0.0,
+        residual=bellman_residual(mdp, v),
     )
     return SolveResult(values=ValueTable(v=v, q=q), policy=Policy(pol), stats=stats)
 

@@ -15,10 +15,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rmdp
-from rmdp import LiquidationParams, build_liquidation
-from rmdp.backends import IMPLEMENTATIONS
+from rmdp import LiquidationParams, Mdp, build_liquidation
+from rmdp.backends import IMPLEMENTATIONS, conflict_free_runs
 from rmdp.solvers import _raw_reverse_graph
 
 KERNELS = ("rvi_pass", "gs_sweep", "bvi_run", "bellman_residual")
@@ -71,7 +73,8 @@ def run_rvi_pass(impl):
 
 def run_gs_sweep(impl, sweeps=3):
     mdp, _, _, _, _ = kernel_inputs()
-    order = np.arange(mdp.state_count, dtype=np.int64)
+    order = np.random.default_rng(11).permutation(mdp.state_count).astype(np.int64)
+    run_ptr = conflict_free_runs(order, mdp.state_ptr, mdp.pair_ptr, mdp.col)
     v = np.zeros(mdp.state_count, dtype=np.float64)
     q = np.zeros(mdp.pair_count, dtype=np.float64)
     pol = np.zeros(mdp.state_count, dtype=np.int64)
@@ -91,6 +94,7 @@ def run_gs_sweep(impl, sweeps=3):
                     v,
                     q,
                     pol,
+                    run_ptr,
                 )
             )
         )
@@ -236,6 +240,151 @@ def test_full_solve_matches_across_backend_subprocesses(tmp_path):
     v_np = np.asarray(outs["numpy"]["v"])
     v_nb = np.asarray(outs["numba"]["v"])
     np.testing.assert_allclose(v_np, v_nb, rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched Gauss-Seidel on the numpy backend against the serial loop
+
+
+def serial_gs_sweep(
+    order, state_ptr, pair_action, pair_ptr, col, prob, rew, gamma, v, q, pol
+):
+    """Reference: back up one state at a time in order; returns max delta."""
+    max_delta = 0.0
+    for x in order:
+        a, b = state_ptr[x], state_ptr[x + 1]
+        lo, hi = pair_ptr[a], pair_ptr[b]
+        vals = prob[lo:hi] * (rew[lo:hi] + gamma * v[col[lo:hi]])
+        qvals = np.add.reduceat(vals, pair_ptr[a:b] - lo)
+        q[a:b] = qvals
+        best = int(np.argmax(qvals))
+        delta = abs(qvals[best] - v[x])
+        if delta > max_delta:
+            max_delta = delta
+        v[x] = qvals[best]
+        pol[x] = pair_action[a + best]
+    return max_delta
+
+
+def mdp_from_rows(rows, discount):
+    """Mdp from rows[x] = list of (successors, rewards) per action, each
+    action spreading its mass evenly over its sorted distinct successors."""
+    state_ptr, pair_ptr = [0], [0]
+    pair_action, col, prob, rew = [], [], [], []
+    for actions in rows:
+        for u, (succs, rews) in enumerate(actions):
+            pair_action.append(u)
+            col.extend(succs)
+            prob.extend([1.0 / len(succs)] * len(succs))
+            rew.extend(rews)
+            pair_ptr.append(len(col))
+        state_ptr.append(len(pair_action))
+    n_actions = max(len(a) for a in rows)
+    return Mdp(
+        len(rows), n_actions, discount, state_ptr, pair_action, pair_ptr, col, prob, rew
+    )
+
+
+@st.composite
+def sweep_cases(draw):
+    """A small MDP (self-loops, several actions, ties, signed zeros), a
+    sweep order over all or some of its states, and a start value table."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    zero_rewards = draw(st.booleans())
+    rewards = [0.0, -0.0] if zero_rewards else [0.0, -0.0, 1.0, -1.0, 0.5]
+    reward = st.sampled_from(rewards)
+    rows = []
+    for _ in range(n):
+        actions = []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            succs = sorted(
+                draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(3, n)))
+            )
+            actions.append((succs, [draw(reward) for _ in succs]))
+        rows.append(actions)
+    mdp = mdp_from_rows(rows, draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])))
+    kind = draw(st.sampled_from(["natural", "random", "subset"]))
+    if kind == "natural":
+        order = list(range(n))
+    else:
+        order = draw(st.permutations(range(n)))
+        if kind == "subset":
+            order = order[: draw(st.integers(min_value=0, max_value=n))]
+    v0 = [draw(st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.25])) for _ in range(n)]
+    return mdp, np.asarray(order, dtype=np.int64), np.asarray(v0, dtype=np.float64)
+
+
+def assert_runs_conflict_free_and_maximal(mdp, order, run_ptr):
+    assert run_ptr[0] == 0 and run_ptr[-1] == order.size
+    assert np.all(np.diff(run_ptr) > 0)
+    pos = {int(x): i for i, x in enumerate(order)}
+
+    def reads(i):
+        x = order[i]
+        lo, hi = mdp.pair_ptr[mdp.state_ptr[x]], mdp.pair_ptr[mdp.state_ptr[x + 1]]
+        return {pos[int(y)] for y in mdp.col[lo:hi] if int(y) in pos}
+
+    for k in range(run_ptr.size - 1):
+        s, t = int(run_ptr[k]), int(run_ptr[k + 1])
+        for i in range(s, t):
+            assert not any(s <= j < i for j in reads(i)), (k, i)
+        if k:
+            prev = int(run_ptr[k - 1])
+            assert any(prev <= j < s for j in reads(s)), k
+
+
+def assert_batched_matches_serial(mdp, order, v0, sweeps=3):
+    run_ptr = conflict_free_runs(order, mdp.state_ptr, mdp.pair_ptr, mdp.col)
+    assert_runs_conflict_free_and_maximal(mdp, order, run_ptr)
+    ref = [
+        v0.copy(),
+        np.zeros(mdp.pair_count),
+        np.zeros(mdp.state_count, dtype=np.int64),
+    ]
+    out = [a.copy() for a in ref]
+    model = (mdp.state_ptr, mdp.pair_action, mdp.pair_ptr, mdp.col, mdp.prob, mdp.rew)
+    for _ in range(sweeps):
+        d_ref = serial_gs_sweep(order, *model, mdp.discount, *ref)
+        d_out = IMPLEMENTATIONS["numpy"]["gs_sweep"](
+            order, *model, mdp.discount, *out, run_ptr
+        )
+        assert np.float64(d_out).tobytes() == np.float64(d_ref).tobytes()
+        for a, b in zip(out, ref):
+            assert a.tobytes() == b.tobytes()
+    return run_ptr
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_cases())
+def test_batched_gs_sweep_matches_serial_loop(case):
+    assert_batched_matches_serial(*case)
+
+
+def chain_mdp(succ):
+    """One action per state: state x moves to succ[x] with reward 1."""
+    return mdp_from_rows([[([s], [1.0])] for s in succ], 0.9)
+
+
+def test_batched_gs_sweep_edge_cases():
+    mdp = chain_mdp([0, 1, 1])
+    v0 = np.zeros(3)
+    empty = np.empty(0, dtype=np.int64)
+    assert assert_batched_matches_serial(mdp, empty, v0).tolist() == [0]
+    assert assert_batched_matches_serial(mdp, np.array([1]), v0).tolist() == [0, 1]
+    # each state reads the one before it: every run is a single state
+    down = chain_mdp([0, 0, 1, 2, 3])
+    order = np.arange(5, dtype=np.int64)
+    runs = assert_batched_matches_serial(down, order, np.zeros(5))
+    assert runs.tolist() == [0, 1, 2, 3, 4, 5]
+    # each state reads only later states or itself: one run
+    up = chain_mdp([1, 2, 3, 4, 4])
+    assert assert_batched_matches_serial(up, order, np.zeros(5)).tolist() == [0, 5]
+
+
+def test_batched_gs_sweep_matches_serial_loop_on_liquidation():
+    mdp, _, _, _, _ = kernel_inputs()
+    order = np.random.default_rng(5).permutation(mdp.state_count).astype(np.int64)
+    assert_batched_matches_serial(mdp, order, np.zeros(mdp.state_count), sweeps=4)
 
 
 def test_env_flag_selects_numpy_backend():

@@ -332,6 +332,50 @@ def test_shrink_delta_interval_collapses_to_zero():
     assert out.all_monotone
 
 
+def scalar_delta_interval(trials, steps, seed, delta):
+    """Reference: each trial steps X <- U * max(X - delta, 0) one scalar
+    draw at a time.  Returns (finals, all_monotone)."""
+    children = np.random.SeedSequence(seed).spawn(trials)
+    finals = np.empty(trials, dtype=np.float64)
+    all_monotone = True
+    for t in range(trials):
+        rng = np.random.Generator(np.random.PCG64(children[t]))
+        x = 1.0
+        for _ in range(steps):
+            nxt = rng.random() * max(x - delta, 0.0)
+            if nxt > x:
+                all_monotone = False
+            x = nxt
+        finals[t] = x
+    return finals, all_monotone
+
+
+@pytest.mark.parametrize(
+    "seed,delta,trials,steps",
+    [(0, 0.25, 300, 20), (3, 0.01, 200, 4), (8, 0.05, 150, 2), (5, 0.001, 100, 9)],
+)
+@pytest.mark.parametrize("block_draws", [None, 10])
+def test_shrink_delta_interval_matches_scalar_loop(
+    monkeypatch, seed, delta, trials, steps, block_draws
+):
+    # block_draws=10 forces many small trial blocks, one trial per block
+    # when steps exceeds 5
+    if block_draws is not None:
+        monkeypatch.setattr(rmdp.domains, "_SHRINK_BLOCK_DRAWS", block_draws)
+    out = shrink_simulate(
+        ShrinkParams(
+            trials=trials, steps=steps, seed=seed, mode=rmdp.DELTA_INTERVAL,
+            delta=delta,
+        )
+    )
+    finals, monotone = scalar_delta_interval(trials, steps, seed, delta)
+    ref_abs = np.abs(finals)
+    assert out.final_abs.tobytes() == ref_abs.tobytes()
+    assert out.max_final == float(ref_abs.max())
+    assert float(out.final_abs.mean()) == float(ref_abs.mean())
+    assert out.all_monotone is monotone is True
+
+
 def test_shrink_expected_drift_values():
     assert shrink_expected_drift(1.0, 0.0) == pytest.approx(0.5)
     assert shrink_expected_drift(0.8, 0.1) == pytest.approx(0.45)

@@ -338,6 +338,37 @@ def test_bellman_residual_zero_at_fixed_point():
     assert rmdp.bellman_residual(mdp, off) > 0.05
 
 
+def self_loop_instance():
+    mdp = single_loop_mdp(alpha=0.5, gamma=0.9, reward=1.0)
+    sched, decomp = schedule_of(mdp)
+    return mdp, sched, decomp
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        rmdp.build_spiral,
+        lambda: rmdp.build_liquidation(
+            rmdp.LiquidationParams(q_max=4, z_min=100, z_max=108, z0=104)
+        ),
+        self_loop_instance,
+    ],
+    ids=["spiral", "liquidation", "self-loop"],
+)
+def test_bvi_reports_measured_residual(build):
+    mdp, _, decomp = build()
+    res = rmdp.bvi_solve(mdp, decomp, SolverConfig())
+    assert res.stats.residual == rmdp.bellman_residual(mdp, res.values.v)
+    assert res.stats.residual <= 1e-8
+
+
+def test_bvi_residual_is_nonzero_when_iteration_stops_short():
+    # the self-loop state converges geometrically, so BVI stops within
+    # epsilon of the fixed point, not on it
+    mdp, _, decomp = self_loop_instance()
+    assert rmdp.bvi_solve(mdp, decomp, SolverConfig()).stats.residual > 0.0
+
+
 # ---------------------------------------------------------------------------
 # agreement on randomized reductive MDPs
 
