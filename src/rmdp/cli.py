@@ -168,9 +168,14 @@ def _resolve_model(res):
     raise InvalidParams(f"unknown domain {domain!r}")
 
 
-def _ensure_schedule(mdp, schedule, decomp):
+def _ensure_schedule(mdp, schedule, decomp, union=None):
+    """The given schedule and decomposition, else both derived from union.
+
+    union defaults to the model's union chain.
+    """
     if schedule is None or decomp is None:
-        union = mdp.union_chain()
+        if union is None:
+            union = mdp.union_chain()
         decomp = absorbing_decomposition(union)
         pt = counting_potential(union)
         schedule = level_set_schedule(pt, decomp)
@@ -201,19 +206,30 @@ def _cmd_solve(res):
     if solver not in SOLVER_NAMES:
         raise InvalidParams(f"unknown solver {solver!r}")
     if solver == "rvi":
-        verdict = verify_reductive_mdp(mdp)
-        if not verdict.reductive:
-            raise NotReductive(
-                f"model is not reductive ({len(verdict.violations)} violations)"
-            )
+        schedule, decomp = _verified_schedule(mdp, schedule, decomp)
     result = _dispatch(solver, mdp, schedule, decomp, _solver_config(res))
     _write_json(res.get("out"), result.to_json_dict())
     return EXIT_OK
 
 
+def _verified_schedule(mdp, schedule, decomp):
+    """Certify mdp, then _ensure_schedule, both from one union chain.
+
+    The chain is dropped on return, before any solve runs.
+    """
+    union = mdp.union_chain()
+    verdict = verify_reductive_mdp(mdp, union)
+    if not verdict.reductive:
+        raise NotReductive(
+            f"model is not reductive ({len(verdict.violations)} violations)"
+        )
+    return _ensure_schedule(mdp, schedule, decomp, union)
+
+
 def _cmd_verify(res):
     mdp, _, _ = _resolve_model(res)
-    verdict = verify_reductive_mdp(mdp)
+    union = mdp.union_chain()
+    verdict = verify_reductive_mdp(mdp, union)
     payload = {
         "reductive": verdict.reductive,
         "violations": [
@@ -221,7 +237,6 @@ def _cmd_verify(res):
         ],
     }
     if verdict.reductive:
-        union = mdp.union_chain()
         decomp = absorbing_decomposition(union)
         pt = counting_potential(union)
         perm = canonical_permutation(union, decomp, pt)

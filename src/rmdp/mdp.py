@@ -136,9 +136,17 @@ class MarkovChain:
         row_of_entry = np.repeat(
             np.arange(self.state_count, dtype=np.int64), np.diff(self.row_ptr)
         )
-        self.col, self.prob, self.rew = _sort_entries(
-            row_of_entry, self.col, self.prob, self.rew
+        if row_of_entry.size != self.col.size:
+            raise ModelError("row_ptr does not match the entry count")
+        # Callers such as Mdp.union_chain already emit (row, successor)
+        # order; the stable sort would return the arrays unchanged.
+        descending = (row_of_entry[1:] == row_of_entry[:-1]) & (
+            self.col[1:] < self.col[:-1]
         )
+        if np.any(descending):
+            self.col, self.prob, self.rew = _sort_entries(
+                row_of_entry, self.col, self.prob, self.rew
+            )
         _check_rows(
             self.row_ptr, self.col, self.prob, self.rew, self.state_count, "chain"
         )

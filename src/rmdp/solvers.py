@@ -206,14 +206,56 @@ def _check_schedule(mdp, schedule, decomp):
     return levels, total
 
 
+def _level_groups(mdp, levels, level_states, absorbing):
+    """Cut the levels into groups that the pass can back up at once.
+
+    Returns a pointer into level_states: group k holds the states of one
+    maximal run of consecutive levels with no edge from a level of the run
+    to another level of the same run.  A valid schedule reads only earlier
+    levels and the absorbing part, so each group sees exactly the values
+    its levels would see one at a time.  A level that reads itself or a
+    later level always starts a group, where the pass reports the state it
+    reports when levels run one at a time.
+    """
+    sizes = np.asarray([lv.size for lv in levels], dtype=np.int64)
+    level_ptr = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=level_ptr[1:])
+    if level_states.size == 0:
+        return level_ptr
+    # Per-entry arrays are int32 to keep this pass's memory small.
+    rank = np.full(mdp.state_count, sizes.size, dtype=np.int32)
+    rank[level_states] = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)
+    rank[absorbing] = -1
+    # Latest level each state reads, self-loops aside; every state has
+    # at least one entry.
+    entry_ptr = mdp.pair_ptr[mdp.state_ptr]
+    src = np.repeat(np.arange(mdp.state_count, dtype=np.int32), np.diff(entry_ptr))
+    reads = rank[mdp.col]
+    reads[mdp.col == src] = -1
+    state_reads = np.maximum.reduceat(reads, entry_ptr[:-1])[level_states]
+    # Latest level each level reads; empty levels read none.
+    latest = np.full(sizes.size, -1, dtype=np.int64)
+    filled = sizes > 0
+    latest[filled] = np.maximum.reduceat(state_reads, level_ptr[:-1][filled])
+    cuts = [0]
+    for lv, j in enumerate(latest.tolist()):
+        if j >= cuts[-1] and lv > cuts[-1]:
+            cuts.append(lv)
+    cuts.append(sizes.size)
+    return level_ptr[cuts]
+
+
 def rvi_solve(mdp, schedule, decomp, cfg=None):
     """Single-pass solve: absorbing part first, then levels ascending.
 
     Each transient (state, action) pair is evaluated exactly once with the
     closed-form update, so stats.q_updates equals the number of admissible
-    transient pairs and stats.sweeps is always 1.  Raises ScheduleMismatch
-    when a level references a successor outside earlier levels or the
-    absorbing part, and DivergentSelfLoop on gamma * p(x|x,u) = 1.
+    transient pairs and stats.sweeps is always 1.  Consecutive levels with
+    no edge between them are backed up together (_level_groups); values,
+    policy and errors are the same as level by level.  Raises
+    ScheduleMismatch when a level references a successor outside earlier
+    levels or the absorbing part, and DivergentSelfLoop on
+    gamma * p(x|x,u) = 1.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     t0 = time.perf_counter_ns()
@@ -226,16 +268,10 @@ def rvi_solve(mdp, schedule, decomp, cfg=None):
 
     solved = np.zeros(mdp.state_count, dtype=np.uint8)
     solved[decomp.absorbing] = 1
-    level_ptr = np.zeros(len(levels) + 1, dtype=np.int64)
-    if levels:
-        np.cumsum(
-            np.asarray([lv.size for lv in levels], dtype=np.int64),
-            out=level_ptr[1:],
-        )
     level_states = level_cat.astype(np.int64)
 
     code, bad = backends.rvi_pass(
-        level_ptr,
+        _level_groups(mdp, levels, level_states, decomp.absorbing),
         level_states,
         mdp.state_ptr,
         mdp.pair_action,

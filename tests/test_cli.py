@@ -198,6 +198,34 @@ def test_verify_condenses_each_chain_once(tmp_path, monkeypatch):
     assert len(scc_calls) == len({id(c) for c in chains})
 
 
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_command_builds_one_union_chain(tmp_path, monkeypatch, command):
+    """Verdict, decomposition, potential and order share one union chain."""
+    mdp, _, _ = build_spiral()
+    model = write_json(tmp_path / "spiral.json", mdp_to_spec(mdp))
+
+    chains = []
+    union_chain = Mdp.union_chain
+
+    def recording_union_chain(self):
+        chains.append(union_chain(self))
+        return chains[-1]
+
+    scc_calls = []
+    scc = rmdp.reachability.connected_components
+
+    def counting_scc(*args, **kwargs):
+        scc_calls.append(args)
+        return scc(*args, **kwargs)
+
+    monkeypatch.setattr(Mdp, "union_chain", recording_union_chain)
+    monkeypatch.setattr(rmdp.reachability, "connected_components", counting_scc)
+    out = tmp_path / "out.json"
+    assert rmdp.cli.main([command, "--model", model, "--out", str(out)]) == 0
+    assert len(chains) == 1
+    assert len(scc_calls) == 1
+
+
 def test_broken_models_exit_2(cli, tmp_path):
     bad_sum = dict(TWO_CYCLE_SPEC)
     bad_sum["transitions"] = [

@@ -77,6 +77,21 @@ def test_duplicate_successor_rejected():
         MarkovChain.from_rows([[(0, 0.5), (0, 0.5)]])
 
 
+def test_chain_sorts_rows_only_when_out_of_order():
+    # A descent across a row boundary needs no sort.
+    ch = MarkovChain.from_rows([[(0, 0.5), (1, 0.5)], [(0, 1.0)]])
+    assert ch.col.tolist() == [0, 1, 0]
+    assert ch.prob.tolist() == [0.5, 0.5, 1.0]
+    # Sorting brings separated duplicates together, where they are caught.
+    with pytest.raises(DuplicateSuccessor):
+        MarkovChain.from_rows([[(1, 0.5), (0, 0.25), (1, 0.25)], [(1, 1.0)]])
+
+
+def test_chain_rejects_row_ptr_not_covering_entries():
+    with pytest.raises(ModelError):
+        MarkovChain(2, [0, 1, 3], [1, 1], [1.0, 1.0])
+
+
 def test_nonpositive_probability_rejected():
     with pytest.raises(NegativeProbability):
         MarkovChain.from_rows([[(0, 1.5), (1, -0.5)], [(1, 1.0)]])

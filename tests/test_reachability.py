@@ -71,6 +71,103 @@ def test_potential_equals_reachable_set_size_on_spiral():
         assert pt.phi[x] == len(reachable_set(ch, x))
 
 
+def edge_chain(n, edges):
+    """Chain on n states with uniform rows over the given edges.
+
+    A state with no listed edge gets a certain self-loop, so it is a
+    closed class of its own.
+    """
+    succs = [set() for _ in range(n)]
+    for x, xp in edges:
+        succs[x].add(xp)
+    rows = []
+    for x in range(n):
+        row = sorted(succs[x]) or [x]
+        rows.append([(s, 1.0 / len(row)) for s in row])
+    return MarkovChain.from_rows(rows)
+
+
+def seeded_chain(n, seed=0):
+    rng = np.random.default_rng(seed)
+    edges = []
+    for x in range(n):
+        k = int(rng.integers(1, min(3, n) + 1))
+        edges += [(x, int(s)) for s in rng.choice(n, size=k, replace=False)]
+    return edge_chain(n, edges)
+
+
+def assert_potential_counts_reach(chain, states=None):
+    phi = counting_potential(chain).phi
+    assert phi.shape == (chain.state_count,)
+    for x in range(chain.state_count) if states is None else states:
+        assert phi[x] == len(reachable_set(chain, x)), x
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])
+def test_potential_at_word_boundaries(n):
+    assert_potential_counts_reach(seeded_chain(n, seed=n))
+    # A path into the last state, which closes on itself.
+    path = edge_chain(n, [(x, x + 1) for x in range(n - 1)])
+    assert counting_potential(path).phi.tolist() == list(range(n, 0, -1))
+
+
+def test_potential_closed_class_straddling_words():
+    # States 30..99 form one closed cycle across the words of bits 0..63
+    # and 64..127; 0..29 lead into it and 100..109 lead into 0.
+    edges = [(x, x + 1) for x in range(30)]
+    edges += [(x, 30 + (x - 29) % 70) for x in range(30, 100)]
+    edges += [(x, x + 1) for x in range(100, 109)] + [(109, 0), (105, 99)]
+    chain = edge_chain(110, edges)
+    assert_potential_counts_reach(chain)
+    assert counting_potential(chain).phi[30:100].tolist() == [70] * 70
+
+
+def test_potential_long_path_has_one_frontier_per_state():
+    n = 3000
+    chain = edge_chain(n, [(x, x + 1) for x in range(n - 1)])
+    phi = counting_potential(chain).phi
+    assert phi.tolist() == list(range(n, 0, -1))
+    assert_potential_counts_reach(chain, states=[0, 1, 1500, n - 64, n - 1])
+
+
+def test_potential_wide_star():
+    # Every leaf is its own sink, so after the tallest leaf every other
+    # successor of the hub is uncovered and must be ORed in.
+    k = 300
+    hub = edge_chain(k + 1, [(0, leaf) for leaf in range(1, k + 1)])
+    assert counting_potential(hub).phi.tolist() == [k + 1] + [1] * k
+    # Leaves of unequal height: leaf i is a path of i + 1 states.
+    edges, nxt = [], 1
+    for i in range(40):
+        edges.append((0, nxt))
+        edges += [(s, s + 1) for s in range(nxt, nxt + i)]
+        nxt += i + 1
+    assert_potential_counts_reach(edge_chain(nxt, edges))
+
+
+def test_potential_diamond_lattice():
+    # Grid (i, j) -> (i + 1, j), (i, j + 1): successors share most of
+    # their reach sets, so most are skipped as covered.
+    side = 24
+
+    def sid(i, j):
+        return i * side + j
+
+    edges = []
+    for i in range(side):
+        for j in range(side):
+            if i + 1 < side:
+                edges.append((sid(i, j), sid(i + 1, j)))
+            if j + 1 < side:
+                edges.append((sid(i, j), sid(i, j + 1)))
+    chain = edge_chain(side * side, edges)
+    phi = counting_potential(chain).phi
+    for i in range(side):
+        for j in range(side):
+            assert phi[sid(i, j)] == (side - i) * (side - j)
+    assert_potential_counts_reach(chain, states=[0, sid(3, 20), sid(side - 1, 0)])
+
+
 def test_fig2_potentials():
     assert counting_potential(build_fig2("A")).phi.tolist() == [4, 2, 2, 1]
     assert counting_potential(build_fig2("B")).phi.tolist() == [5, 3, 3, 2, 2]
@@ -352,6 +449,37 @@ def test_potential_counts_reachable_states(chain):
     pt = counting_potential(chain)
     for x in range(chain.state_count):
         assert pt.phi[x] == len(reachable_set(chain, x))
+
+
+@st.composite
+def chains_with_transient_cycles(draw):
+    # Cycles of 1-4 states; cycle i leads only into later cycles, so the
+    # early cycles are transient strongly-connected components.
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=30))
+    starts = np.cumsum([0] + sizes).tolist()
+    edges = []
+    for i, size in enumerate(sizes):
+        members = range(starts[i], starts[i] + size)
+        edges += [(x, starts[i] + (x - starts[i] + 1) % size) for x in members]
+        if i + 1 < len(sizes):
+            for x in members:
+                targets = draw(
+                    st.lists(
+                        st.integers(starts[i + 1], starts[-1] - 1),
+                        max_size=2,
+                        unique=True,
+                    )
+                )
+                edges += [(x, t) for t in targets]
+    n = starts[-1]
+    labels = draw(st.permutations(range(n)))
+    return edge_chain(n, [(labels[x], labels[t]) for x, t in edges])
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains_with_transient_cycles())
+def test_potential_counts_reachable_states_through_cycles(chain):
+    assert_potential_counts_reach(chain)
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,6 +18,7 @@ from rmdp import (
     build_mdp,
     mdp_from_chain,
 )
+from rmdp import backends, solvers
 from rmdp.domains import SPIRAL_EDGES
 from rmdp.reachability import AbsorbingDecomposition
 
@@ -441,6 +442,171 @@ def test_all_solvers_agree_on_generated_instances(mdp):
     ]
     for res in others:
         assert np.max(np.abs(res.values.v - ref.values.v)) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# merged levels
+
+
+def rvi_level_by_level(mdp, schedule, decomp):
+    """The one-pass solve with one kernel step per schedule level.
+
+    Reference for rvi_solve, which backs up runs of independent levels
+    together.  Returns the kernel's status code and state with v, q, pol
+    and the number of transient pairs.
+    """
+    v = np.zeros(mdp.state_count)
+    q = np.zeros(mdp.pair_count)
+    pol = np.zeros(mdp.state_count, dtype=np.int64)
+    solvers._solve_absorbing(mdp, decomp, SolverConfig(), v, q, pol)
+    solved = np.zeros(mdp.state_count, dtype=np.uint8)
+    solved[decomp.absorbing] = 1
+    sizes = [lv.size for lv in schedule.levels]
+    level_ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    states = np.concatenate(
+        [np.asarray(lv, dtype=np.int64) for lv in schedule.levels]
+    ) if sizes else np.empty(0, dtype=np.int64)
+    code, bad = backends.rvi_pass(
+        level_ptr, states, mdp.state_ptr, mdp.pair_action, mdp.pair_ptr,
+        mdp.col, mdp.prob, mdp.rew, mdp.discount, v, solved, q, pol,
+    )
+    return code, int(bad), v, q, pol, int(mdp.mask_sizes()[states].sum())
+
+
+def assert_rvi_matches_level_by_level(mdp, schedule, decomp):
+    """rvi_solve equals the reference bit for bit, or fails on the same state.
+
+    Returns the reference's status code.
+    """
+    code, bad, v, q, pol, q_updates = rvi_level_by_level(mdp, schedule, decomp)
+    if code == backends.RVI_UNSOLVED_SUCCESSOR:
+        with pytest.raises(ScheduleMismatch, match=f"^state {bad} reads"):
+            rmdp.rvi_solve(mdp, schedule, decomp)
+    elif code == backends.RVI_DIVERGENT_LOOP:
+        with pytest.raises(DivergentSelfLoop, match=f"^state {bad} has"):
+            rmdp.rvi_solve(mdp, schedule, decomp)
+    else:
+        res = rmdp.rvi_solve(mdp, schedule, decomp)
+        assert res.values.v.tobytes() == v.tobytes()
+        assert res.values.q.tobytes() == q.tobytes()
+        assert res.policy.choice.tobytes() == pol.tobytes()
+        assert res.stats.q_updates == q_updates
+    return code
+
+
+def assert_groups_valid_and_maximal(mdp, schedule, decomp):
+    levels = list(schedule.levels)
+    states = np.concatenate(levels).astype(np.int64)
+    group_ptr = solvers._level_groups(mdp, levels, states, decomp.absorbing)
+    level_ptr = np.concatenate([[0], np.cumsum([lv.size for lv in levels])])
+    assert set(group_ptr.tolist()) <= set(level_ptr.tolist())
+    assert group_ptr[0] == 0 and group_ptr[-1] == states.size
+    group_of = np.full(mdp.state_count, -1)
+    for k in range(group_ptr.size - 1):
+        group_of[states[group_ptr[k] : group_ptr[k + 1]]] = k
+    reads = [set() for _ in range(group_ptr.size - 1)]
+    for x in states.tolist():
+        a, b = mdp.state_ptr[x], mdp.state_ptr[x + 1]
+        for xp in mdp.col[mdp.pair_ptr[a] : mdp.pair_ptr[b]].tolist():
+            if xp != x and group_of[xp] >= 0:
+                reads[group_of[x]].add(int(group_of[xp]))
+    for k, r in enumerate(reads):
+        assert k not in r, "a group reads itself"
+        if k:
+            assert k - 1 in r, "a group could have joined the one before"
+    return group_ptr.size - 1
+
+
+def reschedule(schedule, how, data):
+    levels = [np.asarray(lv, dtype=np.int64) for lv in schedule.levels]
+    if how == "reversed":
+        levels = levels[::-1]
+    elif how == "singletons":
+        levels = [np.array([x]) for lv in levels for x in lv.tolist()]
+    elif how == "merge-two" and len(levels) >= 2:
+        i = data.draw(st.integers(0, len(levels) - 2))
+        levels[i : i + 2] = [np.concatenate(levels[i : i + 2])]
+    elif how == "swap-two" and len(levels) >= 2:
+        i = data.draw(st.integers(0, len(levels) - 2))
+        levels[i], levels[i + 1] = levels[i + 1], levels[i]
+    elif how == "shuffled":
+        levels = data.draw(st.permutations(levels))
+    elif how == "empty-level":
+        i = data.draw(st.integers(0, len(levels)))
+        levels.insert(i, np.empty(0, dtype=np.int64))
+    return rmdp.LevelSetSchedule(levels=tuple(levels))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    reductive_mdps(),
+    st.sampled_from(
+        [
+            "derived",
+            "reversed",
+            "singletons",
+            "merge-two",
+            "swap-two",
+            "shuffled",
+            "empty-level",
+        ]
+    ),
+    st.data(),
+)
+def test_rvi_merged_levels_match_level_by_level(mdp, how, data):
+    sched, decomp = schedule_of(mdp)
+    sched = reschedule(sched, how, data)
+    code = assert_rvi_matches_level_by_level(mdp, sched, decomp)
+    if code == backends.RVI_OK and sched.levels:
+        assert_groups_valid_and_maximal(mdp, sched, decomp)
+
+
+@pytest.mark.parametrize("derived", [False, True])
+def test_rvi_merged_levels_match_level_by_level_on_liquidation(derived):
+    mdp, sched, decomp = rmdp.build_liquidation(rmdp.LiquidationParams(q_max=20))
+    if derived:
+        sched, decomp = schedule_of(mdp)
+    assert assert_rvi_matches_level_by_level(mdp, sched, decomp) == backends.RVI_OK
+    groups = assert_groups_valid_and_maximal(mdp, sched, decomp)
+    if derived:
+        assert groups < len(sched.levels)
+
+
+def liquidation_derived_schedule():
+    mdp, _, _ = rmdp.build_liquidation(rmdp.LiquidationParams(q_max=20))
+    sched, decomp = schedule_of(mdp)
+    return mdp, [np.asarray(lv) for lv in sched.levels], decomp
+
+
+def reads_level(mdp, level, other):
+    """Whether some state of level has a successor in other."""
+    targets = set(np.asarray(other).tolist())
+    for x in np.asarray(level).tolist():
+        a, b = mdp.state_ptr[x], mdp.state_ptr[x + 1]
+        row = mdp.col[mdp.pair_ptr[a] : mdp.pair_ptr[b]].tolist()
+        if targets.intersection(row) - {x}:
+            return True
+    return False
+
+
+def test_rvi_invalid_schedules_name_the_level_by_level_state():
+    mdp, levels, decomp = liquidation_derived_schedule()
+    # First consecutive pair of levels joined by an edge.
+    i = next(
+        k for k in range(1, len(levels)) if reads_level(mdp, levels[k], levels[k - 1])
+    )
+    cases = {
+        "reversed": levels[::-1],
+        # Two adjacent states in one level.
+        "merged": levels[: i - 1] + [np.concatenate(levels[i - 1 : i + 1])]
+        + levels[i + 1 :],
+        # A level that reads the level after it.
+        "swapped": levels[: i - 1] + [levels[i], levels[i - 1]] + levels[i + 1 :],
+    }
+    for name, lv in cases.items():
+        sched = rmdp.LevelSetSchedule(levels=tuple(lv))
+        code = assert_rvi_matches_level_by_level(mdp, sched, decomp)
+        assert code == backends.RVI_UNSOLVED_SUCCESSOR, name
 
 
 # ---------------------------------------------------------------------------
