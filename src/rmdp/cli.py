@@ -17,7 +17,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .backends import warmup
 from .domains import (
     DELTA_INTERVAL,
     MULTIPLICATIVE,
@@ -32,11 +31,11 @@ from .domains import (
 from .errors import InvalidParams, ModelError, NotReductive, SolverError
 from .mdp import build_mdp, mdp_from_chain
 from .reachability import (
+    _reachable_mask,
     absorbing_decomposition,
     canonical_permutation,
     counting_potential,
     level_set_schedule,
-    reachable_set,
     verify_reductive_mdp,
 )
 from .solvers import (
@@ -258,7 +257,6 @@ def _cmd_bench(res):
         raise InvalidParams("repeats must be at least 1")
     base_seed = int(res.get("seed", 0))
 
-    warmup()
     lines = [BENCH_HEADER]
     for qm in q_maxes:
         params = _liq_params(res, q_max=qm)
@@ -317,7 +315,7 @@ def _cmd_policy_grid(res):
     mdp, schedule, decomp = build_liquidation(params)
     result = rvi_solve(mdp, schedule, decomp, _solver_config(res))
     start = liquidation_state_id(params, params.q_max, params.z0)
-    reach = reachable_set(mdp.union_chain(), start)
+    reach = _reachable_mask(mdp.pair_ptr[mdp.state_ptr], mdp.col, start)
     choice = result.policy.choice
     Z = params.z_count
     lines = [GRID_HEADER]
@@ -325,7 +323,7 @@ def _cmd_policy_grid(res):
         for z in range(params.z_min, params.z_max + 1):
             sid = q * Z + (z - params.z_min)
             lines.append(
-                f"{q},{z},{int(choice[sid])},{1 if sid in reach else 0}"
+                f"{q},{z},{int(choice[sid])},{1 if reach[sid] else 0}"
             )
     _write_text(res.get("out"), "\n".join(lines) + "\n")
     return EXIT_OK

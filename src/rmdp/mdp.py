@@ -13,6 +13,7 @@ All objects are immutable after construction.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,19 @@ def _as_int_array(values, name):
     if arr.ndim != 1:
         raise ModelError(f"{name} must be one-dimensional")
     return arr
+
+
+def _check_integers(values, field):
+    """Raise ModelError naming field(i) at the first value not an integer.
+
+    Model ids must be JSON integers: a float, string or boolean is
+    rejected, never truncated or parsed into a different model from the
+    one the file describes.  The common all-int case costs one type scan.
+    """
+    if not {type(v) for v in values} <= {int}:
+        for i, v in enumerate(values):
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ModelError(f"{field(i)} must be an integer, got {v!r}")
 
 
 def gather_ranges(starts, lengths):
@@ -389,7 +403,8 @@ def build_mdp(spec):
 
     The description is a mapping with fields states, actions, discount,
     mask (list of per-state admissible action lists) and transitions (list
-    of {x, u, xp, p, r} records).  Unknown fields are rejected; rows are
+    of {x, u, xp, p, r} records).  states, actions, mask entries and
+    x, u, xp must be integers.  Unknown fields are rejected; rows are
     checked, never renormalized.
     """
     if not isinstance(spec, dict):
@@ -400,9 +415,10 @@ def build_mdp(spec):
     missing = _MODEL_KEYS - set(spec)
     if missing:
         raise ModelError(f"missing model fields: {sorted(missing)}")
+    scalars = ("states", "actions")
+    _check_integers([spec[k] for k in scalars], scalars.__getitem__)
+    state_count, action_count = int(spec["states"]), int(spec["actions"])
     try:
-        state_count = int(spec["states"])
-        action_count = int(spec["actions"])
         discount = float(spec["discount"])
     except (TypeError, ValueError) as exc:
         raise ModelError(f"bad scalar field: {exc}") from None
@@ -416,6 +432,7 @@ def build_mdp(spec):
     for x, actions in enumerate(mask):
         if not actions:
             raise EmptyMask(f"state {x} has no admissible action")
+        _check_integers(actions, lambda _: f"state {x}: mask entry")
         acts = sorted(int(u) for u in actions)
         if any(u < 0 or u >= action_count for u in acts):
             raise ModelError(f"state {x}: action id out of range")
@@ -426,9 +443,7 @@ def build_mdp(spec):
     records = spec["transitions"]
     if not isinstance(records, list):
         raise ModelError("transitions must be a list of records")
-    xs = np.empty(len(records), dtype=np.int64)
-    us = np.empty(len(records), dtype=np.int64)
-    xps = np.empty(len(records), dtype=np.int64)
+    ids = []  # x, u, xp of each record in turn
     ps = np.empty(len(records), dtype=np.float64)
     rs = np.empty(len(records), dtype=np.float64)
     for i, rec in enumerate(records):
@@ -440,8 +455,10 @@ def build_mdp(spec):
         missing = _RECORD_KEYS - set(rec)
         if missing:
             raise ModelError(f"transition {i}: missing fields {sorted(missing)}")
-        xs[i], us[i], xps[i] = int(rec["x"]), int(rec["u"]), int(rec["xp"])
+        ids += (rec["x"], rec["u"], rec["xp"])
         ps[i], rs[i] = float(rec["p"]), float(rec["r"])
+    _check_integers(ids, lambda k: f"transition {k // 3}: {('x', 'u', 'xp')[k % 3]}")
+    xs, us, xps = np.asarray(ids, dtype=np.int64).reshape(-1, 3).T
     if xs.size:
         if xs.min() < 0 or xs.max() >= state_count:
             raise ModelError("transition source out of range")

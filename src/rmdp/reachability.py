@@ -162,17 +162,28 @@ def _entry_sources(chain):
 
 def reachable_set(chain, x):
     """Smallest successor-closed set of states containing x."""
-    if not 0 <= x < chain.state_count:
+    return set(np.flatnonzero(_reachable_mask(chain.row_ptr, chain.col, x)).tolist())
+
+
+def _reachable_mask(row_ptr, col, x):
+    """Flags of the states reachable from x, x included.
+
+    State s's successors are col[row_ptr[s]:row_ptr[s + 1]]; repeated
+    successors are harmless, so an Mdp's entries can be walked directly
+    with row_ptr = pair_ptr[state_ptr].
+    """
+    n = row_ptr.size - 1
+    if not 0 <= x < n:
         raise ModelError(f"state {x} out of range")
-    seen = np.zeros(chain.state_count, dtype=bool)
+    seen = np.zeros(n, dtype=bool)
     seen[x] = True
     frontier = np.array([x], dtype=np.int64)
     while frontier.size:
-        starts = chain.row_ptr[frontier]
-        succ = chain.col[gather_ranges(starts, chain.row_ptr[frontier + 1] - starts)]
+        starts = row_ptr[frontier]
+        succ = col[gather_ranges(starts, row_ptr[frontier + 1] - starts)]
         frontier, _ = _unique_sorted(succ[~seen[succ]])
         seen[frontier] = True
-    return set(np.flatnonzero(seen).tolist())
+    return seen
 
 
 def counting_potential(chain):
@@ -275,14 +286,6 @@ def _bit(states):
     return np.left_shift(np.uint64(1), (states & 63).astype(np.uint64))
 
 
-def _self_loop_probs(chain):
-    diag = np.zeros(chain.state_count, dtype=np.float64)
-    src = _entry_sources(chain)
-    on_diag = src == chain.col
-    diag[src[on_diag]] = chain.prob[on_diag]
-    return diag
-
-
 def potential_difference(pt, x, xp):
     """phi[xp] - phi[x]; at most 0 whenever xp is a one-step successor of x."""
     return int(pt.phi[xp] - pt.phi[x])
@@ -293,8 +296,9 @@ def self_loop_states(chain, subset=None):
 
     Intersected with subset when one is given.
     """
-    diag = _self_loop_probs(chain)
-    loops = set(np.where((diag > 0.0) & (diag < 1.0))[0].tolist())
+    src = _entry_sources(chain)
+    loop = (src == chain.col) & (chain.prob < 1.0)
+    loops = set(src[loop].tolist())
     if subset is not None:
         loops &= {int(s) for s in subset}
     return loops
@@ -332,7 +336,7 @@ def verify_reductive(chain):
     cond = _condensation(chain)
     labels = cond.labels
     src = _entry_sources(chain)
-    bad_comp = cond.is_open & (np.diff(cond.member_ptr) >= 2)
+    bad_comp = _transient_cycles(cond)
     mask = bad_comp[labels[src]] & (labels[src] == labels[chain.col]) & (
         src != chain.col
     )
@@ -345,14 +349,27 @@ def verify_reductive(chain):
         # Unreachable for row-stochastic inputs: a finite chain always has
         # at least one closed component.  Kept as a defensive report.
         violations.append(Violation(0, 0, NO_ABSORBING_SET))
-    diag = _self_loop_probs(chain)
-    certain = np.where((diag == 1.0) & cond.is_open[labels])[0]
-    for x in certain:
-        # Also unreachable: p(x,x)=1 makes {x} a closed component.
-        violations.append(Violation(int(x), int(x), CERTAIN_SELF_LOOP_MARKED_TRANSIENT))
+    for x in _certain_loops(chain, cond).tolist():
+        violations.append(Violation(x, x, CERTAIN_SELF_LOOP_MARKED_TRANSIENT))
     return ReductivityVerdict(
         reductive=not violations, violations=tuple(violations)
     )
+
+
+def _transient_cycles(cond):
+    """Flags of the open components with two or more states."""
+    return cond.is_open & (np.diff(cond.member_ptr) >= 2)
+
+
+def _certain_loops(chain, cond):
+    """Open states x with p(x, x) = 1, ascending.
+
+    Rows sum to one only up to ROW_SUM_TOL, so p(x, x) = 1.0 can sit next
+    to a tiny exit that keeps {x} open.
+    """
+    e = np.flatnonzero(chain.prob == 1.0)
+    x = np.searchsorted(chain.row_ptr, e, side="right") - 1
+    return x[(chain.col[e] == x) & cond.is_open[cond.labels[x]]]
 
 
 def _class_invariance_violations(mdp, block):
@@ -444,13 +461,12 @@ def canonical_permutation(chain, decomp, pt):
     upper-triangular (self-loops on the diagonal) and absorbing rows carry
     no mass into transient columns.  Ties in the transient potential are
     broken by ascending state id, which is safe because equal-potential
-    transient states of a reductive chain are never adjacent.
+    transient states of a reductive chain are never adjacent.  Raises
+    NotReductive, read off the chain's condensation, when it is not.
     """
-    verdict = verify_reductive(chain)
-    if not verdict.reductive:
-        raise NotReductive(
-            f"chain is not reductive ({len(verdict.violations)} violations)"
-        )
+    cond = _condensation(chain)
+    if np.any(_transient_cycles(cond)) or _certain_loops(chain, cond).size:
+        raise NotReductive("chain is not reductive")
     transient = decomp.transient
     order_t = transient[np.lexsort((transient, -pt.phi[transient]))]
     blocks = sorted(decomp.classes, key=lambda g: int(g[0]))

@@ -6,7 +6,9 @@ after the absorbing part has been solved.  qvi_solve is classical
 Gauss-Seidel value iteration with a configurable state ordering.
 bvi_solve drives plain Bellman backups through a FIFO queue seeded at the
 absorbing boundary.  All three return the same SolveResult shape with
-instrumentation counters.
+instrumentation counters.  Their inner loops are the numpy kernels of
+rmdp.backends; rvi_pass and bvi_run raise ScheduleMismatch,
+DivergentSelfLoop and MaxSweepsExceeded themselves.
 """
 
 from __future__ import annotations
@@ -270,7 +272,7 @@ def rvi_solve(mdp, schedule, decomp, cfg=None):
     solved[decomp.absorbing] = 1
     level_states = level_cat.astype(np.int64)
 
-    code, bad = backends.rvi_pass(
+    backends.rvi_pass(
         _level_groups(mdp, levels, level_states, decomp.absorbing),
         level_states,
         mdp.state_ptr,
@@ -285,10 +287,6 @@ def rvi_solve(mdp, schedule, decomp, cfg=None):
         q,
         pol,
     )
-    if code == backends.RVI_UNSOLVED_SUCCESSOR:
-        raise ScheduleMismatch(f"state {int(bad)} reads an unsolved successor")
-    if code == backends.RVI_DIVERGENT_LOOP:
-        raise DivergentSelfLoop(f"state {int(bad)} has gamma * p(x|x,u) = 1")
 
     sizes = mdp.mask_sizes()
     q_updates = int(sizes[level_states].sum()) if level_states.size else 0
@@ -425,7 +423,7 @@ def bvi_solve(mdp, decomp, cfg):
     seeds = np.where(seed_mask)[0].astype(np.int64)
 
     cap = int(cfg.max_sweeps) * n * mdp.action_count
-    dequeues, backups, code = backends.bvi_run(
+    dequeues, backups = backends.bvi_run(
         seeds,
         is_transient,
         rev_ptr,
@@ -443,8 +441,6 @@ def bvi_solve(mdp, decomp, cfg):
         q,
         pol,
     )
-    if code == backends.BVI_CAP_EXCEEDED:
-        raise MaxSweepsExceeded(f"BVI hit the dequeue cap ({cap})")
     stats = SolveStats(
         q_updates=int(backups),
         sweeps=int(dequeues),

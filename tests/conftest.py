@@ -1,31 +1,18 @@
-import os
 import subprocess
 import sys
 
 import pytest
-
-import rmdp
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # Compile the jit kernels once so no individual test pays the cost.
-    rmdp.warmup()
 
 
 @pytest.fixture(scope="session")
 def cli():
     """Run the installed CLI in a subprocess; returns CompletedProcess."""
 
-    def run(*args, env_extra=None):
-        env = os.environ.copy()
-        if env_extra:
-            env.update(env_extra)
+    def run(*args):
         return subprocess.run(
             [sys.executable, "-m", "rmdp.cli", *[str(a) for a in args]],
             capture_output=True,
             text=True,
-            env=env,
         )
 
     return run

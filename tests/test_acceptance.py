@@ -42,7 +42,6 @@ from rmdp import (
     simulate_policy,
     spiral_chain,
     verify_reductive,
-    warmup,
 )
 
 # Annotated potential grid for the 5x5 spiral fixture, state id = 5*y + x
@@ -192,7 +191,6 @@ def test_criterion_05_single_pass_accounting(check, fixtures):
 
 def test_criterion_06_speedup_trend(check):
     t0 = time.perf_counter()
-    warmup()
     mdp, schedule, decomp = build_liquidation(
         LiquidationParams(q_max=100, z_min=40, z_max=260, z0=150)
     )

@@ -1,249 +1,35 @@
-"""Cross-checks between the numpy and numba kernel implementations.
+"""The numpy kernels against serial references.
 
-Every kernel in rmdp.backends.IMPLEMENTATIONS must produce the same
-numbers on the same inputs regardless of which implementation runs, and
-the RMDP_BACKEND environment flag must select the dispatch target at
-import time.  The numba half of the matrix is skipped when numba is not
-installed so the pure-numpy path stays testable on its own.
+gs_sweep must match a one-state-at-a-time Gauss-Seidel loop bit for bit,
+and bellman_residual_pass the largest change of one-state backups of an
+unchanged value table, on random small MDPs and on a liquidation
+instance.
 """
 
-import importlib.util
-import json
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rmdp
 from rmdp import LiquidationParams, Mdp, build_liquidation
-from rmdp.backends import IMPLEMENTATIONS, conflict_free_runs
-from rmdp.solvers import _raw_reverse_graph
-
-KERNELS = ("rvi_pass", "gs_sweep", "bvi_run", "bellman_residual")
-
-HAS_NUMBA = "numba" in IMPLEMENTATIONS
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-
-
-def small_instance():
-    """Liquidation instance small enough to solve instantly but with
-    multi-action states, self-loop-free transients, and a nonempty
-    absorbing slice."""
-    params = LiquidationParams(q_max=4, z_min=100, z_max=108, z0=104)
-    return build_liquidation(params)
-
-
-def kernel_inputs():
-    mdp, schedule, decomp = small_instance()
-    levels = list(schedule.levels)
-    level_ptr = np.zeros(len(levels) + 1, dtype=np.int64)
-    np.cumsum(np.asarray([lv.size for lv in levels], dtype=np.int64), out=level_ptr[1:])
-    level_states = np.concatenate(levels).astype(np.int64)
-    solved = np.zeros(mdp.state_count, dtype=np.uint8)
-    solved[decomp.absorbing] = 1
-    return mdp, decomp, level_ptr, level_states, solved
-
-
-def run_rvi_pass(impl):
-    mdp, decomp, level_ptr, level_states, solved = kernel_inputs()
-    v = np.zeros(mdp.state_count, dtype=np.float64)
-    q = np.zeros(mdp.pair_count, dtype=np.float64)
-    pol = np.zeros(mdp.state_count, dtype=np.int64)
-    code, bad = impl["rvi_pass"](
-        level_ptr,
-        level_states,
-        mdp.state_ptr,
-        mdp.pair_action,
-        mdp.pair_ptr,
-        mdp.col,
-        mdp.prob,
-        mdp.rew,
-        mdp.discount,
-        v,
-        solved.copy(),
-        q,
-        pol,
-    )
-    return code, bad, v, q, pol
-
-
-def run_gs_sweep(impl, sweeps=3):
-    mdp, _, _, _, _ = kernel_inputs()
-    order = np.random.default_rng(11).permutation(mdp.state_count).astype(np.int64)
-    run_ptr = conflict_free_runs(order, mdp.state_ptr, mdp.pair_ptr, mdp.col)
-    v = np.zeros(mdp.state_count, dtype=np.float64)
-    q = np.zeros(mdp.pair_count, dtype=np.float64)
-    pol = np.zeros(mdp.state_count, dtype=np.int64)
-    deltas = []
-    for _ in range(sweeps):
-        deltas.append(
-            float(
-                impl["gs_sweep"](
-                    order,
-                    mdp.state_ptr,
-                    mdp.pair_action,
-                    mdp.pair_ptr,
-                    mdp.col,
-                    mdp.prob,
-                    mdp.rew,
-                    mdp.discount,
-                    v,
-                    q,
-                    pol,
-                    run_ptr,
-                )
-            )
-        )
-    return deltas, v, q, pol
-
-
-def run_bvi(impl):
-    mdp, decomp, _, _, _ = kernel_inputs()
-    n = mdp.state_count
-    rev_ptr, rev_src = _raw_reverse_graph(mdp)
-    is_abs = np.zeros(n, dtype=bool)
-    is_abs[decomp.absorbing] = True
-    is_transient = (~is_abs).astype(np.uint8)
-    seed_mask = np.zeros(n, dtype=bool)
-    for x in decomp.absorbing:
-        seed_mask[rev_src[rev_ptr[x] : rev_ptr[x + 1]]] = True
-    seed_mask[decomp.absorbing] = False
-    seeds = np.where(seed_mask)[0].astype(np.int64)
-    v = np.zeros(n, dtype=np.float64)
-    q = np.zeros(mdp.pair_count, dtype=np.float64)
-    pol = np.zeros(n, dtype=np.int64)
-    dequeues, backups, code = impl["bvi_run"](
-        seeds,
-        is_transient,
-        rev_ptr,
-        rev_src,
-        mdp.state_ptr,
-        mdp.pair_action,
-        mdp.pair_ptr,
-        mdp.col,
-        mdp.prob,
-        mdp.rew,
-        mdp.discount,
-        1e-10,
-        10_000_000,
-        v,
-        q,
-        pol,
-    )
-    return int(dequeues), int(backups), int(code), v, q, pol
-
-
-def run_residual(impl, v):
-    mdp, _, _, _, _ = kernel_inputs()
-    return float(
-        impl["bellman_residual"](
-            mdp.state_ptr,
-            mdp.pair_ptr,
-            mdp.col,
-            mdp.prob,
-            mdp.rew,
-            mdp.discount,
-            v,
-        )
-    )
-
-
-def test_registry_always_has_numpy_with_all_kernels():
-    assert "numpy" in IMPLEMENTATIONS
-    for impl in IMPLEMENTATIONS.values():
-        assert set(KERNELS) <= set(impl)
-        for name in KERNELS:
-            assert callable(impl[name])
+from rmdp.backends import bellman_residual_pass, conflict_free_runs, gs_sweep
 
 
 def test_active_backend_is_a_registered_implementation():
-    assert rmdp.active_backend() in IMPLEMENTATIONS
-
-
-def test_warmup_is_idempotent():
-    rmdp.warmup()
-    rmdp.warmup()
-
-
-@needs_numba
-def test_rvi_pass_agrees_across_implementations():
-    code_np, bad_np, v_np, q_np, pol_np = run_rvi_pass(IMPLEMENTATIONS["numpy"])
-    code_nb, bad_nb, v_nb, q_nb, pol_nb = run_rvi_pass(IMPLEMENTATIONS["numba"])
-    assert (code_np, bad_np) == (code_nb, bad_nb)
-    assert code_np == 0
-    np.testing.assert_allclose(v_np, v_nb, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(q_np, q_nb, rtol=0.0, atol=1e-12)
-    assert np.array_equal(pol_np, pol_nb)
-
-
-@needs_numba
-def test_gs_sweep_agrees_across_implementations():
-    d_np, v_np, q_np, pol_np = run_gs_sweep(IMPLEMENTATIONS["numpy"])
-    d_nb, v_nb, q_nb, pol_nb = run_gs_sweep(IMPLEMENTATIONS["numba"])
-    np.testing.assert_allclose(d_np, d_nb, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(v_np, v_nb, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(q_np, q_nb, rtol=0.0, atol=1e-12)
-    assert np.array_equal(pol_np, pol_nb)
-
-
-@needs_numba
-def test_bvi_run_agrees_across_implementations():
-    deq_np, bk_np, code_np, v_np, q_np, pol_np = run_bvi(IMPLEMENTATIONS["numpy"])
-    deq_nb, bk_nb, code_nb, v_nb, q_nb, pol_nb = run_bvi(IMPLEMENTATIONS["numba"])
-    assert (deq_np, bk_np, code_np) == (deq_nb, bk_nb, code_nb)
-    assert code_np == 0
-    np.testing.assert_allclose(v_np, v_nb, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(q_np, q_nb, rtol=0.0, atol=1e-12)
-    assert np.array_equal(pol_np, pol_nb)
-
-
-@needs_numba
-def test_bellman_residual_agrees_across_implementations():
-    mdp, _, _, _, _ = kernel_inputs()
-    rng = np.random.default_rng(7)
-    v = rng.normal(size=mdp.state_count)
-    r_np = run_residual(IMPLEMENTATIONS["numpy"], v)
-    r_nb = run_residual(IMPLEMENTATIONS["numba"], v)
-    assert r_np == pytest.approx(r_nb, abs=1e-12)
-
-
-@needs_numba
-def test_full_solve_matches_across_backend_subprocesses(tmp_path):
-    """Solving the same model under each backend flag yields the same
-    values; exercised through fresh interpreters because the dispatch
-    target binds at import time."""
-    script = (
-        "import json, sys\n"
-        "import rmdp\n"
-        "mdp, sched, dec = rmdp.build_liquidation(\n"
-        "    rmdp.LiquidationParams(q_max=3, z_min=100, z_max=106, z0=103))\n"
-        "res = rmdp.rvi_solve(mdp, sched, dec)\n"
-        "print(json.dumps({'backend': rmdp.active_backend(),\n"
-        "                  'v': res.values.v.tolist()}))\n"
-    )
-    outs = {}
-    for backend in ("numpy", "numba"):
-        env = dict(os.environ, RMDP_BACKEND=backend)
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs[backend] = json.loads(proc.stdout)
-        assert outs[backend]["backend"] == backend
-    v_np = np.asarray(outs["numpy"]["v"])
-    v_nb = np.asarray(outs["numba"]["v"])
-    np.testing.assert_allclose(v_np, v_nb, rtol=0.0, atol=1e-12)
+    assert rmdp.active_backend() == "numpy"
 
 
 # ---------------------------------------------------------------------------
-# batched Gauss-Seidel on the numpy backend against the serial loop
+# batched Gauss-Seidel and the residual against serial loops
+
+
+def serial_backup(x, state_ptr, pair_ptr, col, prob, rew, gamma, v):
+    """Reference: the q values of state x and the first best pair among them."""
+    a, b = state_ptr[x], state_ptr[x + 1]
+    lo, hi = pair_ptr[a], pair_ptr[b]
+    vals = prob[lo:hi] * (rew[lo:hi] + gamma * v[col[lo:hi]])
+    qvals = np.add.reduceat(vals, pair_ptr[a:b] - lo)
+    return qvals, int(np.argmax(qvals))
 
 
 def serial_gs_sweep(
@@ -252,18 +38,24 @@ def serial_gs_sweep(
     """Reference: back up one state at a time in order; returns max delta."""
     max_delta = 0.0
     for x in order:
-        a, b = state_ptr[x], state_ptr[x + 1]
-        lo, hi = pair_ptr[a], pair_ptr[b]
-        vals = prob[lo:hi] * (rew[lo:hi] + gamma * v[col[lo:hi]])
-        qvals = np.add.reduceat(vals, pair_ptr[a:b] - lo)
-        q[a:b] = qvals
-        best = int(np.argmax(qvals))
+        qvals, best = serial_backup(x, state_ptr, pair_ptr, col, prob, rew, gamma, v)
+        a = state_ptr[x]
+        q[a : a + qvals.size] = qvals
         delta = abs(qvals[best] - v[x])
         if delta > max_delta:
             max_delta = delta
         v[x] = qvals[best]
         pol[x] = pair_action[a + best]
     return max_delta
+
+
+def serial_residual(state_ptr, pair_ptr, col, prob, rew, gamma, v):
+    """Reference: largest |best - v[x]| over one-state backups of an unchanged v."""
+    res = 0.0
+    for x in range(state_ptr.size - 1):
+        qvals, best = serial_backup(x, state_ptr, pair_ptr, col, prob, rew, gamma, v)
+        res = max(res, abs(qvals[best] - v[x]))
+    return res
 
 
 def mdp_from_rows(rows, discount):
@@ -343,11 +135,13 @@ def assert_batched_matches_serial(mdp, order, v0, sweeps=3):
     ]
     out = [a.copy() for a in ref]
     model = (mdp.state_ptr, mdp.pair_action, mdp.pair_ptr, mdp.col, mdp.prob, mdp.rew)
+    entries = (mdp.state_ptr, mdp.pair_ptr, mdp.col, mdp.prob, mdp.rew, mdp.discount)
     for _ in range(sweeps):
+        r_ref = serial_residual(*entries, ref[0])
+        r_out = bellman_residual_pass(*entries, out[0])
+        assert np.float64(r_out).tobytes() == np.float64(r_ref).tobytes()
         d_ref = serial_gs_sweep(order, *model, mdp.discount, *ref)
-        d_out = IMPLEMENTATIONS["numpy"]["gs_sweep"](
-            order, *model, mdp.discount, *out, run_ptr
-        )
+        d_out = gs_sweep(order, *model, mdp.discount, *out, run_ptr)
         assert np.float64(d_out).tobytes() == np.float64(d_ref).tobytes()
         for a, b in zip(out, ref):
             assert a.tobytes() == b.tobytes()
@@ -382,44 +176,9 @@ def test_batched_gs_sweep_edge_cases():
 
 
 def test_batched_gs_sweep_matches_serial_loop_on_liquidation():
-    mdp, _, _, _, _ = kernel_inputs()
+    """Multi-action states, self-loop-free transients and an absorbing slice."""
+    mdp, _, _ = build_liquidation(
+        LiquidationParams(q_max=4, z_min=100, z_max=108, z0=104)
+    )
     order = np.random.default_rng(5).permutation(mdp.state_count).astype(np.int64)
     assert_batched_matches_serial(mdp, order, np.zeros(mdp.state_count), sweeps=4)
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, RMDP_BACKEND="numpy")
-    proc = subprocess.run(
-        [sys.executable, "-c", "import rmdp; print(rmdp.active_backend())"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "numpy"
-
-
-def test_default_backend_prefers_numba_when_available():
-    env = {k: v for k, v in os.environ.items() if k != "RMDP_BACKEND"}
-    proc = subprocess.run(
-        [sys.executable, "-c", "import rmdp; print(rmdp.active_backend())"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    # judged by installability, not by the (possibly numpy-forced) parent
-    installed = importlib.util.find_spec("numba") is not None
-    assert proc.stdout.strip() == ("numba" if installed else "numpy")
-
-
-def test_unknown_backend_value_fails_at_import():
-    env = dict(os.environ, RMDP_BACKEND="fortran")
-    proc = subprocess.run(
-        [sys.executable, "-c", "import rmdp"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode != 0
-    assert "RMDP_BACKEND" in proc.stderr

@@ -1,10 +1,8 @@
 """End-to-end tests of the command-line interface via subprocesses.
 
 Each test drives `python -m rmdp.cli` exactly as a user would and checks
-exit codes, JSON payloads, and CSV layouts; the one test that counts
-SCC passes calls the CLI's main() in-process instead.  Most tests pin
-RMDP_BACKEND=numpy so the suite does not depend on JIT compilation; one
-bench test runs under the default backend to cover that path too.
+exit codes, JSON payloads, and CSV layouts; the tests that count union
+chains and SCC passes call the CLI's main() in-process instead.
 """
 
 import json
@@ -19,11 +17,11 @@ from rmdp import (
     Mdp,
     build_liquidation,
     build_spiral,
+    liquidation_state_id,
     mdp_to_spec,
+    reachable_set,
     spiral_state_id,
 )
-
-NP_ENV = {"RMDP_BACKEND": "numpy"}
 
 SMALL = ["--z-min", "100", "--z-max", "110", "--z0", "105"]
 
@@ -47,10 +45,7 @@ def write_json(path, payload):
 
 
 def test_solve_liquidation_rvi_payload(cli):
-    proc = cli(
-        "solve", "--domain", "liquidation", "--q-max", "5", *SMALL,
-        env_extra=NP_ENV,
-    )
+    proc = cli("solve", "--domain", "liquidation", "--q-max", "5", *SMALL)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     params = LiquidationParams(q_max=5, z_min=100, z_max=110, z0=105)
@@ -69,7 +64,7 @@ def test_solve_liquidation_rvi_payload(cli):
 
 
 def test_solve_spiral_value_and_policy(cli):
-    proc = cli("solve", "--domain", "spiral", env_extra=NP_ENV)
+    proc = cli("solve", "--domain", "spiral")
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     v = payload["v"]
@@ -81,9 +76,7 @@ def test_solve_spiral_value_and_policy(cli):
 
 def test_solve_writes_out_file(cli, tmp_path):
     out = tmp_path / "result.json"
-    proc = cli(
-        "solve", "--domain", "fig2a", "--out", str(out), env_extra=NP_ENV
-    )
+    proc = cli("solve", "--domain", "fig2a", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
     payload = json.loads(out.read_text())
@@ -95,7 +88,7 @@ def test_solve_each_solver_agrees_on_fig2b(cli):
     for solver in ("rvi", "qvi-random", "qvi-reversed", "bvi"):
         proc = cli(
             "solve", "--domain", "fig2b", "--solver", solver,
-            "--discount", "0.9", env_extra=NP_ENV,
+            "--discount", "0.9",
         )
         # fig2b ignores --discount (fixed chain); just check the solver runs.
         assert proc.returncode == 0, proc.stderr
@@ -106,27 +99,23 @@ def test_solve_each_solver_agrees_on_fig2b(cli):
 
 
 def test_solve_requires_exactly_one_model_source(cli, tmp_path):
-    neither = cli("solve", env_extra=NP_ENV)
+    neither = cli("solve")
     assert neither.returncode == 2
     model = write_json(tmp_path / "m.json", TWO_CYCLE_SPEC)
-    both = cli(
-        "solve", "--model", model, "--domain", "spiral", env_extra=NP_ENV
-    )
+    both = cli("solve", "--model", model, "--domain", "spiral")
     assert both.returncode == 2
 
 
 def test_solve_rvi_rejects_non_reductive_model(cli, tmp_path):
     model = write_json(tmp_path / "cycle.json", TWO_CYCLE_SPEC)
-    proc = cli("solve", "--model", model, "--solver", "rvi", env_extra=NP_ENV)
+    proc = cli("solve", "--model", model, "--solver", "rvi")
     assert proc.returncode == 3
     assert "reductive" in proc.stderr.lower()
 
 
 def test_qvi_still_solves_non_reductive_model(cli, tmp_path):
     model = write_json(tmp_path / "cycle.json", TWO_CYCLE_SPEC)
-    proc = cli(
-        "solve", "--model", model, "--solver", "qvi-random", env_extra=NP_ENV
-    )
+    proc = cli("solve", "--model", model, "--solver", "qvi-random")
     assert proc.returncode == 0, proc.stderr
     v = json.loads(proc.stdout)["v"]
     assert np.all(np.isfinite(v))
@@ -134,7 +123,7 @@ def test_qvi_still_solves_non_reductive_model(cli, tmp_path):
 
 def test_verify_reports_violations_on_cycle(cli, tmp_path):
     model = write_json(tmp_path / "cycle.json", TWO_CYCLE_SPEC)
-    proc = cli("verify", "--model", model, env_extra=NP_ENV)
+    proc = cli("verify", "--model", model)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["reductive"] is False
@@ -145,7 +134,7 @@ def test_verify_reports_violations_on_cycle(cli, tmp_path):
 
 
 def test_verify_fig2b_payload(cli):
-    proc = cli("verify", "--domain", "fig2b", env_extra=NP_ENV)
+    proc = cli("verify", "--domain", "fig2b")
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["reductive"] is True
@@ -156,7 +145,7 @@ def test_verify_fig2b_payload(cli):
 def test_verify_model_file_roundtrip(cli, tmp_path):
     mdp, _, _ = build_spiral()
     model = write_json(tmp_path / "spiral.json", mdp_to_spec(mdp))
-    proc = cli("verify", "--model", model, env_extra=NP_ENV)
+    proc = cli("verify", "--model", model)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["reductive"] is True
@@ -226,6 +215,33 @@ def test_command_builds_one_union_chain(tmp_path, monkeypatch, command):
     assert len(scc_calls) == 1
 
 
+def test_policy_grid_reachable_column_builds_no_union_chain(tmp_path, monkeypatch):
+    """The flags equal reachable_set on the union chain, cell for cell."""
+    params = LiquidationParams(q_max=4, z_min=100, z_max=106, z0=103)
+    chains = []
+    union_chain = Mdp.union_chain
+
+    def recording_union_chain(self):
+        chains.append(union_chain(self))
+        return chains[-1]
+
+    monkeypatch.setattr(Mdp, "union_chain", recording_union_chain)
+    out = tmp_path / "grid.csv"
+    args = ["policy-grid", "--q-max", "4", "--z-min", "100", "--z-max", "106"]
+    assert rmdp.cli.main([*args, "--z0", "103", "--out", str(out)]) == 0
+    assert chains == []
+
+    mdp, _, _ = build_liquidation(params)
+    start = liquidation_state_id(params, params.q_max, params.z0)
+    reach = reachable_set(union_chain(mdp), start)
+    flags = {}
+    for line in out.read_text().splitlines()[1:]:
+        q, z, _, flag = (int(c) for c in line.split(","))
+        flags[liquidation_state_id(params, q, z)] = flag
+    assert flags == {x: int(x in reach) for x in range(mdp.state_count)}
+    assert 0 < len(reach) < mdp.state_count
+
+
 def test_broken_models_exit_2(cli, tmp_path):
     bad_sum = dict(TWO_CYCLE_SPEC)
     bad_sum["transitions"] = [
@@ -234,18 +250,32 @@ def test_broken_models_exit_2(cli, tmp_path):
         {"x": 2, "u": 0, "xp": 2, "p": 1.0, "r": 0.0},
     ]
     model = write_json(tmp_path / "bad_sum.json", bad_sum)
-    assert cli("verify", "--model", model, env_extra=NP_ENV).returncode == 2
+    assert cli("verify", "--model", model).returncode == 2
 
     unknown = dict(TWO_CYCLE_SPEC, flavor="salted")
     model = write_json(tmp_path / "unknown.json", unknown)
-    assert cli("verify", "--model", model, env_extra=NP_ENV).returncode == 2
+    assert cli("verify", "--model", model).returncode == 2
 
     missing = str(tmp_path / "nope.json")
-    assert cli("verify", "--model", missing, env_extra=NP_ENV).returncode == 2
+    assert cli("verify", "--model", missing).returncode == 2
 
     notjson = tmp_path / "garbage.json"
     notjson.write_text("{not json")
-    assert cli("verify", "--model", str(notjson), env_extra=NP_ENV).returncode == 2
+    assert cli("verify", "--model", str(notjson)).returncode == 2
+
+    # Ids must be JSON integers: 0.7 -> 1.9 is not the edge 0 -> 1.
+    fractional = dict(TWO_CYCLE_SPEC)
+    fractional["transitions"] = [dict(t) for t in TWO_CYCLE_SPEC["transitions"]]
+    fractional["transitions"][0].update(x=0.7, xp=1.9)
+    for name, spec in (
+        ("fractional", fractional),
+        ("states", dict(TWO_CYCLE_SPEC, states=3.0)),
+        ("mask", dict(TWO_CYCLE_SPEC, mask=[[0], ["0"], [0]])),
+    ):
+        model = write_json(tmp_path / f"{name}.json", spec)
+        proc = cli("verify", "--model", model)
+        assert proc.returncode == 2, (name, proc.stderr)
+        assert "must be an integer" in proc.stderr
 
     # json.dumps writes NaN, which json.loads reads back as a float.
     for field in ("p", "r"):
@@ -254,7 +284,7 @@ def test_broken_models_exit_2(cli, tmp_path):
         nan["transitions"][0][field] = float("nan")
         model = write_json(tmp_path / f"nan_{field}.json", nan)
         for cmd in ("verify", "solve"):
-            proc = cli(cmd, "--model", model, env_extra=NP_ENV)
+            proc = cli(cmd, "--model", model)
             assert proc.returncode == 2, (field, cmd, proc.stderr)
             assert "non-finite" in proc.stderr
 
@@ -263,7 +293,6 @@ def test_bench_csv_layout(cli):
     proc = cli(
         "bench", "--q-max", "4,6", "--solvers", "rvi,bvi", "--repeats", "2",
         "--z-min", "100", "--z-max", "106", "--z0", "103",
-        env_extra=NP_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -288,7 +317,7 @@ def test_bench_default_backend_smoke(cli):
 
 
 def test_bench_without_rvi_is_rejected(cli):
-    proc = cli("bench", "--solvers", "bvi", *SMALL, env_extra=NP_ENV)
+    proc = cli("bench", "--solvers", "bvi", *SMALL)
     assert proc.returncode == 2
     assert "rvi" in proc.stderr
 
@@ -297,7 +326,6 @@ def test_bench_sweep_starved_solver_exits_4(cli):
     proc = cli(
         "bench", "--q-max", "6", "--solvers", "rvi,qvi-reversed",
         "--max-sweeps", "2", "--z-min", "100", "--z-max", "106", "--z0", "103",
-        env_extra=NP_ENV,
     )
     assert proc.returncode == 4
 
@@ -307,8 +335,8 @@ def test_simulate_csv_is_deterministic_and_absorbs(cli):
         "simulate", "--q-max", "5", *SMALL, "--w1", "0.1,0.2",
         "--trials", "50", "--horizon", "60", "--seed", "3",
     )
-    first = cli(*args, env_extra=NP_ENV)
-    second = cli(*args, env_extra=NP_ENV)
+    first = cli(*args)
+    second = cli(*args)
     assert first.returncode == 0, first.stderr
     assert first.stdout == second.stdout
     lines = first.stdout.splitlines()
@@ -334,7 +362,6 @@ def test_policy_grid_csv(cli):
     proc = cli(
         "policy-grid", "--q-max", "3",
         "--z-min", "100", "--z-max", "104", "--z0", "102",
-        env_extra=NP_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -367,16 +394,13 @@ def test_config_file_supplies_values_and_flags_override(cli, tmp_path):
             "z0": 103,
         },
     )
-    from_config = cli("bench", "--config", cfg, env_extra=NP_ENV)
+    from_config = cli("bench", "--config", cfg)
     assert from_config.returncode == 0, from_config.stderr
     rows = from_config.stdout.splitlines()[1:]
     assert len(rows) == 2
     assert all(r.split(",")[1] == "4" for r in rows)
 
-    overridden = cli(
-        "bench", "--config", cfg, "--repeats", "1", "--q-max", "5",
-        env_extra=NP_ENV,
-    )
+    overridden = cli("bench", "--config", cfg, "--repeats", "1", "--q-max", "5")
     assert overridden.returncode == 0, overridden.stderr
     rows = overridden.stdout.splitlines()[1:]
     assert len(rows) == 1
@@ -385,8 +409,8 @@ def test_config_file_supplies_values_and_flags_override(cli, tmp_path):
 
 def test_shrink_multiplicative_payload(cli):
     args = ("shrink", "--trials", "200", "--steps", "80", "--seed", "5")
-    first = cli(*args, env_extra=NP_ENV)
-    second = cli(*args, env_extra=NP_ENV)
+    first = cli(*args)
+    second = cli(*args)
     assert first.returncode == 0, first.stderr
     assert first.stdout == second.stdout
     payload = json.loads(first.stdout)
@@ -402,7 +426,7 @@ def test_shrink_multiplicative_payload(cli):
 def test_shrink_delta_interval_hits_zero(cli):
     proc = cli(
         "shrink", "--mode", "DeltaInterval", "--delta", "0.25",
-        "--trials", "100", "--steps", "50", env_extra=NP_ENV,
+        "--trials", "100", "--steps", "50",
     )
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
@@ -412,15 +436,12 @@ def test_shrink_delta_interval_hits_zero(cli):
 
 
 def test_shrink_bad_delta_exits_2(cli):
-    proc = cli(
-        "shrink", "--mode", "DeltaInterval", "--delta", "-0.5",
-        env_extra=NP_ENV,
-    )
+    proc = cli("shrink", "--mode", "DeltaInterval", "--delta", "-0.5")
     assert proc.returncode == 2
 
 
 def test_unknown_subcommand_exits_2(cli):
-    proc = cli("transmogrify", env_extra=NP_ENV)
+    proc = cli("transmogrify")
     assert proc.returncode == 2
 
 
@@ -428,7 +449,7 @@ def test_out_files_use_unix_newlines(cli, tmp_path):
     out = tmp_path / "bench.csv"
     proc = cli(
         "bench", "--q-max", "4", "--solvers", "rvi", *SMALL,
-        "--out", str(out), env_extra=NP_ENV,
+        "--out", str(out),
     )
     assert proc.returncode == 0, proc.stderr
     raw = out.read_bytes()

@@ -151,6 +151,26 @@ def test_build_mdp_rejects_missing_fields():
         build_mdp(spec)
 
 
+def test_build_mdp_rejects_non_integer_ids():
+    cases = [
+        (("states",), 2.9, "states"),
+        (("actions",), "2", "actions"),
+        (("mask", 0, 1), 1.0, "state 0: mask entry"),
+        (("mask", 1, 0), False, "state 1: mask entry"),
+        (("transitions", 1, "x"), 0.7, "transition 1: x"),
+        (("transitions", 2, "u"), True, "transition 2: u"),
+        (("transitions", 1, "xp"), 1.9, "transition 1: xp"),
+    ]
+    for path, value, field in cases:
+        spec = two_state_spec()
+        owner = spec
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        with pytest.raises(ModelError, match=f"^{field} must be an integer"):
+            build_mdp(spec)
+
+
 def test_build_mdp_rejects_empty_mask():
     spec = two_state_spec()
     spec["mask"][1] = []

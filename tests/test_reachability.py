@@ -343,11 +343,14 @@ def test_canonical_permutation_on_fixtures():
 
 
 def test_canonical_permutation_rejects_non_reductive():
-    ch = two_cycle_chain()
-    d = absorbing_decomposition(ch)
-    pt = counting_potential(ch)
-    with pytest.raises(NotReductive):
-        canonical_permutation(ch, d, pt)
+    # p(0, 0) = 1.0 within the row-sum tolerance, with an exit kept open
+    certain_loop = MarkovChain.from_rows([[(0, 1.0), (1, 1e-20)], [(1, 1.0)]])
+    for ch in (two_cycle_chain(), certain_loop):
+        assert not verify_reductive(ch).reductive
+        d = absorbing_decomposition(ch)
+        pt = counting_potential(ch)
+        with pytest.raises(NotReductive):
+            canonical_permutation(ch, d, pt)
 
 
 def test_level_sets_ascend_and_partition():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,6 +291,14 @@ def test_bvi_requires_absorbing_part():
         rmdp.bvi_solve(mdp, fake, SolverConfig())
 
 
+def test_bvi_dequeue_cap_exceeded():
+    # 2 states x 1 action x 1 sweep: the self-loop needs a third dequeue
+    mdp = single_loop_mdp(alpha=0.9, gamma=1.0, reward=1.0)
+    _, decomp = schedule_of(mdp)
+    with pytest.raises(MaxSweepsExceeded, match=r"^BVI hit the dequeue cap \(2\)$"):
+        rmdp.bvi_solve(mdp, decomp, SolverConfig(max_sweeps=1))
+
+
 def test_bvi_self_loop_state_reconverges():
     # the transient self-loop forces repeated dequeues of state 0
     mdp = single_loop_mdp(alpha=0.5, gamma=0.9, reward=1.0)
@@ -452,8 +462,8 @@ def rvi_level_by_level(mdp, schedule, decomp):
     """The one-pass solve with one kernel step per schedule level.
 
     Reference for rvi_solve, which backs up runs of independent levels
-    together.  Returns the kernel's status code and state with v, q, pol
-    and the number of transient pairs.
+    together.  Returns the error the kernel raised (None if it ran
+    through) with v, q, pol and the number of transient pairs.
     """
     v = np.zeros(mdp.state_count)
     q = np.zeros(mdp.pair_count)
@@ -466,24 +476,27 @@ def rvi_level_by_level(mdp, schedule, decomp):
     states = np.concatenate(
         [np.asarray(lv, dtype=np.int64) for lv in schedule.levels]
     ) if sizes else np.empty(0, dtype=np.int64)
-    code, bad = backends.rvi_pass(
-        level_ptr, states, mdp.state_ptr, mdp.pair_action, mdp.pair_ptr,
-        mdp.col, mdp.prob, mdp.rew, mdp.discount, v, solved, q, pol,
-    )
-    return code, int(bad), v, q, pol, int(mdp.mask_sizes()[states].sum())
+    try:
+        backends.rvi_pass(
+            level_ptr, states, mdp.state_ptr, mdp.pair_action, mdp.pair_ptr,
+            mdp.col, mdp.prob, mdp.rew, mdp.discount, v, solved, q, pol,
+        )
+    except (ScheduleMismatch, DivergentSelfLoop) as exc:
+        error = exc
+    else:
+        error = None
+    return error, v, q, pol, int(mdp.mask_sizes()[states].sum())
 
 
 def assert_rvi_matches_level_by_level(mdp, schedule, decomp):
-    """rvi_solve equals the reference bit for bit, or fails on the same state.
+    """rvi_solve equals the reference bit for bit, or fails as it does.
 
-    Returns the reference's status code.
+    A failure must be the same exception naming the same state.  Returns
+    the reference's error, None when it ran through.
     """
-    code, bad, v, q, pol, q_updates = rvi_level_by_level(mdp, schedule, decomp)
-    if code == backends.RVI_UNSOLVED_SUCCESSOR:
-        with pytest.raises(ScheduleMismatch, match=f"^state {bad} reads"):
-            rmdp.rvi_solve(mdp, schedule, decomp)
-    elif code == backends.RVI_DIVERGENT_LOOP:
-        with pytest.raises(DivergentSelfLoop, match=f"^state {bad} has"):
+    error, v, q, pol, q_updates = rvi_level_by_level(mdp, schedule, decomp)
+    if error is not None:
+        with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
             rmdp.rvi_solve(mdp, schedule, decomp)
     else:
         res = rmdp.rvi_solve(mdp, schedule, decomp)
@@ -491,7 +504,7 @@ def assert_rvi_matches_level_by_level(mdp, schedule, decomp):
         assert res.values.q.tobytes() == q.tobytes()
         assert res.policy.choice.tobytes() == pol.tobytes()
         assert res.stats.q_updates == q_updates
-    return code
+    return error
 
 
 def assert_groups_valid_and_maximal(mdp, schedule, decomp):
@@ -556,8 +569,8 @@ def reschedule(schedule, how, data):
 def test_rvi_merged_levels_match_level_by_level(mdp, how, data):
     sched, decomp = schedule_of(mdp)
     sched = reschedule(sched, how, data)
-    code = assert_rvi_matches_level_by_level(mdp, sched, decomp)
-    if code == backends.RVI_OK and sched.levels:
+    error = assert_rvi_matches_level_by_level(mdp, sched, decomp)
+    if error is None and sched.levels:
         assert_groups_valid_and_maximal(mdp, sched, decomp)
 
 
@@ -566,7 +579,7 @@ def test_rvi_merged_levels_match_level_by_level_on_liquidation(derived):
     mdp, sched, decomp = rmdp.build_liquidation(rmdp.LiquidationParams(q_max=20))
     if derived:
         sched, decomp = schedule_of(mdp)
-    assert assert_rvi_matches_level_by_level(mdp, sched, decomp) == backends.RVI_OK
+    assert assert_rvi_matches_level_by_level(mdp, sched, decomp) is None
     groups = assert_groups_valid_and_maximal(mdp, sched, decomp)
     if derived:
         assert groups < len(sched.levels)
@@ -605,8 +618,8 @@ def test_rvi_invalid_schedules_name_the_level_by_level_state():
     }
     for name, lv in cases.items():
         sched = rmdp.LevelSetSchedule(levels=tuple(lv))
-        code = assert_rvi_matches_level_by_level(mdp, sched, decomp)
-        assert code == backends.RVI_UNSOLVED_SUCCESSOR, name
+        error = assert_rvi_matches_level_by_level(mdp, sched, decomp)
+        assert isinstance(error, ScheduleMismatch), name
 
 
 # ---------------------------------------------------------------------------
