@@ -11,6 +11,7 @@ for the measured wall_nanos column.  Exit codes: 0 ok, 2 bad input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -373,7 +374,9 @@ def _add_model_flags(sp):
     sp.add_argument("--loop-prob", type=float, dest="loop_prob")
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built on the first call and shared after it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", default=None, help="output path (default stdout)")
@@ -458,8 +461,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = {}
         if args.config is not None:

@@ -62,5 +62,9 @@ class NonContractive(SolverError):
     """Undiscounted iteration on an absorbing class with nonzero rewards."""
 
 
+class NonFiniteValue(SolverError):
+    """A value overflowed to an infinity or a NaN during a solve."""
+
+
 class MaxSweepsExceeded(SolverError):
     """An iterative solver hit its sweep budget before converging."""

@@ -31,6 +31,7 @@ ROW_SUM_TOL = 1e-12
 
 _MODEL_KEYS = {"states", "actions", "discount", "mask", "transitions"}
 _RECORD_KEYS = {"x", "u", "xp", "p", "r"}
+_INT64 = np.iinfo(np.int64)
 
 
 def _as_int_array(values, name):
@@ -457,8 +458,16 @@ def build_mdp(spec):
             raise ModelError(f"transition {i}: missing fields {sorted(missing)}")
         ids += (rec["x"], rec["u"], rec["xp"])
         ps[i], rs[i] = float(rec["p"]), float(rec["r"])
-    _check_integers(ids, lambda k: f"transition {k // 3}: {('x', 'u', 'xp')[k % 3]}")
-    xs, us, xps = np.asarray(ids, dtype=np.int64).reshape(-1, 3).T
+
+    def id_field(k):
+        return f"transition {k // 3}: {('x', 'u', 'xp')[k % 3]}"
+
+    _check_integers(ids, id_field)
+    try:
+        xs, us, xps = np.asarray(ids, dtype=np.int64).reshape(-1, 3).T
+    except OverflowError:
+        k = next(k for k, i in enumerate(ids) if not _INT64.min <= i <= _INT64.max)
+        raise ModelError(f"{id_field(k)} out of range, got {ids[k]}") from None
     if xs.size:
         if xs.min() < 0 or xs.max() >= state_count:
             raise ModelError("transition source out of range")

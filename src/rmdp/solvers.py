@@ -8,7 +8,10 @@ bvi_solve drives plain Bellman backups through a FIFO queue seeded at the
 absorbing boundary.  All three return the same SolveResult shape with
 instrumentation counters.  Their inner loops are the numpy kernels of
 rmdp.backends; rvi_pass and bvi_run raise ScheduleMismatch,
-DivergentSelfLoop and MaxSweepsExceeded themselves.
+DivergentSelfLoop and MaxSweepsExceeded themselves.  A value that
+overflows raises NonFiniteValue naming the first such state: the
+iterative solvers check each sweep's residual, rvi_solve and bvi_solve
+their values once at the end.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .errors import (
     InvalidParams,
     MaxSweepsExceeded,
     NonContractive,
+    NonFiniteValue,
     NotReductive,
     ScheduleMismatch,
 )
@@ -127,25 +131,32 @@ def _lowest_actions(mdp, states, pol):
     pol[states] = mdp.pair_action[mdp.state_ptr[states]]
 
 
-def _runs(mdp, order):
-    return backends.conflict_free_runs(order, mdp.state_ptr, mdp.pair_ptr, mdp.col)
+def _require_finite(v):
+    """Raise NonFiniteValue naming the first state whose value is not finite."""
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        x = int(bad[0])
+        raise NonFiniteValue(f"state {x} has a non-finite value ({v[x]})")
 
 
-def _sweep(mdp, order, run_ptr, v, q, pol):
-    """One Gauss-Seidel sweep over order, cut into run_ptr; returns the max delta."""
+def _plan(mdp, order):
+    return backends.sweep_plan(
+        order, mdp.state_ptr, mdp.pair_ptr, mdp.col, mdp.prob, mdp.rew
+    )
+
+
+def _sweep(mdp, order, plan, v, q, pol):
+    """One Gauss-Seidel sweep over order with its plan; returns the max delta."""
     return backends.gs_sweep(
         order,
         mdp.state_ptr,
         mdp.pair_action,
         mdp.pair_ptr,
-        mdp.col,
-        mdp.prob,
-        mdp.rew,
+        plan,
         mdp.discount,
         v,
         q,
         pol,
-        run_ptr,
     )
 
 
@@ -168,12 +179,14 @@ def _solve_absorbing(mdp, decomp, cfg, v, q, pol):
                     f"containing state {int(block[0])}"
                 )
     order = np.sort(absorbing).astype(np.int64)
-    run_ptr = _runs(mdp, order)
+    plan = _plan(mdp, order)
     residual = np.inf
     sweeps = 0
     while True:
-        residual = _sweep(mdp, order, run_ptr, v, q, pol)
+        residual = _sweep(mdp, order, plan, v, q, pol)
         sweeps += 1
+        if not np.isfinite(residual):
+            _require_finite(v)
         if residual < cfg.epsilon:
             return float(residual), sweeps
         if sweeps >= cfg.max_sweeps:
@@ -287,6 +300,7 @@ def rvi_solve(mdp, schedule, decomp, cfg=None):
         q,
         pol,
     )
+    _require_finite(v)
 
     sizes = mdp.mask_sizes()
     q_updates = int(sizes[level_states].sum()) if level_states.size else 0
@@ -332,7 +346,7 @@ def qvi_solve(mdp, cfg, schedule=None, v0=None):
     else:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     if rng is None:
-        run_ptr = _runs(mdp, order)
+        plan = _plan(mdp, order)
 
     v = (
         np.array(v0, dtype=np.float64, copy=True)
@@ -348,11 +362,15 @@ def qvi_solve(mdp, cfg, schedule=None, v0=None):
     sweeps = 0
     q_updates = 0
     while True:
-        if rng is not None:
+        if rng is None:
+            residual = _sweep(mdp, order, plan, v, q, pol)
+        else:
+            # Each sweep's plan is dropped before the next is gathered.
             order = rng.permutation(n).astype(np.int64)
-            run_ptr = _runs(mdp, order)
-        residual = _sweep(mdp, order, run_ptr, v, q, pol)
+            residual = _sweep(mdp, order, _plan(mdp, order), v, q, pol)
         sweeps += 1
+        if not np.isfinite(residual):
+            _require_finite(v)
         q_updates += per_sweep
         if residual < cfg.epsilon:
             break
@@ -441,6 +459,7 @@ def bvi_solve(mdp, decomp, cfg):
         q,
         pol,
     )
+    _require_finite(v)
     stats = SolveStats(
         q_updates=int(backups),
         sweeps=int(dequeues),
@@ -466,6 +485,10 @@ def bellman_residual(mdp, v):
     )
 
 
+# Steps of uniforms drawn at once for each trial still moving.
+_SIMULATE_BLOCK_STEPS = 64
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """One rollout: states has one more element than actions and rewards."""
@@ -481,7 +504,9 @@ def simulate_policy(mdp, policy, start, horizon, trials, seed):
     Each trajectory stops on entering an absorbing state of the induced
     chain or after horizon transitions, whichever comes first.  Trial t
     uses the t-th spawned child of the seed, so results do not depend on
-    execution order.
+    execution order.  Step k of a trial draws the k-th uniform u of its
+    generator and moves to the first successor whose cumulative
+    probability exceeds u, or to the row's last successor when none does.
     """
     if horizon < 1 or trials < 1:
         raise InvalidParams("horizon and trials must be at least 1")
@@ -490,37 +515,61 @@ def simulate_policy(mdp, policy, start, horizon, trials, seed):
     is_abs = np.zeros(chain.state_count, dtype=bool)
     is_abs[decomp.absorbing] = True
 
-    row_cum = []
-    for x in range(chain.state_count):
-        a, b = chain.row_ptr[x], chain.row_ptr[x + 1]
-        row_cum.append(np.cumsum(chain.prob[a:b]))
+    # Row cumulative sums, padded with each row's total; cumsum along a
+    # row adds in the same order as a cumsum of the row alone.
+    lens = np.diff(chain.row_ptr)
+    row_of = np.repeat(np.arange(chain.state_count, dtype=np.int64), lens)
+    slot = np.arange(chain.col.size, dtype=np.int64) - chain.row_ptr[row_of]
+    padded = np.zeros((chain.state_count, int(lens.max())), dtype=np.float64)
+    padded[row_of, slot] = chain.prob
+    cum = np.cumsum(padded, axis=1)
 
+    # All trials step together.  active lists the trials still moving and
+    # u holds their uniforms for the current block of steps, row for row.
     children = np.random.SeedSequence(seed).spawn(trials)
+    rngs = [np.random.Generator(np.random.PCG64(c)) for c in children]
+    x = np.full(trials, int(start), dtype=np.int64)
+    active = np.arange(trials, dtype=np.int64)
+    none = np.empty(0, dtype=np.int64)
+    moved, taken = [none], [none]
+    for step in range(horizon):
+        keep = ~is_abs[x[active]]
+        active = active[keep]
+        if active.size == 0:
+            break
+        k = step % _SIMULATE_BLOCK_STEPS
+        if k == 0:
+            u = np.empty((active.size, min(_SIMULATE_BLOCK_STEPS, horizon - step)))
+            for i, t in enumerate(active.tolist()):
+                rngs[t].random(out=u[i])
+        else:
+            u = u[keep]
+        xs = x[active]
+        hits = np.count_nonzero(cum[xs] <= u[:, k, None], axis=1)
+        entry = chain.row_ptr[xs] + np.minimum(hits, lens[xs] - 1)
+        x[active] = chain.col[entry]
+        moved.append(active)
+        taken.append(entry)
+
+    # Regroup the steps by trial; a stable sort keeps each trial's steps
+    # in order.
+    moved = np.concatenate(moved)
+    taken = np.concatenate(taken)[np.argsort(moved, kind="stable")]
+    steps = np.bincount(moved, minlength=trials)
+    ends = np.cumsum(steps)
+    actions = np.asarray(policy.choice, dtype=np.int64)[row_of[taken]]
+    rewards = chain.rew[taken]
+    # Each trial's states are its start state, then its successors.
+    states = np.insert(chain.col[taken], ends - steps, int(start))
     out = []
-    choice = policy.choice
-    for t in range(trials):
-        rng = np.random.Generator(np.random.PCG64(children[t]))
-        x = int(start)
-        states = [x]
-        actions = []
-        rewards = []
-        for _ in range(horizon):
-            if is_abs[x]:
-                break
-            a = chain.row_ptr[x]
-            cum = row_cum[x]
-            j = int(np.searchsorted(cum, rng.random(), side="right"))
-            if j >= cum.size:
-                j = cum.size - 1
-            states.append(int(chain.col[a + j]))
-            actions.append(int(choice[x]))
-            rewards.append(float(chain.rew[a + j]))
-            x = states[-1]
+    lo = 0
+    for t, hi in enumerate(ends.tolist()):
         out.append(
             Trajectory(
-                states=np.asarray(states, dtype=np.int64),
-                actions=np.asarray(actions, dtype=np.int64),
-                rewards=np.asarray(rewards, dtype=np.float64),
+                states=states[lo + t : hi + t + 1],
+                actions=actions[lo:hi],
+                rewards=rewards[lo:hi],
             )
         )
+        lo = hi
     return out

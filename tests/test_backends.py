@@ -1,9 +1,9 @@
 """The numpy kernels against serial references.
 
-gs_sweep must match a one-state-at-a-time Gauss-Seidel loop bit for bit,
-and bellman_residual_pass the largest change of one-state backups of an
-unchanged value table, on random small MDPs and on a liquidation
-instance.
+gs_sweep must match a one-state-at-a-time Gauss-Seidel loop bit for bit
+over one sweep plan reused for every sweep, and bellman_residual_pass the
+largest change of one-state backups of an unchanged value table, on
+random small MDPs and on a liquidation instance.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import rmdp
 from rmdp import LiquidationParams, Mdp, build_liquidation
-from rmdp.backends import bellman_residual_pass, conflict_free_runs, gs_sweep
+from rmdp.backends import bellman_residual_pass, gs_sweep, sweep_plan
 
 
 def test_active_backend_is_a_registered_implementation():
@@ -125,9 +125,26 @@ def assert_runs_conflict_free_and_maximal(mdp, order, run_ptr):
             assert any(prev <= j < s for j in reads(s)), k
 
 
+def assert_plan_gathers_order(mdp, order, plan):
+    """The plan lists order's pairs and their entries, in sweep order."""
+    pairs = [p for x in order for p in range(mdp.state_ptr[x], mdp.state_ptr[x + 1])]
+    assert plan.pairs.tolist() == pairs
+    assert plan.pair_off.tolist() == [0, *np.cumsum(mdp.mask_sizes()[order])]
+    entries = [e for p in pairs for e in range(mdp.pair_ptr[p], mdp.pair_ptr[p + 1])]
+    sizes = [mdp.pair_ptr[p + 1] - mdp.pair_ptr[p] for p in pairs]
+    assert plan.entry_off.tolist() == [0, *np.cumsum(sizes, dtype=np.int64)]
+    for name in ("col", "prob", "rew"):
+        assert getattr(plan, name).tobytes() == getattr(mdp, name)[entries].tobytes()
+
+
 def assert_batched_matches_serial(mdp, order, v0, sweeps=3):
-    run_ptr = conflict_free_runs(order, mdp.state_ptr, mdp.pair_ptr, mdp.col)
+    """Sweep with one plan built up front, checking each sweep against the
+    serial loop and the plan against its own copy after every sweep."""
+    plan = sweep_plan(order, mdp.state_ptr, mdp.pair_ptr, mdp.col, mdp.prob, mdp.rew)
+    assert_plan_gathers_order(mdp, order, plan)
+    run_ptr = plan.run_ptr
     assert_runs_conflict_free_and_maximal(mdp, order, run_ptr)
+    frozen = [a.copy() for a in plan]
     ref = [
         v0.copy(),
         np.zeros(mdp.pair_count),
@@ -136,14 +153,17 @@ def assert_batched_matches_serial(mdp, order, v0, sweeps=3):
     out = [a.copy() for a in ref]
     model = (mdp.state_ptr, mdp.pair_action, mdp.pair_ptr, mdp.col, mdp.prob, mdp.rew)
     entries = (mdp.state_ptr, mdp.pair_ptr, mdp.col, mdp.prob, mdp.rew, mdp.discount)
+    prefix = (order, mdp.state_ptr, mdp.pair_action, mdp.pair_ptr)
     for _ in range(sweeps):
         r_ref = serial_residual(*entries, ref[0])
         r_out = bellman_residual_pass(*entries, out[0])
         assert np.float64(r_out).tobytes() == np.float64(r_ref).tobytes()
         d_ref = serial_gs_sweep(order, *model, mdp.discount, *ref)
-        d_out = gs_sweep(order, *model, mdp.discount, *out, run_ptr)
+        d_out = gs_sweep(*prefix, plan, mdp.discount, *out)
         assert np.float64(d_out).tobytes() == np.float64(d_ref).tobytes()
         for a, b in zip(out, ref):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(plan, frozen):
             assert a.tobytes() == b.tobytes()
     return run_ptr
 

@@ -277,6 +277,15 @@ def test_broken_models_exit_2(cli, tmp_path):
         assert proc.returncode == 2, (name, proc.stderr)
         assert "must be an integer" in proc.stderr
 
+    # An id beyond int64 is out of range, not a numpy OverflowError.
+    huge = dict(TWO_CYCLE_SPEC)
+    huge["transitions"] = [dict(t) for t in TWO_CYCLE_SPEC["transitions"]]
+    huge["transitions"][2]["xp"] = 10**30
+    model = write_json(tmp_path / "huge_id.json", huge)
+    proc = cli("verify", "--model", model)
+    assert proc.returncode == 2, proc.stderr
+    assert "transition 2: xp out of range" in proc.stderr
+
     # json.dumps writes NaN, which json.loads reads back as a float.
     for field in ("p", "r"):
         nan = dict(TWO_CYCLE_SPEC)
@@ -287,6 +296,64 @@ def test_broken_models_exit_2(cli, tmp_path):
             proc = cli(cmd, "--model", model)
             assert proc.returncode == 2, (field, cmd, proc.stderr)
             assert "non-finite" in proc.stderr
+
+
+BIG = 1.7e308
+# A transient chain whose rewards add up past the largest double, and a
+# closed class whose discounted rewards do, so the absorbing solve overflows.
+OVERFLOW_CHAIN = {
+    "states": 3,
+    "actions": 1,
+    "discount": 1.0,
+    "mask": [[0], [0], [0]],
+    "transitions": [
+        {"x": 0, "u": 0, "xp": 1, "p": 1.0, "r": BIG},
+        {"x": 1, "u": 0, "xp": 2, "p": 1.0, "r": BIG},
+        {"x": 2, "u": 0, "xp": 2, "p": 1.0, "r": 0.0},
+    ],
+}
+OVERFLOW_CLASS = {
+    "states": 3,
+    "actions": 1,
+    "discount": 0.9,
+    "mask": [[0], [0], [0]],
+    "transitions": [
+        {"x": 0, "u": 0, "xp": 1, "p": 1.0, "r": BIG},
+        {"x": 1, "u": 0, "xp": 0, "p": 1.0, "r": BIG},
+        {"x": 2, "u": 0, "xp": 0, "p": 1.0, "r": 0.0},
+    ],
+}
+
+
+@pytest.mark.parametrize("solver", ["rvi", "bvi", "qvi-random", "qvi-reversed"])
+@pytest.mark.parametrize(
+    "spec, state", [(OVERFLOW_CHAIN, 0), (OVERFLOW_CLASS, 1)], ids=["chain", "class"]
+)
+def test_value_overflow_exits_4(tmp_path, capsys, solver, spec, state):
+    """Finite rewards whose values overflow: no Infinity in the JSON, and
+    no sweeps spent on a nan residual."""
+    model = write_json(tmp_path / "overflow.json", spec)
+    out = tmp_path / "out.json"
+    args = ["solve", "--model", model, "--solver", solver, "--out", str(out)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert rmdp.cli.main(args) == 4
+    err = capsys.readouterr().err
+    assert f"state {state} has a non-finite value (inf)" in err
+    assert not out.exists()
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert rmdp.cli._parser() is rmdp.cli._parser()
+    outputs = []
+    for _ in range(2):
+        for argv, code in ((["solve", "--help"], 0), (["solve", "--solver", "x"], 2)):
+            with pytest.raises(SystemExit) as exc:
+                rmdp.cli.main(argv)
+            assert exc.value.code == code
+            outputs.append(capsys.readouterr())
+    assert outputs[:2] == outputs[2:]
+    assert "--solver" in outputs[0].out
+    assert "invalid choice: 'x'" in outputs[1].err
 
 
 def test_bench_csv_layout(cli):

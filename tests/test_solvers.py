@@ -656,3 +656,123 @@ def test_simulate_policy_rejects_bad_params():
         rmdp.simulate_policy(mdp, pol, start=0, horizon=0, trials=1, seed=0)
     with pytest.raises(InvalidParams):
         rmdp.simulate_policy(mdp, pol, start=0, horizon=1, trials=0, seed=0)
+
+
+def simulate_one_trial_at_a_time(mdp, policy, start, horizon, trials, seed):
+    """Reference: each trial alone, one draw and one searchsorted per step.
+
+    Returns the trajectories and how many steps took the clamp to a row's
+    last successor (a draw at or above the row's last cumulative sum).
+    """
+    chain = rmdp.induced_chain(mdp, policy)
+    is_abs = np.zeros(chain.state_count, dtype=bool)
+    is_abs[rmdp.absorbing_decomposition(chain).absorbing] = True
+    clamps = 0
+    out = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.Generator(np.random.PCG64(child))
+        x = int(start)
+        states, actions, rewards = [x], [], []
+        for _ in range(horizon):
+            if is_abs[x]:
+                break
+            a = chain.row_ptr[x]
+            cum = np.cumsum(chain.prob[a : chain.row_ptr[x + 1]])
+            j = int(np.searchsorted(cum, rng.random(), side="right"))
+            if j >= cum.size:
+                j = cum.size - 1
+                clamps += 1
+            states.append(int(chain.col[a + j]))
+            actions.append(int(policy.choice[x]))
+            rewards.append(float(chain.rew[a + j]))
+            x = states[-1]
+        out.append(
+            solvers.Trajectory(
+                states=np.asarray(states, dtype=np.int64),
+                actions=np.asarray(actions, dtype=np.int64),
+                rewards=np.asarray(rewards, dtype=np.float64),
+            )
+        )
+    return out, clamps
+
+
+TOP_DRAW = np.nextafter(1.0, 0.0)
+
+
+class HighDraws:
+    """numpy's Generator with every draw above 0.9 raised to the largest
+    double below 1, so that rows whose cumulative sums end below 1 hit
+    the clamp to their last successor."""
+
+    def __init__(self, bit_generator, _real=np.random.Generator):
+        self._rng = _real(bit_generator)
+
+    def random(self, size=None, out=None):
+        u = self._rng.random(size, out=out)
+        if out is None and size is None:
+            return TOP_DRAW if u > 0.9 else u
+        u[u > 0.9] = TOP_DRAW
+        return u
+
+
+def lockstep_chain():
+    """State 0 spreads 0.1 over ten successors (cumulative sums end at
+    1 - 2**-53); state 1 loops on itself; states 2-10 return to 0 or
+    absorb; 11 and 12 are absorbing."""
+    rows = [[(s, 0.1) for s in range(1, 11)], [(1, 0.5), (11, 0.5)]]
+    rows += [[(0, 0.3), (12, 0.7)] for _ in range(2, 11)]
+    rows += [[(11, 1.0)], [(12, 1.0)]]
+    rewards = [[float(10 * x + k) for k in range(len(r))] for x, r in enumerate(rows)]
+    return mdp_from_chain(MarkovChain.from_rows(rows, rewards))
+
+
+@pytest.mark.parametrize(
+    "start, horizon, trials, block, high",
+    [
+        (0, 7, 60, 3, True),  # clamp path, horizon cut-off, several blocks
+        (0, 60, 40, 4, False),  # trials end at different steps
+        (0, 60, 40, None, True),
+        (11, 5, 10, 2, False),  # the start state is already absorbing
+    ],
+)
+def test_simulate_policy_matches_scalar_loop(
+    monkeypatch, start, horizon, trials, block, high
+):
+    mdp = lockstep_chain()
+    pol = Policy(choice=np.zeros(mdp.state_count, dtype=np.int64))
+    if high:
+        monkeypatch.setattr(np.random, "Generator", HighDraws)
+    if block is not None:
+        monkeypatch.setattr(solvers, "_SIMULATE_BLOCK_STEPS", block)
+    ref, clamps = simulate_one_trial_at_a_time(mdp, pol, start, horizon, trials, 5)
+    out = rmdp.simulate_policy(mdp, pol, start, horizon, trials, 5)
+    assert len(out) == trials
+    for a, b in zip(out, ref):
+        for name in ("states", "actions", "rewards"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    steps = [t.actions.size for t in ref]
+    if start == 11:
+        assert steps == [0] * trials
+        return
+    assert len(set(steps)) > 1
+    assert (max(steps) == horizon) == (horizon < 60)
+    assert (clamps > 0) == high
+    if block is not None:
+        assert max(steps) > 2 * block
+
+
+def test_simulate_policy_matches_scalar_loop_on_liquidation(monkeypatch):
+    """Several actions per state, the policy's choices as actions."""
+    params = rmdp.LiquidationParams(q_max=6, z_min=100, z_max=108, z0=104)
+    mdp, schedule, decomp = rmdp.build_liquidation(params)
+    pol = rmdp.rvi_solve(mdp, schedule, decomp).policy
+    start = rmdp.liquidation_state_id(params, params.q_max, params.z0)
+    monkeypatch.setattr(solvers, "_SIMULATE_BLOCK_STEPS", 2)
+    ref, _ = simulate_one_trial_at_a_time(mdp, pol, start, 50, 30, 9)
+    out = rmdp.simulate_policy(mdp, pol, start, 50, 30, 9)
+    assert any(t.actions.size > 4 for t in ref)
+    assert len(np.unique(np.concatenate([t.actions for t in ref]))) > 1
+    for a, b in zip(out, ref):
+        for name in ("states", "actions", "rewards"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
