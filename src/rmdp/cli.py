@@ -168,16 +168,16 @@ def _resolve_model(res):
     raise InvalidParams(f"unknown domain {domain!r}")
 
 
-def _ensure_schedule(mdp, schedule, decomp, union=None):
-    """The given schedule and decomposition, else both derived from union.
+def _ensure_schedule(mdp, schedule, decomp, view=None):
+    """The given schedule and decomposition, else both derived from view.
 
-    union defaults to the model's union chain.
+    view is the model's union chain or support; a new support by default.
     """
     if schedule is None or decomp is None:
-        if union is None:
-            union = mdp.union_chain()
-        decomp = absorbing_decomposition(union)
-        pt = counting_potential(union)
+        if view is None:
+            view = mdp.support()
+        decomp = absorbing_decomposition(view)
+        pt = counting_potential(view)
         schedule = level_set_schedule(pt, decomp)
     return schedule, decomp
 
@@ -215,7 +215,9 @@ def _cmd_solve(res):
 def _verified_schedule(mdp, schedule, decomp):
     """Certify mdp, then _ensure_schedule, both from one union chain.
 
-    The chain is dropped on return, before any solve runs.
+    The chain is dropped on return, before any solve runs.  rmdp verify
+    reads the cheaper mdp.support() instead; solve keeps the union chain,
+    whose span perfbench's trace test expects.
     """
     union = mdp.union_chain()
     verdict = verify_reductive_mdp(mdp, union)
@@ -228,8 +230,8 @@ def _verified_schedule(mdp, schedule, decomp):
 
 def _cmd_verify(res):
     mdp, _, _ = _resolve_model(res)
-    union = mdp.union_chain()
-    verdict = verify_reductive_mdp(mdp, union)
+    support = mdp.support()
+    verdict = verify_reductive_mdp(mdp, support)
     payload = {
         "reductive": verdict.reductive,
         "violations": [
@@ -237,9 +239,9 @@ def _cmd_verify(res):
         ],
     }
     if verdict.reductive:
-        decomp = absorbing_decomposition(union)
-        pt = counting_potential(union)
-        perm = canonical_permutation(union, decomp, pt)
+        decomp = absorbing_decomposition(support)
+        pt = counting_potential(support)
+        perm = canonical_permutation(support, decomp, pt)
         payload["order"] = [int(s) for s in perm.order]
     _write_json(res.get("out"), payload)
     return EXIT_OK
@@ -294,8 +296,11 @@ def _cmd_simulate(res):
         result = _dispatch(solver, mdp, schedule, decomp, _solver_config(res))
         start = liquidation_state_id(params, params.q_max, params.z0)
         trajs = simulate_policy(mdp, result.policy, start, horizon, trials, seed)
+        # Every trial holds its last state after it ends, so the columns
+        # past the longest trajectory repeat its last one.
         Z = params.z_count
-        qpath = np.empty((trials, horizon + 1), dtype=np.float64)
+        width = max(tr.states.size for tr in trajs)
+        qpath = np.empty((trials, width), dtype=np.float64)
         for i, tr in enumerate(trajs):
             qs = tr.states // Z
             qpath[i, : qs.size] = qs
@@ -304,9 +309,10 @@ def _cmd_simulate(res):
         if trials > 1:
             stderr_q = qpath.std(axis=0, ddof=1) / np.sqrt(trials)
         else:
-            stderr_q = np.zeros(horizon + 1)
+            stderr_q = np.zeros(width)
         for t in range(horizon + 1):
-            lines.append(f"{_fmt(w1)},{t},{_fmt(mean_q[t])},{_fmt(stderr_q[t])}")
+            c = min(t, width - 1)
+            lines.append(f"{_fmt(w1)},{t},{_fmt(mean_q[c])},{_fmt(stderr_q[c])}")
     _write_text(res.get("out"), "\n".join(lines) + "\n")
     return EXIT_OK
 

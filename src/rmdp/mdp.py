@@ -14,6 +14,7 @@ All objects are immutable after construction.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,24 @@ def _check_integers(values, field):
                 raise ModelError(f"{field(i)} must be an integer, got {v!r}")
 
 
+def _as_reals(values, field):
+    """values as a float64 array; ModelError names field(i) if one is not.
+
+    Probabilities, rewards and the discount must be JSON numbers: a
+    string or boolean is rejected, never parsed by float(), and so is an
+    integer beyond the float64 range.  The common case costs one type scan.
+    """
+    if not {type(v) for v in values} <= {int, float}:
+        for i, v in enumerate(values):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ModelError(f"{field(i)} must be a number, got {v!r}")
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        k = next(k for k, v in enumerate(values) if abs(v) > sys.float_info.max)
+        raise ModelError(f"{field(k)} out of range, got {values[k]}") from None
+
+
 def gather_ranges(starts, lengths):
     """Concatenate index ranges [starts[i], starts[i]+lengths[i]) into one array."""
     starts = np.asarray(starts, dtype=np.int64)
@@ -67,18 +86,15 @@ def gather_ranges(starts, lengths):
 
 
 def _unique_sorted(keys):
-    """Distinct keys ascending, plus the index of each key among them.
+    """Distinct keys ascending.
 
     Sort-and-diff in place of np.unique, whose hash-based path for integer
     keys is an order of magnitude slower on millions of keys.
     """
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
+    ranked = np.sort(keys)
     first = np.ones(ranked.size, dtype=bool)
     first[1:] = ranked[1:] != ranked[:-1]
-    inverse = np.empty(keys.size, dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    return ranked[first], inverse
+    return ranked[first]
 
 
 def _check_rows(row_ptr, col, prob, rew, state_count, what):
@@ -198,6 +214,57 @@ class MarkovChain:
         hit = np.where(cols == x)[0]
         return float(probs[hit[0]]) if hit.size else 0.0
 
+    def certain_self_loops(self):
+        """Flags of the states with p(x, x) >= 1."""
+        return _certain_self_loops(self.row_ptr, self.col, self.prob, 1)
+
+
+def _certain_self_loops(row_ptr, col, prob, actions):
+    """Flags of the states where each of their actions has p(x, x) >= 1.
+
+    row_ptr spans each state's entries over all its actions, and actions
+    counts them per state.  Rows sum to one only up to ROW_SUM_TOL, so a
+    certain self-loop may carry a little more than 1.0 next to a tiny
+    exit.  An action's successors are distinct, so counting a state's
+    certain self-loops against its actions decides the rule exactly; a
+    mixture would not, since k shares of 1/k need not sum to 1.0.
+    """
+    e = np.flatnonzero(prob >= 1.0)
+    x = np.searchsorted(row_ptr, e, side="right") - 1
+    return np.bincount(x[col[e] == x], minlength=row_ptr.size - 1) == actions
+
+
+class Support:
+    """Where an Mdp can go: every state's distinct successors over its actions.
+
+    The support of the Mdp's union chain, which the reachability module
+    reads in place of that chain.  Attributes as on a MarkovChain:
+      state_count: number of states.
+      row_ptr: int64[state_count + 1], entry range per state.
+      col: int64[nnz] successor ids, ascending and distinct within each row.
+      prob: float64[nnz] of ones.  A support has no probabilities; these
+        are the weights of its adjacency matrix.
+    The self-loop rules need the Mdp's own entries, so they come from it:
+    certain_self_loops() returns the flags that Mdp.certain_self_loops
+    computed.  _condensation caches the reachability module's SCC
+    condensation.
+    """
+
+    __slots__ = ("state_count", "row_ptr", "col", "prob", "_certain", "_condensation")
+
+    def __init__(self, state_count, row_ptr, col, certain):
+        self.state_count = state_count
+        self.row_ptr = row_ptr
+        self.col = col
+        self.prob = np.ones(col.size, dtype=np.float64)
+        self._certain = certain
+        for arr in (row_ptr, col, self.prob, certain):
+            arr.setflags(write=False)
+        self._condensation = None
+
+    def certain_self_loops(self):
+        return self._certain
+
 
 def successors(chain, x):
     """The strictly-positive-probability successor entries of x.
@@ -315,6 +382,27 @@ class Mdp:
         a, b = self.pair_ptr[i], self.pair_ptr[i + 1]
         return self.col[a:b], self.prob[a:b], self.rew[a:b]
 
+    def certain_self_loops(self):
+        """Flags of the states where every admissible action has p(x, x) >= 1."""
+        return _certain_self_loops(
+            self.pair_ptr[self.state_ptr], self.col, self.prob, self.mask_sizes()
+        )
+
+    def support(self):
+        """The union chain's support, without its probabilities.
+
+        One sort of the entries' (state, successor) keys; no probabilities
+        are mixed and no rows are checked, so this is the cheap way to
+        certify and order the MDP (see Support).
+        """
+        n = self.state_count
+        src = np.repeat(
+            np.arange(n, dtype=np.int64), np.diff(self.pair_ptr[self.state_ptr])
+        )
+        keys = _unique_sorted(src * np.int64(n) + self.col)
+        row_ptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        return Support(n, row_ptr, keys % n, self.certain_self_loops())
+
     def union_chain(self):
         """Chain whose rows are the unions of all admissible action supports.
 
@@ -325,7 +413,14 @@ class Mdp:
         per_state = np.diff(self.pair_ptr[self.state_ptr])
         src = np.repeat(np.arange(n, dtype=np.int64), per_state)
         share = self.prob / np.repeat(self.mask_sizes(), per_state)
-        keys, inverse = _unique_sorted(src * np.int64(n) + self.col)
+        keys = src * np.int64(n) + self.col
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        inverse = np.empty(keys.size, dtype=np.int64)
+        inverse[order] = np.cumsum(first) - 1
+        keys = keys[first]
         mass = np.bincount(inverse, weights=share, minlength=keys.size)
         row_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // n, minlength=n), out=row_ptr[1:])
@@ -356,22 +451,40 @@ class ValueTable:
     q: np.ndarray | None = None
 
 
-def validate_policy(mdp, policy):
-    choice = policy.choice
-    if choice.size != mdp.state_count:
+def _policy_pairs(mdp, policy):
+    """Pair id of every state's chosen action, found in one lookup.
+
+    Pairs ascend by (state, rank of the action among all admissible
+    ids), so one searchsorted finds every state's pair, and the keys stay
+    small however large the action ids are.  Raises InvalidPolicy for the
+    first state whose action is masked out.
+    """
+    choice = np.asarray(policy.choice, dtype=np.int64)
+    n = mdp.state_count
+    if choice.size != n:
         raise InvalidPolicy("policy length does not match state count")
-    for x in range(mdp.state_count):
-        mdp.pair_index(x, int(choice[x]))
+    actions = _unique_sorted(mdp.pair_action)
+    width = np.int64(actions.size)
+    states = np.arange(n, dtype=np.int64)
+    keys = np.repeat(states, mdp.mask_sizes()) * width + np.searchsorted(
+        actions, mdp.pair_action
+    )
+    pairs = np.searchsorted(keys, states * width + np.searchsorted(actions, choice))
+    found = pairs < mdp.state_ptr[1:]
+    found[found] = mdp.pair_action[pairs[found]] == choice[found]
+    if not found.all():
+        x = int(np.argmin(found))
+        raise InvalidPolicy(f"action {int(choice[x])} not admissible in state {x}")
+    return pairs
+
+
+def validate_policy(mdp, policy):
+    _policy_pairs(mdp, policy)
 
 
 def induced_chain(mdp, policy):
     """Markov chain obtained by following the policy's action in each state."""
-    choice = np.asarray(policy.choice, dtype=np.int64)
-    if choice.size != mdp.state_count:
-        raise InvalidPolicy("policy length does not match state count")
-    pairs = np.empty(mdp.state_count, dtype=np.int64)
-    for x in range(mdp.state_count):
-        pairs[x] = mdp.pair_index(x, int(choice[x]))
+    pairs = _policy_pairs(mdp, policy)
     starts = mdp.pair_ptr[pairs]
     lengths = mdp.pair_ptr[pairs + 1] - starts
     idx = gather_ranges(starts, lengths)
@@ -405,8 +518,8 @@ def build_mdp(spec):
     The description is a mapping with fields states, actions, discount,
     mask (list of per-state admissible action lists) and transitions (list
     of {x, u, xp, p, r} records).  states, actions, mask entries and
-    x, u, xp must be integers.  Unknown fields are rejected; rows are
-    checked, never renormalized.
+    x, u, xp must be integers, and discount, p and r numbers.  Unknown
+    fields are rejected; rows are checked, never renormalized.
     """
     if not isinstance(spec, dict):
         raise ModelError("model description must be a JSON object")
@@ -419,10 +532,7 @@ def build_mdp(spec):
     scalars = ("states", "actions")
     _check_integers([spec[k] for k in scalars], scalars.__getitem__)
     state_count, action_count = int(spec["states"]), int(spec["actions"])
-    try:
-        discount = float(spec["discount"])
-    except (TypeError, ValueError) as exc:
-        raise ModelError(f"bad scalar field: {exc}") from None
+    discount = float(_as_reals([spec["discount"]], lambda _: "discount")[0])
     if state_count <= 0 or action_count <= 0:
         raise ModelError("states and actions must be positive")
 
@@ -445,8 +555,7 @@ def build_mdp(spec):
     if not isinstance(records, list):
         raise ModelError("transitions must be a list of records")
     ids = []  # x, u, xp of each record in turn
-    ps = np.empty(len(records), dtype=np.float64)
-    rs = np.empty(len(records), dtype=np.float64)
+    reals = []  # p, r of each record in turn
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise ModelError(f"transition {i} is not a record")
@@ -457,10 +566,15 @@ def build_mdp(spec):
         if missing:
             raise ModelError(f"transition {i}: missing fields {sorted(missing)}")
         ids += (rec["x"], rec["u"], rec["xp"])
-        ps[i], rs[i] = float(rec["p"]), float(rec["r"])
+        reals += (rec["p"], rec["r"])
 
     def id_field(k):
         return f"transition {k // 3}: {('x', 'u', 'xp')[k % 3]}"
+
+    def real_field(k):
+        return f"transition {k // 2}: {('p', 'r')[k % 2]}"
+
+    ps, rs = _as_reals(reals, real_field).reshape(-1, 2).T
 
     _check_integers(ids, id_field)
     try:

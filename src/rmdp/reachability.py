@@ -11,12 +11,15 @@ decreases along every transient transition except self-loops.  On finite
 chains that is equivalent to every transient strongly-connected component
 being a singleton, which is how the verdict is computed.
 
-Everything structural is read off one condensation per chain: its
+Everything structural is read off one condensation per model: its
 strongly-connected components and the distinct edges between them.  The
-condensation is computed on a chain's first structure query and kept on
-the chain, which never changes.  The potential walks the condensation in
-Kahn frontiers, sinks first, and builds a whole frontier's reach sets at
-once as rows of a bitset matrix.
+condensation is computed on a model's first structure query and kept on
+the model, which never changes.  A model is a MarkovChain or the Support
+of an Mdp (Mdp.support()): the distinct successors of each state over
+all its actions, which is all the structure of the Mdp's union chain, so
+an Mdp is certified and ordered without building that chain.  The
+potential walks the condensation in Kahn frontiers, sinks first, and
+builds a whole frontier's reach sets at once as rows of a bitset matrix.
 """
 
 from __future__ import annotations
@@ -75,7 +78,8 @@ class PotentialTable:
     """Counting-measure potential per state plus the fractional self-loop set.
 
     phi[x] is the number of states reachable from x (x included).
-    self_loops holds every state with 0 < p(x, x) < 1.
+    self_loops holds every state with a fractional self-loop, as
+    self_loop_states defines it.
     """
 
     phi: np.ndarray
@@ -120,22 +124,26 @@ class _Condensation(NamedTuple):
     is_open: np.ndarray
 
 
-def _condensation(chain):
-    """The chain's condensation, computed on first use and kept on the chain."""
-    if chain._condensation is not None:
-        return chain._condensation
-    n = chain.state_count
-    mat = csr_matrix((chain.prob, chain.col, chain.row_ptr), shape=(n, n))
+def _condensation(model):
+    """The model's condensation, computed on first use and kept on the model.
+
+    The model's rows must not repeat a successor: scipy's strong
+    components loop forever on some rows that do.
+    """
+    if model._condensation is not None:
+        return model._condensation
+    n = model.state_count
+    mat = csr_matrix((model.prob, model.col, model.row_ptr), shape=(n, n))
     n_comp, labels = connected_components(mat, directed=True, connection="strong")
     labels = labels.astype(np.int64)
 
     member_ptr = np.zeros(n_comp + 1, dtype=np.int64)
     np.cumsum(np.bincount(labels, minlength=n_comp), out=member_ptr[1:])
 
-    src = labels[_entry_sources(chain)]
-    dst = labels[chain.col]
+    src = np.repeat(labels, np.diff(model.row_ptr))
+    dst = labels[model.col]
     cross = src != dst
-    keys, _ = _unique_sorted(src[cross] * np.int64(n_comp) + dst[cross])
+    keys = _unique_sorted(src[cross] * np.int64(n_comp) + dst[cross])
     out_degree = np.bincount(keys // n_comp, minlength=n_comp)
     succ_ptr = np.zeros(n_comp + 1, dtype=np.int64)
     np.cumsum(out_degree, out=succ_ptr[1:])
@@ -150,13 +158,13 @@ def _condensation(chain):
     )
     for arr in cond:
         arr.setflags(write=False)
-    chain._condensation = cond
+    model._condensation = cond
     return cond
 
 
-def _entry_sources(chain):
+def _entry_sources(model):
     return np.repeat(
-        np.arange(chain.state_count, dtype=np.int64), np.diff(chain.row_ptr)
+        np.arange(model.state_count, dtype=np.int64), np.diff(model.row_ptr)
     )
 
 
@@ -181,13 +189,15 @@ def _reachable_mask(row_ptr, col, x):
     while frontier.size:
         starts = row_ptr[frontier]
         succ = col[gather_ranges(starts, row_ptr[frontier + 1] - starts)]
-        frontier, _ = _unique_sorted(succ[~seen[succ]])
+        frontier = _unique_sorted(succ[~seen[succ]])
         seen[frontier] = True
     return seen
 
 
 def counting_potential(chain):
-    """Number of reachable states per state, via the chain's condensation.
+    """Number of reachable states per state, via the model's condensation.
+
+    chain is a MarkovChain or an Mdp's Support.
 
     Components are visited in Kahn frontiers of the condensation, sinks
     first: a component joins the frontier once all its successors are
@@ -206,7 +216,7 @@ def counting_potential(chain):
     n_comp = cond.is_open.size
     out_degree = np.diff(cond.succ_ptr)
     owner = np.repeat(np.arange(n_comp, dtype=np.int64), out_degree)
-    height = _heights(cond, owner, out_degree)
+    height = _heights(cond, out_degree)
     # A component's tallest successors sit exactly one frontier below it;
     # any one of them will do.
     tall = height[cond.succ] == height[owner] - 1
@@ -251,17 +261,23 @@ def counting_potential(chain):
     )
 
 
-def _heights(cond, owner, out_degree):
+def _heights(cond, out_degree):
     """Kahn frontier index of every component, sinks at 0.
 
     A component joins the next frontier once all its successors are in
     earlier ones, so its height is one more than its tallest successor's.
+    Linear in the condensation's size: scipy's CSR to CSC conversion, a
+    counting sort, lists each component's predecessors, and each frontier
+    lowers the waiting counts of its predecessors' edges only.
     """
     n_comp = out_degree.size
-    by_target = np.argsort(cond.succ, kind="stable")
-    pred = owner[by_target]
-    pred_len = np.bincount(cond.succ, minlength=n_comp)
-    pred_ptr = np.cumsum(pred_len) - pred_len
+    ones = np.ones(cond.succ.size, dtype=np.int8)
+    by_target = csr_matrix(
+        (ones, cond.succ, cond.succ_ptr), shape=(n_comp, n_comp)
+    ).tocsc()
+    pred = by_target.indices.astype(np.int64)
+    pred_ptr = by_target.indptr.astype(np.int64)
+    pred_len = np.diff(pred_ptr)
     waiting = out_degree.copy()
     height = np.zeros(n_comp, dtype=np.int64)
     stamp = np.zeros(n_comp, dtype=np.int64)
@@ -291,14 +307,18 @@ def potential_difference(pt, x, xp):
     return int(pt.phi[xp] - pt.phi[x])
 
 
-def self_loop_states(chain, subset=None):
-    """States with a fractional self-loop, 0 < p(x, x) < 1.
+def self_loop_states(model, subset=None):
+    """States with a fractional self-loop.
 
-    Intersected with subset when one is given.
+    For a chain that is 0 < p(x, x) < 1.  For an Mdp's Support it is the
+    same rule on the union of the actions: some action has a self-loop,
+    and not every action has p(x, x) >= 1.  Intersected with subset when
+    one is given.
     """
-    src = _entry_sources(chain)
-    loop = (src == chain.col) & (chain.prob < 1.0)
-    loops = set(src[loop].tolist())
+    src = _entry_sources(model)
+    has_loop = np.zeros(model.state_count, dtype=bool)
+    has_loop[src[src == model.col]] = True
+    loops = set(np.flatnonzero(has_loop & ~model.certain_self_loops()).tolist())
     if subset is not None:
         loops &= {int(s) for s in subset}
     return loops
@@ -324,36 +344,51 @@ def absorbing_decomposition(chain):
     )
 
 
-def verify_reductive(chain):
+def verify_reductive(model):
     """Certify the drift condition, reporting counterexample edges if any.
 
     Reductive means: nonempty absorbing part, and along every stored
     transient transition other than a self-loop the potential strictly
     decreases.  An edge x -> xp fails exactly when xp can reach back to x,
     i.e. when both ends share a multi-state strongly-connected component
-    that is not closed, so the verdict needs no potential values.
+    that is not closed, so the verdict needs no potential values.  A
+    transient state that stays put for certain (certain_self_loops) fails
+    too.  model is a MarkovChain or an Mdp's Support.
     """
-    cond = _condensation(chain)
-    labels = cond.labels
-    src = _entry_sources(chain)
-    bad_comp = _transient_cycles(cond)
-    mask = bad_comp[labels[src]] & (labels[src] == labels[chain.col]) & (
-        src != chain.col
+    cond = _condensation(model)
+    violations = _drift_violations(model, cond) + _loop_violations(model, cond)
+    return ReductivityVerdict(
+        reductive=not violations, violations=tuple(violations)
     )
-    # Entries are sorted by (row, successor), so the edges come out sorted.
-    violations = [
-        Violation(x, xp, NON_DECREASING_TRANSIENT)
-        for x, xp in zip(src[mask].tolist(), chain.col[mask].tolist())
-    ]
+
+
+def _drift_violations(model, cond):
+    """Non-decreasing transient edges, ascending, then NoAbsorbingSet if due."""
+    violations = []
+    bad_comp = _transient_cycles(cond)
+    if bad_comp.any():
+        labels = cond.labels
+        src = _entry_sources(model)
+        mask = bad_comp[labels[src]] & (labels[src] == labels[model.col]) & (
+            src != model.col
+        )
+        # Entries are sorted by (row, successor), so the edges come out sorted.
+        violations = [
+            Violation(x, xp, NON_DECREASING_TRANSIENT)
+            for x, xp in zip(src[mask].tolist(), model.col[mask].tolist())
+        ]
     if np.all(cond.is_open):
         # Unreachable for row-stochastic inputs: a finite chain always has
         # at least one closed component.  Kept as a defensive report.
         violations.append(Violation(0, 0, NO_ABSORBING_SET))
-    for x in _certain_loops(chain, cond).tolist():
-        violations.append(Violation(x, x, CERTAIN_SELF_LOOP_MARKED_TRANSIENT))
-    return ReductivityVerdict(
-        reductive=not violations, violations=tuple(violations)
-    )
+    return violations
+
+
+def _loop_violations(model, cond):
+    return [
+        Violation(x, x, CERTAIN_SELF_LOOP_MARKED_TRANSIENT)
+        for x in _certain_loops(model, cond).tolist()
+    ]
 
 
 def _transient_cycles(cond):
@@ -361,15 +396,13 @@ def _transient_cycles(cond):
     return cond.is_open & (np.diff(cond.member_ptr) >= 2)
 
 
-def _certain_loops(chain, cond):
-    """Open states x with p(x, x) = 1, ascending.
+def _certain_loops(model, cond):
+    """Open states that stay put for certain, ascending.
 
-    Rows sum to one only up to ROW_SUM_TOL, so p(x, x) = 1.0 can sit next
-    to a tiny exit that keeps {x} open.
+    cond is model's condensation or that of a view with the same support,
+    such as an Mdp's union chain.
     """
-    e = np.flatnonzero(chain.prob == 1.0)
-    x = np.searchsorted(chain.row_ptr, e, side="right") - 1
-    return x[(chain.col[e] == x) & cond.is_open[cond.labels[x]]]
+    return np.flatnonzero(model.certain_self_loops() & cond.is_open[cond.labels])
 
 
 def _class_invariance_violations(mdp, block):
@@ -391,7 +424,7 @@ def _class_invariance_violations(mdp, block):
             for x in free:
                 ua, ub = mdp.state_ptr[x], mdp.state_ptr[x + 1]
                 lo, hi = mdp.pair_ptr[ua], mdp.pair_ptr[ub]
-                for xp in _unique_sorted(mdp.col[lo:hi])[0]:
+                for xp in _unique_sorted(mdp.col[lo:hi]):
                     if xp != x:
                         out.append(Violation(int(x), int(xp), NON_DECREASING_TRANSIENT))
             return out
@@ -401,13 +434,13 @@ def _class_invariance_violations(mdp, block):
     for s in block:
         a, b = mdp.state_ptr[s], mdp.state_ptr[s + 1]
         lo, hi = mdp.pair_ptr[a], mdp.pair_ptr[b]
-        fixed_rows.append(_unique_sorted(mdp.col[lo:hi])[0])
+        fixed_rows.append(_unique_sorted(mdp.col[lo:hi]))
     free_choices = []
     for x in free:
         rows = []
         for i in range(mdp.state_ptr[x], mdp.state_ptr[x + 1]):
             lo, hi = mdp.pair_ptr[i], mdp.pair_ptr[i + 1]
-            rows.append(_unique_sorted(mdp.col[lo:hi])[0])
+            rows.append(_unique_sorted(mdp.col[lo:hi]))
         free_choices.append(rows)
 
     def assignments(k):
@@ -431,20 +464,23 @@ def _class_invariance_violations(mdp, block):
     return sorted(set(out), key=lambda v: (v.x, v.xp))
 
 
-def verify_reductive_mdp(mdp, union=None):
+def verify_reductive_mdp(mdp, view=None):
     """Certify that every deterministic policy induces a reductive chain.
 
-    Checks the union-support chain: any transient-side cycle there is
-    reported, whichever actions close it.  Multi-state absorbing classes
-    of the union chain additionally get a policy-invariance check, since a
+    Checks the union of the action supports: any transient-side cycle
+    there is reported, whichever actions close it, and so is a transient
+    state where every admissible action stays put for certain.  Multi-state
+    absorbing classes additionally get a policy-invariance check, since a
     policy could turn a strict subset of such a class into a transient
-    cycle.  union is mdp.union_chain(), built here unless the caller
-    passes the one it already has.
+    cycle.  The structure is read from view, mdp.support() or
+    mdp.union_chain() when the caller already has one, else from a new
+    mdp.support(); the self-loop rule always reads mdp's own entries.
     """
-    if union is None:
-        union = mdp.union_chain()
-    violations = list(verify_reductive(union).violations)
-    for block in absorbing_decomposition(union).classes:
+    if view is None:
+        view = mdp.support()
+    cond = _condensation(view)
+    violations = _drift_violations(view, cond) + _loop_violations(mdp, cond)
+    for block in absorbing_decomposition(view).classes:
         if block.size >= 2:
             violations.extend(_class_invariance_violations(mdp, block))
 
@@ -461,8 +497,9 @@ def canonical_permutation(chain, decomp, pt):
     upper-triangular (self-loops on the diagonal) and absorbing rows carry
     no mass into transient columns.  Ties in the transient potential are
     broken by ascending state id, which is safe because equal-potential
-    transient states of a reductive chain are never adjacent.  Raises
-    NotReductive, read off the chain's condensation, when it is not.
+    transient states of a reductive chain are never adjacent.  chain is
+    a MarkovChain or an Mdp's Support.  Raises NotReductive, read off its
+    condensation, when it is not.
     """
     cond = _condensation(chain)
     if np.any(_transient_cycles(cond)) or _certain_loops(chain, cond).size:
@@ -513,7 +550,7 @@ def predecessors(chain, target, n):
         starts = rev_ptr[frontier]
         lengths = rev_ptr[frontier + 1] - starts
         preds = src_sorted[gather_ranges(starts, lengths)]
-        preds, _ = _unique_sorted(preds[~seen[preds]])
+        preds = _unique_sorted(preds[~seen[preds]])
         seen[preds] = True
         found.append(preds)
         frontier = preds

@@ -399,7 +399,7 @@ def _raw_reverse_graph(mdp):
     sizes = mdp.mask_sizes()
     state_of_pair = np.repeat(np.arange(n, dtype=np.int64), sizes)
     src = np.repeat(state_of_pair, np.diff(mdp.pair_ptr))
-    keys, _ = _unique_sorted(mdp.col * np.int64(n) + src)
+    keys = _unique_sorted(mdp.col * np.int64(n) + src)
     rev_dst = keys // n
     rev_src = keys % n
     rev_ptr = np.zeros(n + 1, dtype=np.int64)

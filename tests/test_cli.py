@@ -158,7 +158,7 @@ def test_verify_model_file_roundtrip(cli, tmp_path):
 
 
 def test_verify_condenses_each_chain_once(tmp_path, monkeypatch):
-    """Every structure query on a chain shares one SCC pass."""
+    """Every structure query shares one SCC pass, on the model's support."""
     mdp, _, _ = build_spiral()
     model = write_json(tmp_path / "spiral.json", mdp_to_spec(mdp))
 
@@ -181,15 +181,19 @@ def test_verify_condenses_each_chain_once(tmp_path, monkeypatch):
     out = tmp_path / "verify.json"
     assert rmdp.cli.main(["verify", "--model", model, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["reductive"] is True
-    # Each union chain's verdict, decomposition, potential and permutation
-    # share that chain's single SCC pass.
-    assert chains
-    assert len(scc_calls) == len({id(c) for c in chains})
+    # The verdict, decomposition, potential and permutation share the
+    # support's single SCC pass; no union chain is built.
+    assert chains == []
+    assert len(scc_calls) == 1
 
 
 @pytest.mark.parametrize("command", ["verify", "solve"])
 def test_command_builds_one_union_chain(tmp_path, monkeypatch, command):
-    """Verdict, decomposition, potential and order share one union chain."""
+    """Verdict, decomposition, potential and order share one SCC pass.
+
+    solve takes them from one union chain; verify from the model's
+    support, building no union chain at all.
+    """
     mdp, _, _ = build_spiral()
     model = write_json(tmp_path / "spiral.json", mdp_to_spec(mdp))
 
@@ -211,7 +215,7 @@ def test_command_builds_one_union_chain(tmp_path, monkeypatch, command):
     monkeypatch.setattr(rmdp.reachability, "connected_components", counting_scc)
     out = tmp_path / "out.json"
     assert rmdp.cli.main([command, "--model", model, "--out", str(out)]) == 0
-    assert len(chains) == 1
+    assert len(chains) == {"verify": 0, "solve": 1}[command]
     assert len(scc_calls) == 1
 
 
@@ -277,6 +281,25 @@ def test_broken_models_exit_2(cli, tmp_path):
         assert proc.returncode == 2, (name, proc.stderr)
         assert "must be an integer" in proc.stderr
 
+    # p, r and discount must be JSON numbers, not strings or booleans,
+    # and an integer must fit in a double.
+    for name, field, value, message in (
+        ("p_bool", "p", True, "p must be a number"),
+        ("r_string", "r", "2.5", "r must be a number"),
+        ("discount_string", "discount", "0.9", "discount must be a number"),
+        ("r_huge", "r", 10**400, "r out of range"),
+    ):
+        spec = dict(TWO_CYCLE_SPEC)
+        spec["transitions"] = [dict(t) for t in TWO_CYCLE_SPEC["transitions"]]
+        if field == "discount":
+            spec["discount"] = value
+        else:
+            spec["transitions"][0][field] = value
+        model = write_json(tmp_path / f"{name}.json", spec)
+        proc = cli("verify", "--model", model)
+        assert proc.returncode == 2, (name, proc.stderr)
+        assert message in proc.stderr
+
     # An id beyond int64 is out of range, not a numpy OverflowError.
     huge = dict(TWO_CYCLE_SPEC)
     huge["transitions"] = [dict(t) for t in TWO_CYCLE_SPEC["transitions"]]
@@ -296,6 +319,37 @@ def test_broken_models_exit_2(cli, tmp_path):
             proc = cli(cmd, "--model", model)
             assert proc.returncode == 2, (field, cmd, proc.stderr)
             assert "non-finite" in proc.stderr
+
+
+def certain_loop_spec(k):
+    """State 0 has k actions, each staying with p = 1.0 beside a 5e-13 exit."""
+    transitions = []
+    for u in range(k):
+        transitions.append({"x": 0, "u": u, "xp": 0, "p": 1.0, "r": 1.0})
+        transitions.append({"x": 0, "u": u, "xp": 1, "p": 5e-13, "r": 0.0})
+    transitions.append({"x": 1, "u": 0, "xp": 1, "p": 1.0, "r": 0.0})
+    return {
+        "states": 2,
+        "actions": k,
+        "discount": 1.0,
+        "mask": [list(range(k)), [0]],
+        "transitions": transitions,
+    }
+
+
+@pytest.mark.parametrize("k", [1, 2, 6, 7, 10])
+def test_certain_self_loop_rejected_for_any_mask_size(tmp_path, k):
+    """The rule counts certain self-loops; it never sums k shares of 1/k,
+    which reach exactly 1.0 only for some k (not for 6, 7 or 10)."""
+    model = write_json(tmp_path / "loop.json", certain_loop_spec(k))
+    out = tmp_path / "verify.json"
+    assert rmdp.cli.main(["verify", "--model", model, "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == {
+        "reductive": False,
+        "violations": [{"x": 0, "xp": 0, "kind": "CertainSelfLoopMarkedTransient"}],
+    }
+    solve = ["solve", "--model", model, "--out", str(tmp_path / "solve.json")]
+    assert rmdp.cli.main(solve) == 3
 
 
 BIG = 1.7e308

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmdp import (
     DuplicateSuccessor,
     EmptyMask,
     InvalidPolicy,
     MarkovChain,
+    Mdp,
     ModelError,
     NegativeProbability,
     NonStochasticRow,
@@ -246,6 +249,67 @@ def test_induced_chain_and_policy_validation():
         validate_policy(mdp, bad)
     with pytest.raises(InvalidPolicy):
         induced_chain(mdp, bad)
+
+
+def pairs_one_state_at_a_time(mdp, policy):
+    """The pair lookup as a loop: one Mdp.pair_index call per state."""
+    if policy.choice.size != mdp.state_count:
+        raise InvalidPolicy("policy length does not match state count")
+    return np.array(
+        [mdp.pair_index(x, int(u)) for x, u in enumerate(policy.choice)],
+        dtype=np.int64,
+    )
+
+
+@st.composite
+def masks_and_policies(draw):
+    # Action ids up to 2**62, so that keys built from raw ids would overflow.
+    ids = draw(st.sampled_from([[0], [0, 1, 2], [0, 3, 7, 8], [1, 2**40, 2**62]]))
+    n = draw(st.integers(1, 8))
+    mask = [
+        sorted(draw(st.lists(st.sampled_from(ids), min_size=1, unique=True)))
+        for _ in range(n)
+    ]
+    state_ptr = np.cumsum([0] + [len(m) for m in mask])
+    pairs = state_ptr[-1]
+    # Every pair stays put, which is all the lookup needs of the entries.
+    mdp = Mdp(
+        state_count=n,
+        action_count=max(ids) + 1,
+        discount=0.9,
+        state_ptr=state_ptr,
+        pair_action=[u for m in mask for u in m],
+        pair_ptr=np.arange(pairs + 1),
+        col=np.repeat(np.arange(n), np.diff(state_ptr)),
+        prob=np.ones(pairs),
+        rew=np.arange(pairs, dtype=np.float64),
+    )
+    # Mostly admissible choices, sometimes any id, -1 or one past the last.
+    choice = [
+        draw(st.one_of(st.sampled_from(m), st.sampled_from(ids + [-1, max(ids) + 1])))
+        for m in mask
+    ]
+    if draw(st.integers(0, 9)) == 0:
+        choice = choice[:-1]
+    return mdp, Policy(choice=np.array(choice, dtype=np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(masks_and_policies())
+def test_policy_lookup_matches_one_state_at_a_time(case):
+    mdp, policy = case
+    try:
+        pairs = pairs_one_state_at_a_time(mdp, policy)
+    except InvalidPolicy as exc:
+        for fn in (validate_policy, induced_chain):
+            with pytest.raises(InvalidPolicy) as got:
+                fn(mdp, policy)
+            assert str(got.value) == str(exc)
+        return
+    validate_policy(mdp, policy)
+    chain = induced_chain(mdp, policy)
+    assert chain.col.tolist() == mdp.col[pairs].tolist()
+    assert chain.rew.tolist() == mdp.rew[pairs].tolist()
 
 
 def test_mdp_from_chain_adapter():

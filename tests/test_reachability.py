@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmdp import (
+    CERTAIN_SELF_LOOP_MARKED_TRANSIENT,
     NON_DECREASING_TRANSIENT,
     MarkovChain,
     NotReductive,
@@ -22,6 +23,8 @@ from rmdp import (
     verify_reductive,
     verify_reductive_mdp,
 )
+from rmdp.mdp import gather_ranges
+from rmdp.reachability import _condensation, _heights
 
 # Annotated reachable-set sizes of the spiral walk, row 0 first.
 SPIRAL_PHI = [
@@ -543,3 +546,146 @@ def test_generated_reductive_chains_accepted(chain):
                 assert pt.phi[xp] < pt.phi[x]
     sched = level_set_schedule(pt, d)
     assert sum(lv.size for lv in sched.levels) == d.transient.size
+
+
+# ---------------------------------------------------------------------------
+# an Mdp's support against its union chain
+
+
+@st.composite
+def random_mdps(draw):
+    """Small MDPs with 1-3 actions per state and successors that repeat
+    across actions; some actions stay put with p = 1.0 beside a 1e-13 exit.
+    Forward models only move to the same or a higher id, so most of them
+    are reductive."""
+    n = draw(st.one_of(st.integers(1, 7), st.integers(65, 90)))
+    forward = draw(st.booleans())
+    mask, transitions = [], []
+    for x in range(n):
+        acts = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+        mask.append(sorted(acts))
+        for u in acts:
+            lo = x if forward else 0
+            succs = draw(
+                st.lists(
+                    st.integers(lo, n - 1), min_size=1, max_size=min(3, n - lo),
+                    unique=True,
+                )
+            )
+            if draw(st.integers(0, 4)) == 0:
+                row = [(x, 1.0)] + [(s, 1e-13) for s in succs if s != x]
+            else:
+                row = [(s, 1.0 / len(succs)) for s in succs]
+            transitions += [
+                {"x": x, "u": u, "xp": s, "p": p, "r": 0.0} for s, p in row
+            ]
+    spec = {"states": n, "actions": 3, "discount": 0.9, "mask": mask,
+            "transitions": transitions}
+    return build_mdp(spec)
+
+
+def self_loops_by_action(mdp):
+    """Per state, p(x, x) of each admissible action (0.0 without a loop)."""
+    out = []
+    for x in range(mdp.state_count):
+        probs = []
+        for u in mdp.mask(x):
+            cols, ps, _ = mdp.row(x, int(u))
+            probs.append(float(ps[cols == x].sum()))
+        out.append(probs)
+    return out
+
+
+def component_of(cond):
+    """Each state's component, named by its smallest member."""
+    return cond.members[cond.member_ptr[:-1]][cond.labels]
+
+
+def component_edges(cond):
+    first = cond.members[cond.member_ptr[:-1]]
+    owner = np.repeat(np.arange(first.size), np.diff(cond.succ_ptr))
+    return sorted(zip(first[owner].tolist(), first[cond.succ].tolist()))
+
+
+def heights_by_argsort(cond):
+    """Kahn heights as computed before the linear-time _heights: the
+    predecessor lists come from a stable argsort of every edge."""
+    out_degree = np.diff(cond.succ_ptr)
+    n_comp = out_degree.size
+    owner = np.repeat(np.arange(n_comp, dtype=np.int64), out_degree)
+    pred = owner[np.argsort(cond.succ, kind="stable")]
+    pred_len = np.bincount(cond.succ, minlength=n_comp)
+    pred_ptr = np.cumsum(pred_len) - pred_len
+    waiting = out_degree.copy()
+    height = np.zeros(n_comp, dtype=np.int64)
+    stamp = np.zeros(n_comp, dtype=np.int64)
+    frontier = (out_degree == 0).nonzero()[0]
+    h = 0
+    while frontier.size:
+        height[frontier] = h
+        preds = pred[gather_ranges(pred_ptr[frontier], pred_len[frontier])]
+        np.subtract.at(waiting, preds, 1)
+        ready = preds[waiting[preds] == 0]
+        rank = np.arange(ready.size)
+        stamp[ready] = rank
+        frontier = ready[stamp[ready] == rank]
+        h += 1
+    return height
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_mdps())
+def test_support_structure_matches_union_chain(mdp):
+    support, union = mdp.support(), mdp.union_chain()
+    cs, cu = _condensation(support), _condensation(union)
+    assert component_of(cs).tolist() == component_of(cu).tolist()
+    assert component_edges(cs) == component_edges(cu)
+
+    ds, du = absorbing_decomposition(support), absorbing_decomposition(union)
+    assert ds.transient.tolist() == du.transient.tolist()
+    assert ds.absorbing.tolist() == du.absorbing.tolist()
+    assert [g.tolist() for g in ds.classes] == [g.tolist() for g in du.classes]
+    ps, pu = counting_potential(support), counting_potential(union)
+    assert ps.phi.tolist() == pu.phi.tolist()
+
+    verdict = verify_reductive(support)
+    assert verdict == verify_reductive(union)
+    assert verify_reductive_mdp(mdp) == verify_reductive_mdp(mdp, union)
+    if verdict.reductive:
+        order = canonical_permutation(support, ds, ps).order
+        assert order.tolist() == canonical_permutation(union, du, pu).order.tolist()
+    else:
+        for chain, d, pt in ((support, ds, ps), (union, du, pu)):
+            with pytest.raises(NotReductive):
+                canonical_permutation(chain, d, pt)
+
+    # The self-loop rules, by their definitions over the actions.
+    loops = self_loops_by_action(mdp)
+    certain = {x for x, ps_ in enumerate(loops) if all(p >= 1.0 for p in ps_)}
+    fractional = {
+        x for x, ps_ in enumerate(loops) if any(ps_) and x not in certain
+    }
+    assert set(np.flatnonzero(support.certain_self_loops()).tolist()) == certain
+    assert set(np.flatnonzero(mdp.certain_self_loops()).tolist()) == certain
+    assert self_loop_states(support) == fractional
+    assert ps.self_loops == frozenset(fractional)
+    flagged = {
+        v.x for v in verdict.violations if v.kind == CERTAIN_SELF_LOOP_MARKED_TRANSIENT
+    }
+    assert flagged == certain & set(ds.transient.tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(random_chains(), chains_with_transient_cycles()))
+def test_linear_heights_match_argsort_heights(chain):
+    cond = _condensation(chain)
+    expected = heights_by_argsort(cond)
+    assert _heights(cond, np.diff(cond.succ_ptr)).tolist() == expected.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_mdps())
+def test_linear_heights_match_argsort_heights_on_supports(mdp):
+    cond = _condensation(mdp.support())
+    expected = heights_by_argsort(cond)
+    assert _heights(cond, np.diff(cond.succ_ptr)).tolist() == expected.tolist()
