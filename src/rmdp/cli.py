@@ -36,6 +36,7 @@ from .reachability import (
     absorbing_decomposition,
     canonical_permutation,
     counting_potential,
+    height_schedule,
     level_set_schedule,
     verify_reductive_mdp,
 )
@@ -168,34 +169,30 @@ def _resolve_model(res):
     raise InvalidParams(f"unknown domain {domain!r}")
 
 
-def _ensure_schedule(mdp, schedule, decomp, view=None):
-    """The given schedule and decomposition, else both derived from view.
-
-    view is the model's union chain or support; a new support by default.
-    """
-    if schedule is None or decomp is None:
-        if view is None:
-            view = mdp.support()
-        decomp = absorbing_decomposition(view)
-        pt = counting_potential(view)
-        schedule = level_set_schedule(pt, decomp)
-    return schedule, decomp
-
-
 def _dispatch(solver, mdp, schedule, decomp, cfg):
-    """Run a named solver; reductivity is the caller's concern."""
+    """Run a named solver; reductivity is the caller's concern.
+
+    rvi needs schedule and decomp: a domain's, or _verified_schedule's.
+    The other solvers derive what they need of them when they are None.
+    """
     if solver == "rvi":
-        schedule, decomp = _ensure_schedule(mdp, schedule, decomp)
         return rvi_solve(mdp, schedule, decomp, cfg)
     if solver == "qvi-random":
         return qvi_solve(mdp, replace(cfg, ordering=RANDOM_PER_SWEEP))
     if solver == "qvi-reversed":
-        schedule, _ = _ensure_schedule(mdp, schedule, decomp)
+        if schedule is None:
+            # The sweep order, and with it the values' last bits and the
+            # sweep count, follows the levels: keep the potential's level
+            # sets, not the coarser Kahn heights.
+            support = mdp.support()
+            pt = counting_potential(support)
+            schedule = level_set_schedule(pt, absorbing_decomposition(support))
         return qvi_solve(
             mdp, replace(cfg, ordering=REVERSED_LEVEL_SETS), schedule=schedule
         )
     if solver == "bvi":
-        schedule, decomp = _ensure_schedule(mdp, schedule, decomp)
+        if decomp is None:
+            decomp = absorbing_decomposition(mdp.support())
         return bvi_solve(mdp, decomp, cfg)
     raise InvalidParams(f"unknown solver {solver!r}")
 
@@ -213,11 +210,12 @@ def _cmd_solve(res):
 
 
 def _verified_schedule(mdp, schedule, decomp):
-    """Certify mdp, then _ensure_schedule, both from one union chain.
+    """Certify mdp from its union chain, then schedule it by Kahn height.
 
-    The chain is dropped on return, before any solve runs.  rmdp verify
-    reads the cheaper mdp.support() instead; solve keeps the union chain,
-    whose span perfbench's trace test expects.
+    A given schedule and decomposition are kept.  The chain is dropped
+    on return, before any solve runs.  rmdp verify reads the cheaper
+    mdp.support() instead; solve keeps the union chain, whose span
+    perfbench's trace test expects.
     """
     union = mdp.union_chain()
     verdict = verify_reductive_mdp(mdp, union)
@@ -225,7 +223,10 @@ def _verified_schedule(mdp, schedule, decomp):
         raise NotReductive(
             f"model is not reductive ({len(verdict.violations)} violations)"
         )
-    return _ensure_schedule(mdp, schedule, decomp, union)
+    if schedule is None or decomp is None:
+        decomp = absorbing_decomposition(union)
+        schedule = height_schedule(union, decomp)
+    return schedule, decomp
 
 
 def _cmd_verify(res):

@@ -13,6 +13,7 @@ All objects are immutable after construction.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -49,7 +50,7 @@ def _check_integers(values, field):
     rejected, never truncated or parsed into a different model from the
     one the file describes.  The common all-int case costs one type scan.
     """
-    if not {type(v) for v in values} <= {int}:
+    if not set(map(type, values)) <= {int}:
         for i, v in enumerate(values):
             if isinstance(v, bool) or not isinstance(v, numbers.Integral):
                 raise ModelError(f"{field(i)} must be an integer, got {v!r}")
@@ -62,7 +63,7 @@ def _as_reals(values, field):
     string or boolean is rejected, never parsed by float(), and so is an
     integer beyond the float64 range.  The common case costs one type scan.
     """
-    if not {type(v) for v in values} <= {int, float}:
+    if not set(map(type, values)) <= {int, float}:
         for i, v in enumerate(values):
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise ModelError(f"{field(i)} must be a number, got {v!r}")
@@ -454,24 +455,14 @@ class ValueTable:
 def _policy_pairs(mdp, policy):
     """Pair id of every state's chosen action, found in one lookup.
 
-    Pairs ascend by (state, rank of the action among all admissible
-    ids), so one searchsorted finds every state's pair, and the keys stay
-    small however large the action ids are.  Raises InvalidPolicy for the
-    first state whose action is masked out.
+    Raises InvalidPolicy for the first state whose action is masked out.
     """
     choice = np.asarray(policy.choice, dtype=np.int64)
     n = mdp.state_count
     if choice.size != n:
         raise InvalidPolicy("policy length does not match state count")
-    actions = _unique_sorted(mdp.pair_action)
-    width = np.int64(actions.size)
     states = np.arange(n, dtype=np.int64)
-    keys = np.repeat(states, mdp.mask_sizes()) * width + np.searchsorted(
-        actions, mdp.pair_action
-    )
-    pairs = np.searchsorted(keys, states * width + np.searchsorted(actions, choice))
-    found = pairs < mdp.state_ptr[1:]
-    found[found] = mdp.pair_action[pairs[found]] == choice[found]
+    pairs, found = _find_pairs(mdp.state_ptr, mdp.pair_action, states, choice)
     if not found.all():
         x = int(np.argmin(found))
         raise InvalidPolicy(f"action {int(choice[x])} not admissible in state {x}")
@@ -520,6 +511,11 @@ def build_mdp(spec):
     of {x, u, xp, p, r} records).  states, actions, mask entries and
     x, u, xp must be integers, and discount, p and r numbers.  Unknown
     fields are rejected; rows are checked, never renormalized.
+
+    The mask and the records are read column by column.  When a check on
+    a whole column fails, the values are walked in file order to name the
+    first offender, so every error is the one a record-by-record reading
+    reports first.
     """
     if not isinstance(spec, dict):
         raise ModelError("model description must be a JSON object")
@@ -539,7 +535,97 @@ def build_mdp(spec):
     mask = spec["mask"]
     if not isinstance(mask, list) or len(mask) != state_count:
         raise ModelError("mask must list actions for every state")
-    mask_sets = []
+    sizes, pair_action = _mask_columns(mask, action_count)
+    state_ptr = np.zeros(state_count + 1, dtype=np.int64)
+    np.cumsum(sizes, out=state_ptr[1:])
+
+    records = spec["transitions"]
+    if not isinstance(records, list):
+        raise ModelError("transitions must be a list of records")
+    if not (
+        set(map(type, records)) <= {dict}
+        and set(map(len, records)) <= {5}
+        and set().union(*records) == _RECORD_KEYS
+    ):
+        _check_records(records)
+
+    def column(key):
+        return [rec[key] for rec in records]
+
+    def id_field(k):
+        return f"transition {k // 3}: {('x', 'u', 'xp')[k % 3]}"
+
+    def real_field(k):
+        return f"transition {k // 2}: {('p', 'r')[k % 2]}"
+
+    ps, rs = _real_columns([column("p"), column("r")], real_field)
+    xs, us, xps = _id_columns([column("x"), column("u"), column("xp")], id_field)
+    if xs.size:
+        if xs.min() < 0 or xs.max() >= state_count:
+            raise ModelError("transition source out of range")
+        if xps.min() < 0 or xps.max() >= state_count:
+            raise ModelError("transition successor out of range")
+        if us.min() < 0 or us.max() >= action_count:
+            raise ModelError("transition action out of range")
+
+    pair_ids, found = _find_pairs(state_ptr, pair_action, xs, us)
+    if not found.all():
+        i = int(np.argmin(found))
+        raise ModelError(
+            f"transition {i}: action {int(us[i])} not in mask of state {int(xs[i])}"
+        )
+    order = np.lexsort((xps, pair_ids))
+    pair_ids = pair_ids[order]
+    counts = np.bincount(pair_ids, minlength=pair_action.size)
+    if np.any(counts == 0):
+        i = int(np.where(counts == 0)[0][0])
+        x = int(np.searchsorted(state_ptr, i, side="right") - 1)
+        raise NonStochasticRow(
+            f"pair (state {x}, action {pair_action[i]}) has no transitions"
+        )
+    pair_ptr = np.zeros(pair_action.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=pair_ptr[1:])
+    return Mdp(
+        state_count=state_count,
+        action_count=action_count,
+        discount=discount,
+        state_ptr=state_ptr,
+        pair_action=pair_action,
+        pair_ptr=pair_ptr,
+        col=xps[order],
+        prob=ps[order],
+        rew=rs[order],
+    )
+
+
+def _mask_columns(mask, action_count):
+    """Every state's action count, and all admissible actions state-major.
+
+    Actions ascend within each state.  They are int64, or Python ints
+    (dtype object) when one does not fit, which the mask allows only when
+    actions does not fit either; no transition can use such an action, so
+    build_mdp then stops at a transition error or at its empty pair.  A
+    mask that fails a check on the flattened entries is walked row by row
+    by _mask_rows, which raises at the first bad row.
+    """
+    if set(map(type, mask)) <= {list} and all(mask):
+        flat = list(itertools.chain.from_iterable(mask))
+        if set(map(type, flat)) <= {int}:
+            acts = _id_array(flat)
+            if acts.min() >= 0 and acts.max() < action_count:
+                sizes = np.fromiter(map(len, mask), dtype=np.int64, count=len(mask))
+                state = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+                acts = acts[np.lexsort((acts, state))]
+                if not np.any((state[1:] == state[:-1]) & (acts[1:] == acts[:-1])):
+                    return sizes, acts
+    rows = _mask_rows(mask, action_count)
+    sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    return sizes, _id_array(list(itertools.chain.from_iterable(rows)))
+
+
+def _mask_rows(mask, action_count):
+    """Each state's admissible actions as ascending ints, checked row by row."""
+    rows = []
     for x, actions in enumerate(mask):
         if not actions:
             raise EmptyMask(f"state {x} has no admissible action")
@@ -549,13 +635,19 @@ def build_mdp(spec):
             raise ModelError(f"state {x}: action id out of range")
         if len(set(acts)) != len(acts):
             raise ModelError(f"state {x}: duplicate action in mask")
-        mask_sets.append(acts)
+        rows.append(acts)
+    return rows
 
-    records = spec["transitions"]
-    if not isinstance(records, list):
-        raise ModelError("transitions must be a list of records")
-    ids = []  # x, u, xp of each record in turn
-    reals = []  # p, r of each record in turn
+
+def _id_array(values):
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _check_records(records):
+    """Raise ModelError at the first transition not an {x, u, xp, p, r} record."""
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise ModelError(f"transition {i} is not a record")
@@ -565,72 +657,65 @@ def build_mdp(spec):
         missing = _RECORD_KEYS - set(rec)
         if missing:
             raise ModelError(f"transition {i}: missing fields {sorted(missing)}")
-        ids += (rec["x"], rec["u"], rec["xp"])
-        reals += (rec["p"], rec["r"])
 
-    def id_field(k):
-        return f"transition {k // 3}: {('x', 'u', 'xp')[k % 3]}"
 
-    def real_field(k):
-        return f"transition {k // 2}: {('p', 'r')[k % 2]}"
+def _interleave(columns):
+    """The columns' values record by record: row 0 of each, then row 1, ..."""
+    return [v for row in zip(*columns) for v in row]
 
-    ps, rs = _as_reals(reals, real_field).reshape(-1, 2).T
 
-    _check_integers(ids, id_field)
+def _real_columns(columns, field):
+    """Each column as a float64 array, checked as _as_reals checks values.
+
+    field(k) names the k-th value of the columns interleaved record by
+    record, so the first bad record is the one reported.
+    """
+    if all(set(map(type, c)) <= {int, float} for c in columns):
+        try:
+            return [np.asarray(c, dtype=np.float64) for c in columns]
+        except OverflowError:
+            pass
+    return list(_as_reals(_interleave(columns), field).reshape(-1, len(columns)).T)
+
+
+def _id_columns(columns, field):
+    """Each column as an int64 array, checked as _check_integers checks ids.
+
+    field(k) names the k-th value of the columns interleaved record by
+    record.  An id beyond the int64 range is a ModelError.
+    """
+    if all(set(map(type, c)) <= {int} for c in columns):
+        try:
+            return [np.asarray(c, dtype=np.int64) for c in columns]
+        except OverflowError:
+            pass
+    ids = _interleave(columns)
+    _check_integers(ids, field)
     try:
-        xs, us, xps = np.asarray(ids, dtype=np.int64).reshape(-1, 3).T
+        return list(np.asarray(ids, dtype=np.int64).reshape(-1, len(columns)).T)
     except OverflowError:
         k = next(k for k, i in enumerate(ids) if not _INT64.min <= i <= _INT64.max)
-        raise ModelError(f"{id_field(k)} out of range, got {ids[k]}") from None
-    if xs.size:
-        if xs.min() < 0 or xs.max() >= state_count:
-            raise ModelError("transition source out of range")
-        if xps.min() < 0 or xps.max() >= state_count:
-            raise ModelError("transition successor out of range")
-        if us.min() < 0 or us.max() >= action_count:
-            raise ModelError("transition action out of range")
+        raise ModelError(f"{field(k)} out of range, got {ids[k]}") from None
 
-    # Dense pair enumeration from the mask, state-major.
-    pair_of = {}
-    pair_action = []
-    state_ptr = np.zeros(state_count + 1, dtype=np.int64)
-    for x, acts in enumerate(mask_sets):
-        for u in acts:
-            pair_of[(x, u)] = len(pair_action)
-            pair_action.append(u)
-        state_ptr[x + 1] = len(pair_action)
 
-    pair_ids = np.empty(len(records), dtype=np.int64)
-    for i in range(len(records)):
-        key = (int(xs[i]), int(us[i]))
-        if key not in pair_of:
-            raise ModelError(
-                f"transition {i}: action {key[1]} not in mask of state {key[0]}"
-            )
-        pair_ids[i] = pair_of[key]
+def _find_pairs(state_ptr, pair_action, xs, us):
+    """Pair id of each (xs[i], us[i]), and flags of the pairs that exist.
 
-    order = np.lexsort((xps, pair_ids))
-    pair_ids = pair_ids[order]
-    counts = np.bincount(pair_ids, minlength=len(pair_action))
-    if np.any(counts == 0):
-        i = int(np.where(counts == 0)[0][0])
-        x = int(np.searchsorted(state_ptr, i, side="right") - 1)
-        raise NonStochasticRow(
-            f"pair (state {x}, action {pair_action[i]}) has no transitions"
-        )
-    pair_ptr = np.zeros(len(pair_action) + 1, dtype=np.int64)
-    np.cumsum(counts, out=pair_ptr[1:])
-    return Mdp(
-        state_count=state_count,
-        action_count=action_count,
-        discount=discount,
-        state_ptr=state_ptr,
-        pair_action=np.asarray(pair_action, dtype=np.int64),
-        pair_ptr=pair_ptr,
-        col=xps[order],
-        prob=ps[order],
-        rew=rs[order],
-    )
+    Pairs ascend by (state, rank of the action among all admissible
+    ids), so one searchsorted finds every pair, and the keys stay small
+    however large the action ids are.  pair_action holds each state's
+    actions, ascending, in the pair ranges state_ptr gives.
+    """
+    actions = _unique_sorted(pair_action)
+    width = np.int64(actions.size)
+    sizes = np.diff(state_ptr)
+    keys = np.repeat(
+        np.arange(sizes.size, dtype=np.int64), sizes
+    ) * width + np.searchsorted(actions, pair_action)
+    pairs = np.searchsorted(keys, xs * width + np.searchsorted(actions, us))
+    found = pairs < state_ptr[xs + 1]
+    found[found] = pair_action[pairs[found]] == us[found]
+    return pairs, found
 
 
 def mdp_to_spec(mdp):
@@ -638,27 +723,27 @@ def mdp_to_spec(mdp):
 
     Rebuilding the result with build_mdp reproduces the sparse structure
     bit for bit: entries are already stored in (state, action, successor)
-    order and floats survive the JSON round trip exactly.
+    order and floats survive the JSON round trip exactly.  The columns
+    are read with tolist(), so ids are Python ints and reals floats.
     """
-    mask = [[int(u) for u in mdp.mask(x)] for x in range(mdp.state_count)]
-    transitions = []
-    for x in range(mdp.state_count):
-        for i in range(mdp.state_ptr[x], mdp.state_ptr[x + 1]):
-            u = int(mdp.pair_action[i])
-            for e in range(mdp.pair_ptr[i], mdp.pair_ptr[i + 1]):
-                transitions.append(
-                    {
-                        "x": x,
-                        "u": u,
-                        "xp": int(mdp.col[e]),
-                        "p": float(mdp.prob[e]),
-                        "r": float(mdp.rew[e]),
-                    }
-                )
+    entries = np.diff(mdp.pair_ptr)
+    state_of_pair = np.repeat(np.arange(mdp.state_count), mdp.mask_sizes())
+    actions = mdp.pair_action.tolist()
+    bounds = mdp.state_ptr.tolist()
+    columns = (
+        np.repeat(state_of_pair, entries).tolist(),
+        np.repeat(mdp.pair_action, entries).tolist(),
+        mdp.col.tolist(),
+        mdp.prob.tolist(),
+        mdp.rew.tolist(),
+    )
     return {
         "states": mdp.state_count,
         "actions": mdp.action_count,
         "discount": mdp.discount,
-        "mask": mask,
-        "transitions": transitions,
+        "mask": [actions[a:b] for a, b in zip(bounds[:-1], bounds[1:])],
+        "transitions": [
+            {"x": x, "u": u, "xp": xp, "p": p, "r": r}
+            for x, u, xp, p, r in zip(*columns)
+        ],
     }

@@ -3,7 +3,8 @@
 Computes forward-reachable sets, the counting-measure potential, the
 transient/absorbing decomposition, reductivity verdicts with concrete
 counterexample edges, the canonical block-triangular permutation, and the
-level-set schedule that drives the one-pass solver.
+schedules (potential level sets or Kahn heights) that drive the one-pass
+solver.
 
 The potential phi(x) counts the states reachable from x.  A chain is
 reductive when it has a nonempty absorbing part and phi strictly
@@ -98,9 +99,11 @@ class LevelSetSchedule:
     """Solve groups in dependency order.
 
     When built from a PotentialTable the groups are the potential level
-    sets in ascending order; domain builders may return coarser groups as
-    long as every transition from a group lands in an earlier group or in
-    the absorbing part.
+    sets in ascending order.  Any other grouping is valid as long as
+    every transition from a group lands in an earlier group or in the
+    absorbing part: height_schedule groups states by their Kahn height in
+    the condensation, which never gives more groups, and domain builders
+    return their own groups.
     """
 
     levels: tuple[np.ndarray, ...]
@@ -514,16 +517,34 @@ def canonical_permutation(chain, decomp, pt):
 
 def level_set_schedule(pt, decomp):
     """Transient states bucketed by potential value, buckets ascending."""
-    transient = decomp.transient
+    return _grouped(decomp.transient, pt.phi)
+
+
+def height_schedule(chain, decomp):
+    """Transient states bucketed by Kahn height, buckets ascending.
+
+    A state's height is that of its component in chain's condensation
+    (see _heights): one more than its tallest successor's, sinks at 0.
+    Along every edge of a reductive chain other than a self-loop the
+    height falls, so each bucket reads only earlier buckets and the
+    absorbing part.  There are never more buckets than potential level
+    sets: a state of height h starts a path through h transient states
+    of strictly falling potential.  chain is a MarkovChain or an Mdp's
+    Support.
+    """
+    cond = _condensation(chain)
+    height = _heights(cond, np.diff(cond.succ_ptr))
+    return _grouped(decomp.transient, height[cond.labels])
+
+
+def _grouped(transient, key):
+    """transient grouped by key[state], groups ascending, ties by state id."""
     if transient.size == 0:
         return LevelSetSchedule(levels=())
-    phis = pt.phi[transient]
-    order = np.lexsort((transient, phis))
-    sorted_states = transient[order]
-    sorted_phis = phis[order]
-    cuts = np.where(np.diff(sorted_phis) != 0)[0] + 1
-    levels = np.split(sorted_states, cuts)
-    return LevelSetSchedule(levels=tuple(levels))
+    keys = key[transient]
+    order = np.lexsort((transient, keys))
+    cuts = np.flatnonzero(np.diff(keys[order])) + 1
+    return LevelSetSchedule(levels=tuple(np.split(transient[order], cuts)))
 
 
 def predecessors(chain, target, n):

@@ -219,6 +219,41 @@ def test_command_builds_one_union_chain(tmp_path, monkeypatch, command):
     assert len(scc_calls) == 1
 
 
+@pytest.mark.parametrize("solver", ["rvi", "bvi"])
+def test_solve_model_takes_no_potential(tmp_path, monkeypatch, solver):
+    """rvi schedules by Kahn height and bvi needs only the decomposition.
+
+    rvi still certifies the model from one union chain; bvi builds none.
+    """
+    mdp, schedule, decomp = build_spiral()
+    model = write_json(tmp_path / "spiral.json", mdp_to_spec(mdp))
+
+    chains = []
+    union_chain = Mdp.union_chain
+
+    def recording_union_chain(self):
+        chains.append(union_chain(self))
+        return chains[-1]
+
+    potentials = []
+    counting_potential = rmdp.reachability.counting_potential
+
+    def recording_potential(chain):
+        potentials.append(chain)
+        return counting_potential(chain)
+
+    monkeypatch.setattr(Mdp, "union_chain", recording_union_chain)
+    monkeypatch.setattr(rmdp.cli, "counting_potential", recording_potential)
+    monkeypatch.setattr(rmdp.reachability, "counting_potential", recording_potential)
+    out = tmp_path / "out.json"
+    argv = ["solve", "--solver", solver, "--model", model, "--out", str(out)]
+    assert rmdp.cli.main(argv) == 0
+    assert potentials == []
+    assert len(chains) == {"rvi": 1, "bvi": 0}[solver]
+    expected = rmdp.rvi_solve(mdp, schedule, decomp).values.v
+    assert json.loads(out.read_text())["v"] == pytest.approx(expected.tolist())
+
+
 def test_policy_grid_reachable_column_builds_no_union_chain(tmp_path, monkeypatch):
     """The flags equal reachable_set on the union chain, cell for cell."""
     params = LiquidationParams(q_max=4, z_min=100, z_max=106, z0=103)

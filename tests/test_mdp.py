@@ -1,3 +1,7 @@
+import copy
+import numbers
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -322,3 +326,270 @@ def test_mdp_from_chain_adapter():
     cols, probs, rews = mdp.row(0, 0)
     assert cols.tolist() == [1]
     assert rews.tolist() == [2.0]
+
+
+# ---------------------------------------------------------------------------
+# build_mdp against a record-by-record reading
+
+
+def check_integers_one_by_one(values, field):
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ModelError(f"{field(i)} must be an integer, got {v!r}")
+
+
+def as_reals_one_by_one(values, field):
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ModelError(f"{field(i)} must be a number, got {v!r}")
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        k = next(k for k, v in enumerate(values) if abs(v) > sys.float_info.max)
+        raise ModelError(f"{field(k)} out of range, got {values[k]}") from None
+
+
+def build_mdp_record_by_record(spec):
+    """Reference for build_mdp: every mask row and record checked in turn.
+
+    The mask rows are checked in state order, the records one by one,
+    then their reals, ids and ranges, and each record's pair is looked up
+    in a dict, so the first error is the first offender in file order.
+    """
+    if not isinstance(spec, dict):
+        raise ModelError("model description must be a JSON object")
+    unknown = set(spec) - {"states", "actions", "discount", "mask", "transitions"}
+    if unknown:
+        raise ModelError(f"unknown model fields: {sorted(unknown)}")
+    missing = {"states", "actions", "discount", "mask", "transitions"} - set(spec)
+    if missing:
+        raise ModelError(f"missing model fields: {sorted(missing)}")
+    scalars = ("states", "actions")
+    check_integers_one_by_one([spec[k] for k in scalars], scalars.__getitem__)
+    state_count, action_count = int(spec["states"]), int(spec["actions"])
+    discount = float(as_reals_one_by_one([spec["discount"]], lambda _: "discount")[0])
+    if state_count <= 0 or action_count <= 0:
+        raise ModelError("states and actions must be positive")
+
+    mask = spec["mask"]
+    if not isinstance(mask, list) or len(mask) != state_count:
+        raise ModelError("mask must list actions for every state")
+    mask_sets = []
+    for x, actions in enumerate(mask):
+        if not actions:
+            raise EmptyMask(f"state {x} has no admissible action")
+        check_integers_one_by_one(actions, lambda _: f"state {x}: mask entry")
+        acts = sorted(int(u) for u in actions)
+        if any(u < 0 or u >= action_count for u in acts):
+            raise ModelError(f"state {x}: action id out of range")
+        if len(set(acts)) != len(acts):
+            raise ModelError(f"state {x}: duplicate action in mask")
+        mask_sets.append(acts)
+
+    records = spec["transitions"]
+    if not isinstance(records, list):
+        raise ModelError("transitions must be a list of records")
+    keys = {"x", "u", "xp", "p", "r"}
+    ids, reals = [], []
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ModelError(f"transition {i} is not a record")
+        unknown, missing = set(rec) - keys, keys - set(rec)
+        if unknown:
+            raise ModelError(f"transition {i}: unknown fields {sorted(unknown)}")
+        if missing:
+            raise ModelError(f"transition {i}: missing fields {sorted(missing)}")
+        ids += (rec["x"], rec["u"], rec["xp"])
+        reals += (rec["p"], rec["r"])
+
+    def id_field(k):
+        return f"transition {k // 3}: {('x', 'u', 'xp')[k % 3]}"
+
+    def real_field(k):
+        return f"transition {k // 2}: {('p', 'r')[k % 2]}"
+
+    ps, rs = as_reals_one_by_one(reals, real_field).reshape(-1, 2).T
+    check_integers_one_by_one(ids, id_field)
+    try:
+        xs, us, xps = np.asarray(ids, dtype=np.int64).reshape(-1, 3).T
+    except OverflowError:
+        k = next(k for k, v in enumerate(ids) if not -(2**63) <= v < 2**63)
+        raise ModelError(f"{id_field(k)} out of range, got {ids[k]}") from None
+    if xs.size:
+        if xs.min() < 0 or xs.max() >= state_count:
+            raise ModelError("transition source out of range")
+        if xps.min() < 0 or xps.max() >= state_count:
+            raise ModelError("transition successor out of range")
+        if us.min() < 0 or us.max() >= action_count:
+            raise ModelError("transition action out of range")
+
+    pair_of = {}
+    pair_action = []
+    state_ptr = np.zeros(state_count + 1, dtype=np.int64)
+    for x, acts in enumerate(mask_sets):
+        for u in acts:
+            pair_of[(x, u)] = len(pair_action)
+            pair_action.append(u)
+        state_ptr[x + 1] = len(pair_action)
+    pair_ids = np.empty(len(records), dtype=np.int64)
+    for i in range(len(records)):
+        key = (int(xs[i]), int(us[i]))
+        if key not in pair_of:
+            raise ModelError(
+                f"transition {i}: action {key[1]} not in mask of state {key[0]}"
+            )
+        pair_ids[i] = pair_of[key]
+
+    order = np.lexsort((xps, pair_ids))
+    counts = np.bincount(pair_ids[order], minlength=len(pair_action))
+    if np.any(counts == 0):
+        i = int(np.where(counts == 0)[0][0])
+        x = int(np.searchsorted(state_ptr, i, side="right") - 1)
+        raise NonStochasticRow(
+            f"pair (state {x}, action {pair_action[i]}) has no transitions"
+        )
+    pair_ptr = np.zeros(len(pair_action) + 1, dtype=np.int64)
+    np.cumsum(counts, out=pair_ptr[1:])
+    return Mdp(
+        state_count=state_count,
+        action_count=action_count,
+        discount=discount,
+        state_ptr=state_ptr,
+        pair_action=np.asarray(pair_action, dtype=np.int64),
+        pair_ptr=pair_ptr,
+        col=xps[order],
+        prob=ps[order],
+        rew=rs[order],
+    )
+
+
+ARRAYS = ("state_ptr", "pair_action", "pair_ptr", "col", "prob", "rew")
+
+
+def outcome(build, spec):
+    """The Mdp's scalars and arrays with their dtypes, or the error raised."""
+    try:
+        mdp = build(copy.deepcopy(spec))
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+    arrays = [(getattr(mdp, a).dtype.str, getattr(mdp, a).tobytes()) for a in ARRAYS]
+    return (mdp.state_count, mdp.action_count, mdp.discount, arrays)
+
+
+@st.composite
+def model_specs(draw):
+    """A valid model: unsorted masks, shuffled records, ids up to 2**62."""
+    ids = draw(st.sampled_from([[0], [0, 1, 2], [0, 3, 7, 8], [1, 2**40, 2**62]]))
+    n = draw(st.integers(1, 6))
+    mask = [
+        draw(st.lists(st.sampled_from(ids), min_size=1, unique=True)) for _ in range(n)
+    ]
+    reward = st.sampled_from([0, 1, -2.5, 0.1, 3.0, -0.0])
+    records = []
+    for x, acts in enumerate(mask):
+        for u in acts:
+            succs = draw(
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
+            )
+            p = 1 if len(succs) == 1 and draw(st.booleans()) else 1.0 / len(succs)
+            records += [
+                {"x": x, "u": u, "xp": xp, "p": p, "r": draw(reward)} for xp in succs
+            ]
+    return {
+        "states": n,
+        "actions": max(ids) + draw(st.sampled_from([1, 5])),
+        "discount": draw(st.sampled_from([0, 0.5, 0.9, 1])),
+        "mask": mask,
+        "transitions": draw(st.permutations(records)),
+    }
+
+
+MUTATIONS = (
+    "not-a-record", "extra-key", "missing-key", "bad-type", "huge-id",
+    "u-outside-mask", "missing-pair-row", "mask-empty", "mask-duplicate",
+    "mask-not-a-list", "mask-bad-entry", "mask-beyond-int64", "non-finite",
+)
+
+
+def mutate(spec, kind, data):
+    """spec with one defect of the given kind (some leave it valid)."""
+    spec = copy.deepcopy(spec)
+    records, mask = spec["transitions"], spec["mask"]
+    if not records:
+        return spec
+    i = data.draw(st.integers(0, len(records) - 1))
+    x = data.draw(st.integers(0, len(mask) - 1))
+    intact = isinstance(records[i], dict) and len(records[i]) == 5
+    if not intact or not isinstance(mask[x], list) or not mask[x]:
+        return spec  # already broken there by an earlier mutation
+    field = data.draw(st.sampled_from(["x", "u", "xp", "p", "r"]))
+    if kind == "not-a-record":
+        records[i] = data.draw(st.sampled_from([[0, 0, 0, 1.0, 0.0], 3, None, "x"]))
+    elif kind == "extra-key":
+        records[i]["w"] = 0
+    elif kind == "missing-key":
+        del records[i][field]
+    elif kind == "bad-type":
+        records[i][field] = data.draw(st.sampled_from([True, False, "1", 1.5, None]))
+    elif kind == "huge-id":
+        records[i][data.draw(st.sampled_from(["x", "u", "xp"]))] = data.draw(
+            st.sampled_from([2**63, -(2**63) - 1, 10**30])
+        )
+    elif kind == "u-outside-mask":
+        # One or two records, each with an action its state does not admit.
+        for k in {i, data.draw(st.integers(0, len(records) - 1))}:
+            rec = records[k]
+            if isinstance(rec, dict) and isinstance(rec.get("x"), int):
+                allowed = mask[rec["x"]] if 0 <= rec["x"] < len(mask) else []
+                outside = [u for u in range(spec["actions"])[:10] if u not in allowed]
+                if outside:
+                    rec["u"] = data.draw(st.sampled_from(outside))
+    elif kind == "missing-pair-row":
+        pair = (records[i]["x"], records[i]["u"])
+        spec["transitions"] = [
+            r
+            for r in records
+            if not isinstance(r, dict) or (r.get("x"), r.get("u")) != pair
+        ]
+    elif kind == "mask-empty":
+        mask[x] = []
+    elif kind == "mask-duplicate":
+        mask[x].append(mask[x][0])
+    elif kind == "mask-not-a-list":
+        mask[x] = data.draw(st.sampled_from([3, 0, "ab", {"0": 1}, {}, None, 1.0]))
+    elif kind == "mask-bad-entry":
+        j = data.draw(st.integers(0, len(mask[x]) - 1))
+        mask[x][j] = data.draw(
+            st.sampled_from([True, "0", 1.5, -1, spec["actions"], 2**63, np.int64(0)])
+        )
+    elif kind == "mask-beyond-int64":
+        spec["actions"] = 2**65
+        mask[x].append(2**63 + data.draw(st.integers(0, 3)))
+    elif kind == "non-finite":
+        records[i][data.draw(st.sampled_from(["p", "r"]))] = data.draw(
+            st.sampled_from([float("nan"), float("inf"), -float("inf")])
+        )
+    return spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_specs())
+def test_build_mdp_matches_record_by_record_on_valid_models(spec):
+    expected = outcome(build_mdp_record_by_record, spec)
+    assert isinstance(expected[0], int), expected
+    assert outcome(build_mdp, spec) == expected
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    model_specs(),
+    st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=2),
+    st.data(),
+)
+def test_build_mdp_reports_the_first_error_of_a_record_by_record_reading(
+    spec, kinds, data
+):
+    # A second defect checks that the first one in file order is named.
+    for kind in kinds:
+        spec = mutate(spec, kind, data)
+    assert outcome(build_mdp, spec) == outcome(build_mdp_record_by_record, spec)

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -583,6 +584,57 @@ def test_rvi_merged_levels_match_level_by_level_on_liquidation(derived):
     groups = assert_groups_valid_and_maximal(mdp, sched, decomp)
     if derived:
         assert groups < len(sched.levels)
+
+
+def assert_levels_read_only_earlier(mdp, schedule, decomp):
+    """Each level's successors, self-loops aside, are in earlier levels or absorbing."""
+    done = np.zeros(mdp.state_count, dtype=bool)
+    done[decomp.absorbing] = True
+    for level in schedule.levels:
+        for x in level.tolist():
+            a, b = mdp.state_ptr[x], mdp.state_ptr[x + 1]
+            row = mdp.col[mdp.pair_ptr[a] : mdp.pair_ptr[b]]
+            assert done[row[row != x]].all(), f"state {x} reads its level or later"
+        done[level] = True
+
+
+def assert_same_solve(mdp, a, b, decomp):
+    """rvi_solve on schedules a and b agrees bit for bit, stats included."""
+    ra, rb = (rmdp.rvi_solve(mdp, s, decomp) for s in (a, b))
+    assert ra.values.v.tobytes() == rb.values.v.tobytes()
+    assert ra.values.q.tobytes() == rb.values.q.tobytes()
+    assert ra.policy.choice.tobytes() == rb.policy.choice.tobytes()
+    assert replace(ra.stats, wall_nanos=0) == replace(rb.stats, wall_nanos=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(reductive_mdps())
+def test_height_schedule_solves_like_potential_levels(mdp):
+    union = mdp.union_chain()
+    decomp = rmdp.absorbing_decomposition(union)
+    by_potential = rmdp.level_set_schedule(rmdp.counting_potential(union), decomp)
+    by_height = rmdp.height_schedule(union, decomp)
+    assert len(by_height.levels) <= len(by_potential.levels)
+    for lv in by_height.levels:
+        assert lv.size and np.all(np.diff(lv) > 0)
+    # The support has the union chain's structure, so the same heights.
+    from_support = rmdp.height_schedule(mdp.support(), decomp)
+    assert [lv.tolist() for lv in from_support.levels] == [
+        lv.tolist() for lv in by_height.levels
+    ]
+    assert_levels_read_only_earlier(mdp, by_height, decomp)
+    assert_same_solve(mdp, by_height, by_potential, decomp)
+
+
+def test_height_schedule_solves_like_potential_levels_on_liquidation():
+    mdp, domain, decomp = rmdp.build_liquidation(rmdp.LiquidationParams(q_max=20))
+    support = mdp.support()
+    by_height = rmdp.height_schedule(support, decomp)
+    by_potential = rmdp.level_set_schedule(rmdp.counting_potential(support), decomp)
+    # One level per inventory level, like the domain's own schedule.
+    assert len(by_height.levels) == len(domain.levels) < len(by_potential.levels)
+    assert_levels_read_only_earlier(mdp, by_height, decomp)
+    assert_same_solve(mdp, by_height, by_potential, decomp)
 
 
 def liquidation_derived_schedule():
