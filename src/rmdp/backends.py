@@ -19,8 +19,10 @@ entries from the same gather.  bellman_residual_pass reads the arrays as
 stored, since gathering them in natural order would only copy them.
 
 rvi_pass raises ScheduleMismatch when a state reads an unsolved
-successor and DivergentSelfLoop on gamma * p(x|x,u) = 1, naming the
-state; bvi_run raises MaxSweepsExceeded when its dequeue cap is hit.
+successor and DivergentSelfLoop on gamma * p(x|x,u) = 1 with a positive
+expected reward, naming the state; such a pair without reward is worth
+0 and with a cost -inf.  bvi_run raises MaxSweepsExceeded when its
+dequeue cap is hit.
 """
 
 from __future__ import annotations
@@ -158,11 +160,16 @@ def rvi_pass(
         alpha = np.add.reduceat(np.where(is_self, eprob, 0.0), ebounds)
         s = np.add.reduceat(np.where(is_self, 0.0, eprob * v[ecol]), ebounds)
         denom = 1.0 - gamma * alpha
-        bad = denom <= 0.0
+        # A pair with gamma * p(x|x,u) >= 1 stays at x forever: worth 0
+        # without reward, -inf at a cost, and divergent with a gain.
+        stuck = denom <= 0.0
+        bad = stuck & (rbar > 0.0)
         if np.any(bad):
             x = int(xs[state_of_pair[np.where(bad)[0][0]]])
             raise DivergentSelfLoop(f"state {x} has gamma * p(x|x,u) = 1")
-        qvals = (rbar + gamma * s) / denom
+        with np.errstate(divide="ignore", invalid="ignore"):
+            qvals = (rbar + gamma * s) / denom
+        qvals[stuck] = np.where(rbar[stuck] < 0.0, -np.inf, 0.0)
         q[pairs] = qvals
 
         sbounds = pair_off[:-1]

@@ -10,7 +10,11 @@ The potential phi(x) counts the states reachable from x.  A chain is
 reductive when it has a nonempty absorbing part and phi strictly
 decreases along every transient transition except self-loops.  On finite
 chains that is equivalent to every transient strongly-connected component
-being a singleton, which is how the verdict is computed.
+being a singleton, which is how the verdict is computed.  An Mdp is
+reductive when the union of its action supports is: under every action,
+a transient state's successors other than itself reach strictly fewer
+states than it does.  Which actions a policy picks inside a closed class
+of that union does not matter.
 
 Everything structural is read off one condensation per model: its
 strongly-connected components and the distinct edges between them.  The
@@ -33,17 +37,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ModelError, NotReductive
-from .mdp import MarkovChain, _unique_sorted, gather_ranges
+from .mdp import _unique_sorted, gather_ranges
 
 # Violation kinds reported in a ReductivityVerdict.
 NO_ABSORBING_SET = "NoAbsorbingSet"
 NON_DECREASING_TRANSIENT = "NonDecreasingTransient"
 CERTAIN_SELF_LOOP_MARKED_TRANSIENT = "CertainSelfLoopMarkedTransient"
-
-# Policy-invariance check on a multi-action absorbing class enumerates at
-# most this many joint action choices before falling back to a
-# conservative rejection.
-_CLASS_ENUM_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -408,86 +407,27 @@ def _certain_loops(model, cond):
     return np.flatnonzero(model.certain_self_loops() & cond.is_open[cond.labels])
 
 
-def _class_invariance_violations(mdp, block):
-    """Check one multi-state closed class against every restricted policy.
-
-    A class stays valid under a policy only if no strict subset turns into
-    a cycle with an exit.  Free states (more than one admissible action)
-    are enumerated jointly up to a cap; past the cap the class is rejected
-    conservatively with its free-state edges as witnesses.
-    """
-    free = [x for x in block if mdp.state_ptr[x + 1] - mdp.state_ptr[x] > 1]
-    if not free:
-        return []
-    combos = 1
-    for x in free:
-        combos *= int(mdp.state_ptr[x + 1] - mdp.state_ptr[x])
-        if combos > _CLASS_ENUM_CAP:
-            out = []
-            for x in free:
-                ua, ub = mdp.state_ptr[x], mdp.state_ptr[x + 1]
-                lo, hi = mdp.pair_ptr[ua], mdp.pair_ptr[ub]
-                for xp in _unique_sorted(mdp.col[lo:hi]):
-                    if xp != x:
-                        out.append(Violation(int(x), int(xp), NON_DECREASING_TRANSIENT))
-            return out
-
-    local = {int(s): i for i, s in enumerate(block)}
-    fixed_rows = []
-    for s in block:
-        a, b = mdp.state_ptr[s], mdp.state_ptr[s + 1]
-        lo, hi = mdp.pair_ptr[a], mdp.pair_ptr[b]
-        fixed_rows.append(_unique_sorted(mdp.col[lo:hi]))
-    free_choices = []
-    for x in free:
-        rows = []
-        for i in range(mdp.state_ptr[x], mdp.state_ptr[x + 1]):
-            lo, hi = mdp.pair_ptr[i], mdp.pair_ptr[i + 1]
-            rows.append(_unique_sorted(mdp.col[lo:hi]))
-        free_choices.append(rows)
-
-    def assignments(k):
-        if k == len(free):
-            yield []
-            return
-        for row in free_choices[k]:
-            for rest in assignments(k + 1):
-                yield [row] + rest
-
-    out = []
-    for chosen in assignments(0):
-        rows = list(fixed_rows)
-        for x, row in zip(free, chosen):
-            rows[local[x]] = row
-        restricted = MarkovChain.from_rows(
-            [[(local[int(c)], 1.0 / row.size) for c in row] for row in rows]
-        )
-        for v in verify_reductive(restricted).violations:
-            out.append(Violation(int(block[v.x]), int(block[v.xp]), v.kind))
-    return sorted(set(out), key=lambda v: (v.x, v.xp))
-
-
 def verify_reductive_mdp(mdp, view=None):
-    """Certify that every deterministic policy induces a reductive chain.
+    """Certify that the union of the action supports is reductive.
 
-    Checks the union of the action supports: any transient-side cycle
-    there is reported, whichever actions close it, and so is a transient
-    state where every admissible action stays put for certain.  Multi-state
-    absorbing classes additionally get a policy-invariance check, since a
-    policy could turn a strict subset of such a class into a transient
-    cycle.  The structure is read from view, mdp.support() or
-    mdp.union_chain() when the caller already has one, else from a new
-    mdp.support(); the self-loop rule always reads mdp's own entries.
+    A transient edge x -> xp of any action whose target can reach back to
+    x is reported, whichever actions close the cycle, and so is a
+    transient state where every admissible action stays put for certain.
+    That is the property rvi_solve needs: its schedule reads the union
+    graph, and it solves each closed union class by Gauss-Seidel over all
+    actions, so a policy that cycles inside such a class changes no value
+    it returns.  Violations are sorted by (kind, x, xp).  The structure is
+    read from view, mdp.support() or mdp.union_chain() when the caller
+    already has one, else from a new mdp.support(); the self-loop rule
+    always reads mdp's own entries.
     """
     if view is None:
         view = mdp.support()
     cond = _condensation(view)
-    violations = _drift_violations(view, cond) + _loop_violations(mdp, cond)
-    for block in absorbing_decomposition(view).classes:
-        if block.size >= 2:
-            violations.extend(_class_invariance_violations(mdp, block))
-
-    violations = sorted(set(violations), key=lambda v: (v.kind, v.x, v.xp))
+    violations = sorted(
+        _drift_violations(view, cond) + _loop_violations(mdp, cond),
+        key=lambda v: (v.kind, v.x, v.xp),
+    )
     return ReductivityVerdict(
         reductive=not violations, violations=tuple(violations)
     )
@@ -553,6 +493,8 @@ def predecessors(chain, target, n):
         raise ModelError("n must be at least 1")
     in_target = np.zeros(chain.state_count, dtype=bool)
     for s in target:
+        if not 0 <= s < chain.state_count:
+            raise ModelError(f"state {s} out of range")
         in_target[s] = True
     order = np.argsort(chain.col, kind="stable")
     src_sorted = _entry_sources(chain)[order]

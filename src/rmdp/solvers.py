@@ -100,6 +100,9 @@ def q_update(mdp, values, x, u):
     r(x,u) the expected one-step reward, and q'(x,u) the expected value of
     the successor conditioned on leaving x.  Self-transitions contribute
     through the denominator, so no fixed point over repeats is needed.
+    A pair with gamma * alpha >= 1 stays at x forever: its value is 0
+    when rbar is 0 and -inf when rbar is negative, and a positive rbar
+    raises DivergentSelfLoop.
     """
     cols, probs, rews = mdp.row(x, u)
     gamma = mdp.discount
@@ -115,7 +118,9 @@ def q_update(mdp, values, x, u):
             s += p * v[c]
     denom = 1.0 - gamma * alpha
     if denom <= 0.0:
-        raise DivergentSelfLoop(f"gamma * p({x}|{x},{u}) = 1")
+        if rbar > 0.0:
+            raise DivergentSelfLoop(f"gamma * p({x}|{x},{u}) = 1")
+        return 0.0 if rbar == 0.0 else -np.inf
     return (rbar + gamma * s) / denom
 
 
@@ -270,7 +275,11 @@ def rvi_solve(mdp, schedule, decomp, cfg=None):
     policy and errors are the same as level by level.  Raises
     ScheduleMismatch when a level references a successor outside earlier
     levels or the absorbing part, and DivergentSelfLoop on
-    gamma * p(x|x,u) = 1.
+    gamma * p(x|x,u) = 1 with a positive expected reward.  Such a pair
+    without reward is worth 0 and with a cost -inf (see q_update), so a
+    state whose every action is such a costly loop ends in NonFiniteValue.
+    Where a stay-forever action ties with the best one, the policy may
+    name a different action than the iterative solvers.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     t0 = time.perf_counter_ns()

@@ -387,6 +387,46 @@ def test_certain_self_loop_rejected_for_any_mask_size(tmp_path, k):
     assert rmdp.cli.main(solve) == 3
 
 
+def stay_or_leave_spec(r):
+    """At discount 1, state 0 stays for certain with reward r under action
+    0, or moves to the absorbing state 1 with reward 1 under action 1."""
+    return {
+        "states": 2,
+        "actions": 2,
+        "discount": 1.0,
+        "mask": [[0, 1], [0]],
+        "transitions": [
+            {"x": 0, "u": 0, "xp": 0, "p": 1.0, "r": r},
+            {"x": 0, "u": 1, "xp": 1, "p": 1.0, "r": 1.0},
+            {"x": 1, "u": 0, "xp": 1, "p": 1.0, "r": 0.0},
+        ],
+    }
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0])
+def test_solve_rvi_values_a_stay_without_gain(tmp_path, r):
+    """A pair that stays forever is worth 0 without reward and -inf at a
+    cost; the state takes its other action, as value iteration does."""
+    model = write_json(tmp_path / "stay.json", stay_or_leave_spec(r))
+    out = tmp_path / "out.json"
+    assert rmdp.cli.main(["verify", "--model", model, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["order"] == [0, 1]
+    values = {}
+    for solver in ("rvi", "qvi-reversed"):
+        args = ["solve", "--model", model, "--solver", solver, "--out", str(out)]
+        assert rmdp.cli.main(args) == 0
+        values[solver] = json.loads(out.read_text())["v"]
+    assert values["rvi"] == values["qvi-reversed"] == [1.0, 0.0]
+
+
+def test_solve_rvi_rejects_a_stay_with_gain(tmp_path, capsys):
+    model = write_json(tmp_path / "stay.json", stay_or_leave_spec(1.0))
+    out = tmp_path / "out.json"
+    assert rmdp.cli.main(["solve", "--model", model, "--out", str(out)]) == 4
+    assert "state 0 has gamma * p(x|x,u) = 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 BIG = 1.7e308
 # A transient chain whose rewards add up past the largest double, and a
 # closed class whose discounted rewards do, so the absorbing solve overflows.

@@ -7,16 +7,22 @@ from rmdp import (
     CERTAIN_SELF_LOOP_MARKED_TRANSIENT,
     NON_DECREASING_TRANSIENT,
     MarkovChain,
+    ModelError,
     NotReductive,
+    SolverConfig,
+    Violation,
     absorbing_decomposition,
     build_fig2,
     build_mdp,
     canonical_permutation,
     counting_potential,
+    height_schedule,
     level_set_schedule,
     potential_difference,
     predecessors,
+    qvi_solve,
     reachable_set,
+    rvi_solve,
     self_loop_states,
     spiral_chain,
     spiral_state_id,
@@ -49,6 +55,15 @@ def dense(chain):
         cols, probs = chain.row(x)
         P[x, cols] = probs
     return P
+
+
+def assert_rvi_matches_qvi(mdp):
+    """rvi_solve on the support's height schedule agrees with value iteration."""
+    support = mdp.support()
+    decomp = absorbing_decomposition(support)
+    res = rvi_solve(mdp, height_schedule(support, decomp), decomp)
+    ref = qvi_solve(mdp, SolverConfig(epsilon=1e-12))
+    assert np.max(np.abs(res.values.v - ref.values.v)) <= 1e-9
 
 
 def assert_canonical_form(chain, order, transient_count):
@@ -273,10 +288,11 @@ def test_verify_mdp_rejects_cross_action_cycle():
     assert {(v.x, v.xp) for v in verdict.violations} == {(0, 1), (1, 0)}
 
 
-def test_verify_mdp_rejects_policy_breakable_class():
-    # union chain is one closed three-state class, hence reductive as a
-    # chain; choosing the self-loop action at state 2 strands {0, 1} as a
-    # transient two-cycle, so the MDP check must reject
+def test_verify_mdp_accepts_policy_breakable_class():
+    # the union chain is one closed three-state class; choosing the
+    # self-loop action at state 2 would strand {0, 1} as a two-cycle, but
+    # the closed class is solved over all actions, so the model is
+    # reductive and the one-pass solve agrees with value iteration
     spec = {
         "states": 3,
         "actions": 2,
@@ -293,8 +309,8 @@ def test_verify_mdp_rejects_policy_breakable_class():
     mdp = build_mdp(spec)
     assert verify_reductive(mdp.union_chain()).reductive
     verdict = verify_reductive_mdp(mdp)
-    assert not verdict.reductive
-    assert {(v.x, v.xp) for v in verdict.violations} == {(0, 1), (1, 0)}
+    assert verdict.reductive and verdict.violations == ()
+    assert_rvi_matches_qvi(mdp)
 
 
 def test_verify_mdp_accepts_action_redundant_class():
@@ -312,9 +328,9 @@ def test_verify_mdp_accepts_action_redundant_class():
     assert verify_reductive_mdp(build_mdp(spec)).reductive
 
 
-def test_verify_mdp_class_enumeration_cap_is_conservative():
-    # 13 two-action members make 2**13 joint choices, past the cap; the
-    # check rejects rather than risking an unsound acceptance
+def test_verify_mdp_accepts_large_multi_action_class():
+    # 13 two-action members make 2**13 joint choices; the union check
+    # needs none of them, and every policy keeps the class one cycle
     m = 13
     transitions = []
     for i in range(m):
@@ -328,8 +344,8 @@ def test_verify_mdp_class_enumeration_cap_is_conservative():
         "transitions": transitions,
     }
     verdict = verify_reductive_mdp(build_mdp(spec))
-    assert not verdict.reductive
-    assert len(verdict.violations) == m
+    assert verdict.reductive
+    assert verdict.violations == ()
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +407,13 @@ def test_predecessors_excludes_target_states():
     ch = build_fig2("B")
     got = set(np.asarray(predecessors(ch, [3, 4], 1)).tolist())
     assert got == {1, 2}
+
+
+@pytest.mark.parametrize("state", [-1, 3, 5])
+def test_predecessors_rejects_out_of_range_target(state):
+    ch = MarkovChain.from_rows([[(1, 1.0)], [(2, 1.0)], [(2, 1.0)]])
+    with pytest.raises(ModelError, match=f"^state {state} out of range$"):
+        predecessors(ch, [state], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -689,3 +712,119 @@ def test_linear_heights_match_argsort_heights_on_supports(mdp):
     cond = _condensation(mdp.support())
     expected = heights_by_argsort(cond)
     assert _heights(cond, np.diff(cond.succ_ptr)).tolist() == expected.tolist()
+
+
+# ---------------------------------------------------------------------------
+# verify_reductive_mdp against a brute-force check of the union support
+
+
+@st.composite
+def oracle_specs(draw):
+    """Model specs with 2-7 states, 1-3 actions and 1-3 successors per pair.
+
+    Successors mostly lie at the same or a higher id; one pair in five
+    may also move back, which closes cycles inside closed classes and
+    across transient states.  One action in six stays put for certain,
+    beside up to two 1e-13 exits when the discount is below 1, and other
+    rows often hold a fractional self-loop.  The discount is 0.5 or 0.9,
+    or 1.0 with zero rewards on the closed classes and a cost on every
+    transient certain self-loop.  A costless one would make value
+    iteration a poor reference: v(x) = max(v(x), ...) then holds for
+    every value above the optimum, and the sweeps can settle there.
+    """
+    n = draw(st.integers(2, 7))
+    discount = draw(st.sampled_from([0.5, 0.9, 1.0]))
+    mask, rows = [], {}
+    for x in range(n):
+        acts = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+        mask.append(sorted(acts))
+        for u in acts:
+            if draw(st.integers(0, 5)) == 0:
+                exits = []
+                if discount < 1.0:
+                    exits = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+                row = [(x, 1.0)] + [(s, 1e-13) for s in exits if s != x]
+            else:
+                lo = 0 if draw(st.integers(0, 4)) == 0 else x
+                succs = draw(
+                    st.lists(
+                        st.integers(lo, n - 1), min_size=1, max_size=min(3, n - lo),
+                        unique=True,
+                    )
+                )
+                row = [(s, 1.0 / len(succs)) for s in succs]
+            rows[x, u] = [
+                [s, p, draw(st.sampled_from([-1.0, 0.0, 0.5, 2.0]))] for s, p in row
+            ]
+    if discount == 1.0:
+        closed = closed_states(union_reach(n, rows)[1])
+        for (x, _), row in rows.items():
+            if x in closed:
+                for entry in row:
+                    entry[2] = 0.0
+            elif row[0][:2] == [x, 1.0]:
+                row[0][2] = -1.0
+    transitions = [
+        {"x": x, "u": u, "xp": s, "p": p, "r": r}
+        for (x, u), row in sorted(rows.items())
+        for s, p, r in row
+    ]
+    return {"states": n, "actions": 3, "discount": discount, "mask": mask,
+            "transitions": transitions}
+
+
+def union_reach(n, rows):
+    """Each state's successors over all actions and its reachable set."""
+    succ = [set() for _ in range(n)]
+    for (x, _), row in rows.items():
+        succ[x].update(s for s, _, _ in row)
+    reach = []
+    for x in range(n):
+        seen, stack = {x}, [x]
+        while stack:
+            for s in succ[stack.pop()]:
+                if s not in seen:
+                    seen.add(s)
+                    stack.append(s)
+        reach.append(seen)
+    return succ, reach
+
+
+def closed_states(reach):
+    """States that every state they reach can reach back."""
+    return {x for x, seen in enumerate(reach) if all(x in reach[y] for y in seen)}
+
+
+def brute_force_violations(spec):
+    """The union-support verdict by its definition, sorted like the package's."""
+    n = spec["states"]
+    rows = {}
+    for t in spec["transitions"]:
+        rows.setdefault((t["x"], t["u"]), []).append((t["xp"], t["p"], t["r"]))
+    succ, reach = union_reach(n, rows)
+    closed = closed_states(reach)
+    out = []
+    for x in sorted(set(range(n)) - closed):
+        out += [
+            Violation(x, s, NON_DECREASING_TRANSIENT)
+            for s in sorted(succ[x])
+            if s != x and x in reach[s]
+        ]
+        stays = [
+            sum(p for s, p, _ in rows[x, u] if s == x) >= 1.0 for u in spec["mask"][x]
+        ]
+        if all(stays):
+            out.append(Violation(x, x, CERTAIN_SELF_LOOP_MARKED_TRANSIENT))
+    return tuple(sorted(out, key=lambda v: (v.kind, v.x, v.xp)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_specs())
+def test_verify_mdp_matches_brute_force_union_check(spec):
+    mdp = build_mdp(spec)
+    expected = brute_force_violations(spec)
+    verdict = verify_reductive_mdp(mdp)
+    assert verdict.violations == expected
+    assert verdict.reductive == (not expected)
+    if verdict.reductive:
+        assert_rvi_matches_qvi(mdp)

@@ -13,6 +13,7 @@ from rmdp import (
     MarkovChain,
     MaxSweepsExceeded,
     NonContractive,
+    NonFiniteValue,
     NotReductive,
     Policy,
     ScheduleMismatch,
@@ -113,6 +114,39 @@ def test_q_update_divergent_loop_raises():
     with pytest.raises(DivergentSelfLoop):
         rmdp.q_update(certain, ValueTable(v=np.zeros(1)), 0, 0)
     del mdp
+
+
+def stay_with_exit_mdp(reward):
+    """At discount 1, state 0's only action stays with p = 1.0 and reward
+    reward beside a 1e-13 exit to the absorbing state 1."""
+    return build_mdp(
+        {
+            "states": 2,
+            "actions": 1,
+            "discount": 1.0,
+            "mask": [[0], [0]],
+            "transitions": [
+                {"x": 0, "u": 0, "xp": 0, "p": 1.0, "r": reward},
+                {"x": 0, "u": 0, "xp": 1, "p": 1e-13, "r": 0.0},
+                {"x": 1, "u": 0, "xp": 1, "p": 1.0, "r": 0.0},
+            ],
+        }
+    )
+
+
+@pytest.mark.parametrize("reward, value", [(0.0, 0.0), (-1.0, -np.inf)])
+def test_q_update_stay_without_gain(reward, value):
+    got = rmdp.q_update(stay_with_exit_mdp(reward), ValueTable(v=np.zeros(2)), 0, 0)
+    assert got == value
+
+
+def test_rvi_costly_stays_only_end_in_non_finite_value():
+    mdp = stay_with_exit_mdp(-1.0)
+    support = mdp.support()
+    decomp = rmdp.absorbing_decomposition(support)
+    schedule = rmdp.height_schedule(support, decomp)
+    with pytest.raises(NonFiniteValue, match=r"state 0 has a non-finite value \(-inf\)"):
+        rmdp.rvi_solve(mdp, schedule, decomp)
 
 
 # ---------------------------------------------------------------------------
