@@ -7,11 +7,11 @@ Gauss-Seidel value iteration with a configurable state ordering.
 bvi_solve drives plain Bellman backups through a FIFO queue seeded at the
 absorbing boundary.  All three return the same SolveResult shape with
 instrumentation counters.  Their inner loops are the numpy kernels of
-rmdp.backends; rvi_pass and bvi_run raise ScheduleMismatch,
-DivergentSelfLoop and MaxSweepsExceeded themselves.  A value that
-overflows raises NonFiniteValue naming the first such state: the
-iterative solvers check each sweep's residual, rvi_solve and bvi_solve
-their values once at the end.
+rmdp.backends, which raise ScheduleMismatch, DivergentSelfLoop and
+MaxSweepsExceeded themselves.  A value that overflows raises
+NonFiniteValue naming the first such state: the iterative solvers check
+each sweep's residual, rvi_solve and bvi_solve their values once at the
+end.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def _require_finite(v):
 
 def _plan(mdp, order):
     return backends.sweep_plan(
-        order, mdp.state_ptr, mdp.pair_ptr, mdp.col, mdp.prob, mdp.rew
+        order, mdp.state_ptr, mdp.pair_ptr, mdp.col, mdp.prob, mdp.rew, mdp.discount
     )
 
 
@@ -226,60 +226,21 @@ def _check_schedule(mdp, schedule, decomp):
     return levels, total
 
 
-def _level_groups(mdp, levels, level_states, absorbing):
-    """Cut the levels into groups that the pass can back up at once.
-
-    Returns a pointer into level_states: group k holds the states of one
-    maximal run of consecutive levels with no edge from a level of the run
-    to another level of the same run.  A valid schedule reads only earlier
-    levels and the absorbing part, so each group sees exactly the values
-    its levels would see one at a time.  A level that reads itself or a
-    later level always starts a group, where the pass reports the state it
-    reports when levels run one at a time.
-    """
-    sizes = np.asarray([lv.size for lv in levels], dtype=np.int64)
-    level_ptr = np.zeros(sizes.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=level_ptr[1:])
-    if level_states.size == 0:
-        return level_ptr
-    # Per-entry arrays are int32 to keep this pass's memory small.
-    rank = np.full(mdp.state_count, sizes.size, dtype=np.int32)
-    rank[level_states] = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)
-    rank[absorbing] = -1
-    # Latest level each state reads, self-loops aside; every state has
-    # at least one entry.
-    entry_ptr = mdp.pair_ptr[mdp.state_ptr]
-    src = np.repeat(np.arange(mdp.state_count, dtype=np.int32), np.diff(entry_ptr))
-    reads = rank[mdp.col]
-    reads[mdp.col == src] = -1
-    state_reads = np.maximum.reduceat(reads, entry_ptr[:-1])[level_states]
-    # Latest level each level reads; empty levels read none.
-    latest = np.full(sizes.size, -1, dtype=np.int64)
-    filled = sizes > 0
-    latest[filled] = np.maximum.reduceat(state_reads, level_ptr[:-1][filled])
-    cuts = [0]
-    for lv, j in enumerate(latest.tolist()):
-        if j >= cuts[-1] and lv > cuts[-1]:
-            cuts.append(lv)
-    cuts.append(sizes.size)
-    return level_ptr[cuts]
-
-
 def rvi_solve(mdp, schedule, decomp, cfg=None):
     """Single-pass solve: absorbing part first, then levels ascending.
 
     Each transient (state, action) pair is evaluated exactly once with the
     closed-form update, so stats.q_updates equals the number of admissible
-    transient pairs and stats.sweeps is always 1.  Consecutive levels with
-    no edge between them are backed up together (_level_groups); values,
+    transient pairs and stats.sweeps is always 1.  backends.rvi_pass
+    gathers the levels in blocks of at most 2^16 entries and backs up
+    consecutive levels with no edge between them in one step; values,
     policy and errors are the same as level by level.  Raises
     ScheduleMismatch when a level references a successor outside earlier
     levels or the absorbing part, and DivergentSelfLoop on
     gamma * p(x|x,u) = 1 with a positive expected reward.  Such a pair
     without reward is worth 0 and with a cost -inf (see q_update), so a
     state whose every action is such a costly loop ends in NonFiniteValue.
-    Where a stay-forever action ties with the best one, the policy may
-    name a different action than the iterative solvers.
+    The iterative solvers give such pairs the same values.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     t0 = time.perf_counter_ns()
@@ -294,8 +255,10 @@ def rvi_solve(mdp, schedule, decomp, cfg=None):
     solved[decomp.absorbing] = 1
     level_states = level_cat.astype(np.int64)
 
+    sizes = np.asarray([lv.size for lv in levels], dtype=np.int64)
+    level_ptr = np.concatenate(([0], np.cumsum(sizes)))
     backends.rvi_pass(
-        _level_groups(mdp, levels, level_states, decomp.absorbing),
+        level_ptr,
         level_states,
         mdp.state_ptr,
         mdp.pair_action,

@@ -6,17 +6,50 @@ largest change of one-state backups of an unchanged value table, on
 random small MDPs and on a liquidation instance.
 """
 
+import contextlib
+import inspect
+import io
+import re
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rmdp
-from rmdp import LiquidationParams, Mdp, build_liquidation
-from rmdp.backends import bellman_residual_pass, gs_sweep, sweep_plan
+import rmdp.cli
+from rmdp import DivergentSelfLoop, LiquidationParams, Mdp, build_liquidation
+from rmdp.backends import bellman_residual_pass, gs_sweep, rvi_pass, sweep_plan
+
+# The benchmark package sits at the root of the checkout.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench import tracer  # noqa: E402
 
 
 def test_active_backend_is_a_registered_implementation():
     assert rmdp.active_backend() == "numpy"
+
+
+def test_tracer_counts_kernel_entries_from_leading_arguments():
+    """perfbench's tracer reads the kernels' leading positional arguments:
+    rvi_pass's level_states, state_ptr and pair_ptr, and gs_sweep's order,
+    state_ptr and pair_ptr."""
+    leading = {
+        rvi_pass: ["level_ptr", "level_states", "state_ptr", "pair_action", "pair_ptr"],
+        gs_sweep: ["order", "state_ptr", "pair_action", "pair_ptr"],
+    }
+    for kernel, names in leading.items():
+        assert list(inspect.signature(kernel).parameters)[: len(names)] == names
+    tr = tracer.Tracer()
+    argv = ["solve", "--domain", "liquidation", "--q-max", "20"]
+    with tracer.installed(tr, rmdp), contextlib.redirect_stdout(io.StringIO()):
+        assert rmdp.cli.main(argv) == 0
+    mdp, _, decomp = build_liquidation(LiquidationParams(q_max=20))
+    first = mdp.pair_ptr[mdp.state_ptr[decomp.transient]]
+    last = mdp.pair_ptr[mdp.state_ptr[decomp.transient + 1]]
+    assert tr.counts["backends.rvi_pass.entries"] == int(np.sum(last - first)) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -32,13 +65,31 @@ def serial_backup(x, state_ptr, pair_ptr, col, prob, rew, gamma, v):
     return qvals, int(np.argmax(qvals))
 
 
+def stay_forever(x, state_ptr, pair_ptr, col, prob, rew, gamma, qvals):
+    """Give state x's pairs with gamma * p(x|x,u) >= 1 their fixed values.
+
+    Such a pair is worth 0 without reward and -inf at a cost; a gain
+    raises DivergentSelfLoop.  Returns the first best pair after that.
+    """
+    for i in range(qvals.size):
+        lo, hi = pair_ptr[state_ptr[x] + i], pair_ptr[state_ptr[x] + i + 1]
+        alpha = np.add.reduce(np.where(col[lo:hi] == x, prob[lo:hi], 0.0))
+        if 1.0 - gamma * alpha <= 0.0:
+            rbar = np.add.reduce(prob[lo:hi] * rew[lo:hi])
+            if rbar > 0.0:
+                raise DivergentSelfLoop(f"state {x} has gamma * p(x|x,u) = 1")
+            qvals[i] = -np.inf if rbar < 0.0 else 0.0
+    return int(np.argmax(qvals))
+
+
 def serial_gs_sweep(
     order, state_ptr, pair_action, pair_ptr, col, prob, rew, gamma, v, q, pol
 ):
     """Reference: back up one state at a time in order; returns max delta."""
     max_delta = 0.0
     for x in order:
-        qvals, best = serial_backup(x, state_ptr, pair_ptr, col, prob, rew, gamma, v)
+        qvals, _ = serial_backup(x, state_ptr, pair_ptr, col, prob, rew, gamma, v)
+        best = stay_forever(x, state_ptr, pair_ptr, col, prob, rew, gamma, qvals)
         a = state_ptr[x]
         q[a : a + qvals.size] = qvals
         delta = abs(qvals[best] - v[x])
@@ -139,8 +190,21 @@ def assert_plan_gathers_order(mdp, order, plan):
 
 def assert_batched_matches_serial(mdp, order, v0, sweeps=3):
     """Sweep with one plan built up front, checking each sweep against the
-    serial loop and the plan against its own copy after every sweep."""
-    plan = sweep_plan(order, mdp.state_ptr, mdp.pair_ptr, mdp.col, mdp.prob, mdp.rew)
+    serial loop and the plan against its own copy after every sweep.
+
+    Where the serial loop raises DivergentSelfLoop, building the plan
+    must raise it too, naming the same state; returns None then.
+    """
+    model = (mdp.state_ptr, mdp.pair_action, mdp.pair_ptr, mdp.col, mdp.prob, mdp.rew)
+    entries = (mdp.state_ptr, mdp.pair_ptr, mdp.col, mdp.prob, mdp.rew, mdp.discount)
+    try:
+        copies = (v0.copy(), np.zeros(mdp.pair_count), np.zeros(mdp.state_count))
+        serial_gs_sweep(order, *model, mdp.discount, *copies)
+    except DivergentSelfLoop as exc:
+        with pytest.raises(DivergentSelfLoop, match=f"^{re.escape(str(exc))}$"):
+            sweep_plan(order, *entries)
+        return None
+    plan = sweep_plan(order, *entries)
     assert_plan_gathers_order(mdp, order, plan)
     run_ptr = plan.run_ptr
     assert_runs_conflict_free_and_maximal(mdp, order, run_ptr)
@@ -151,8 +215,6 @@ def assert_batched_matches_serial(mdp, order, v0, sweeps=3):
         np.zeros(mdp.state_count, dtype=np.int64),
     ]
     out = [a.copy() for a in ref]
-    model = (mdp.state_ptr, mdp.pair_action, mdp.pair_ptr, mdp.col, mdp.prob, mdp.rew)
-    entries = (mdp.state_ptr, mdp.pair_ptr, mdp.col, mdp.prob, mdp.rew, mdp.discount)
     prefix = (order, mdp.state_ptr, mdp.pair_action, mdp.pair_ptr)
     for _ in range(sweeps):
         r_ref = serial_residual(*entries, ref[0])
@@ -165,6 +227,11 @@ def assert_batched_matches_serial(mdp, order, v0, sweeps=3):
             assert a.tobytes() == b.tobytes()
         for a, b in zip(plan, frozen):
             assert a.tobytes() == b.tobytes()
+        if not np.all(np.isfinite(ref[0])):
+            # A costly stay-forever pair is worth -inf.  The solvers stop at
+            # the first sweep that leaves a value non-finite, and later
+            # sweeps would only compare NaN deltas.
+            break
     return run_ptr
 
 

@@ -427,6 +427,70 @@ def test_solve_rvi_rejects_a_stay_with_gain(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("solver", ["qvi-reversed", "qvi-random", "bvi"])
+def test_solve_iterative_solvers_reject_a_stay_with_gain(tmp_path, capsys, solver):
+    model = write_json(tmp_path / "stay.json", stay_or_leave_spec(1.0))
+    out = tmp_path / "out.json"
+    args = ["solve", "--model", model, "--solver", solver, "--out", str(out)]
+    assert rmdp.cli.main(args) == 4
+    assert "state 0 has gamma * p(x|x,u) = 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# At discount 1, state 1 stays for certain at no reward (action 0), or
+# (action 1) pays -1 to stay or 2 to reach state 3, half and half; state 3
+# pays -1 to reach the closed state 0.  Both actions are worth 0, but the
+# stay's backup v(1) = v(1) holds any value, and value iteration that
+# backs it up as it stands settles at v(1) = 0.5.
+COSTLESS_STAY = {
+    "states": 4,
+    "actions": 2,
+    "discount": 1.0,
+    "mask": [[0], [0, 1], [0], [0]],
+    "transitions": [
+        {"x": 0, "u": 0, "xp": 0, "p": 1.0, "r": 0.0},
+        {"x": 1, "u": 0, "xp": 1, "p": 1.0, "r": 0.0},
+        {"x": 1, "u": 1, "xp": 1, "p": 0.5, "r": -1.0},
+        {"x": 1, "u": 1, "xp": 3, "p": 0.5, "r": 2.0},
+        {"x": 2, "u": 0, "xp": 0, "p": 1.0, "r": 0.0},
+        {"x": 3, "u": 0, "xp": 0, "p": 1.0, "r": -1.0},
+    ],
+}
+
+
+# The same stay, where the other action's value falls after the first
+# backup of state 1: 1 reaches 0 at a gain and 3 first, and 3 reaches 2 at
+# a cost.  Backward value iteration backs state 1 up first at 0.5.
+COSTLESS_STAY_LATE_COST = {
+    **COSTLESS_STAY,
+    "transitions": [
+        {"x": 0, "u": 0, "xp": 0, "p": 1.0, "r": 0.0},
+        {"x": 1, "u": 0, "xp": 1, "p": 1.0, "r": 0.0},
+        {"x": 1, "u": 1, "xp": 0, "p": 0.5, "r": 1.0},
+        {"x": 1, "u": 1, "xp": 3, "p": 0.5, "r": 0.0},
+        {"x": 2, "u": 0, "xp": 0, "p": 1.0, "r": 0.0},
+        {"x": 3, "u": 0, "xp": 2, "p": 1.0, "r": -10.0},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        (COSTLESS_STAY, [0.0, 0.0, 0.0, -1.0]),
+        (COSTLESS_STAY_LATE_COST, [0.0, 0.0, 0.0, -10.0]),
+    ],
+)
+def test_solvers_agree_on_a_costless_stay(tmp_path, spec, expected):
+    model = write_json(tmp_path / "stay.json", spec)
+    out = tmp_path / "out.json"
+    for solver in ("rvi", "qvi-reversed", "qvi-random", "bvi"):
+        args = ["solve", "--model", model, "--solver", solver, "--out", str(out)]
+        assert rmdp.cli.main(args) == 0, solver
+        v = json.loads(out.read_text())["v"]
+        assert np.allclose(v, expected, rtol=0.0, atol=1e-9), solver
+
+
 BIG = 1.7e308
 # A transient chain whose rewards add up past the largest double, and a
 # closed class whose discounted rewards do, so the absorbing solve overflows.

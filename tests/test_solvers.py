@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -493,12 +494,65 @@ def test_all_solvers_agree_on_generated_instances(mdp):
 # merged levels
 
 
-def rvi_level_by_level(mdp, schedule, decomp):
-    """The one-pass solve with one kernel step per schedule level.
+def rvi_pass_per_level(
+    level_ptr, level_states, state_ptr, pair_action, pair_ptr, col, prob, rew,
+    gamma, v, solved, q, pol,
+):
+    """Reference for backends.rvi_pass: gather and back up one level at a time.
 
-    Reference for rvi_solve, which backs up runs of independent levels
-    together.  Returns the error the kernel raised (None if it ran
-    through) with v, q, pol and the number of transient pairs.
+    A level fails on the first state that reads an unsolved successor,
+    else on the first with a pair that stays forever at a gain.
+    """
+    for lv in range(level_ptr.size - 1):
+        xs = level_states[level_ptr[lv] : level_ptr[lv + 1]]
+        pairs, pair_off, entry_off, ecol, eprob, erew = backends._gather(
+            xs, state_ptr, pair_ptr, col, prob, rew
+        )
+        p_lens = np.diff(pair_off)
+        state_of_pair = np.repeat(np.arange(xs.size, dtype=np.int64), p_lens)
+        pair_of_entry = np.repeat(
+            np.arange(pairs.size, dtype=np.int64), np.diff(entry_off)
+        )
+        x_of_entry = xs[state_of_pair[pair_of_entry]]
+        is_self = ecol == x_of_entry
+
+        unsolved = ~solved.astype(bool)[ecol] & ~is_self
+        if np.any(unsolved):
+            x = int(x_of_entry[np.where(unsolved)[0][0]])
+            raise ScheduleMismatch(f"state {x} reads an unsolved successor")
+
+        ebounds = entry_off[:-1]
+        rbar = np.add.reduceat(eprob * erew, ebounds)
+        alpha = np.add.reduceat(np.where(is_self, eprob, 0.0), ebounds)
+        s = np.add.reduceat(np.where(is_self, 0.0, eprob * v[ecol]), ebounds)
+        denom = 1.0 - gamma * alpha
+        stuck = denom <= 0.0
+        bad = stuck & (rbar > 0.0)
+        if np.any(bad):
+            x = int(xs[state_of_pair[np.where(bad)[0][0]]])
+            raise DivergentSelfLoop(f"state {x} has gamma * p(x|x,u) = 1")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            qvals = (rbar + gamma * s) / denom
+        qvals[stuck] = np.where(rbar[stuck] < 0.0, -np.inf, 0.0)
+        q[pairs] = qvals
+
+        sbounds = pair_off[:-1]
+        vmax = np.maximum.reduceat(qvals, sbounds)
+        v[xs] = vmax
+        hit = qvals == vmax[state_of_pair]
+        idx = np.where(hit, np.arange(pairs.size, dtype=np.int64), pairs.size)
+        first = np.minimum.reduceat(idx, sbounds)
+        pol[xs] = pair_action[pairs[first]]
+        solved[xs] = 1
+
+
+def rvi_level_by_level(mdp, schedule, decomp):
+    """The one-pass solve through rvi_pass_per_level.
+
+    Reference for rvi_solve, which backs up blocks of levels and runs of
+    independent levels together.  Returns the error the reference raised
+    (None if it ran through) with v, q, pol and the number of transient
+    pairs.
     """
     v = np.zeros(mdp.state_count)
     q = np.zeros(mdp.pair_count)
@@ -512,7 +566,7 @@ def rvi_level_by_level(mdp, schedule, decomp):
         [np.asarray(lv, dtype=np.int64) for lv in schedule.levels]
     ) if sizes else np.empty(0, dtype=np.int64)
     try:
-        backends.rvi_pass(
+        rvi_pass_per_level(
             level_ptr, states, mdp.state_ptr, mdp.pair_action, mdp.pair_ptr,
             mdp.col, mdp.prob, mdp.rew, mdp.discount, v, solved, q, pol,
         )
@@ -523,18 +577,25 @@ def rvi_level_by_level(mdp, schedule, decomp):
     return error, v, q, pol, int(mdp.mask_sizes()[states].sum())
 
 
-def assert_rvi_matches_level_by_level(mdp, schedule, decomp):
+# Block bounds, in entries, that cut levels and level groups across blocks.
+SMALL_BLOCKS = (1, 2, 3)
+
+
+def assert_rvi_matches_level_by_level(mdp, schedule, decomp, bounds=()):
     """rvi_solve equals the reference bit for bit, or fails as it does.
 
-    A failure must be the same exception naming the same state.  Returns
-    the reference's error, None when it ran through.
+    A failure must be the same exception naming the same state.  The
+    solve runs with the kernel's own block bound and then with each of
+    bounds.  Returns the reference's error, None when it ran through.
     """
     error, v, q, pol, q_updates = rvi_level_by_level(mdp, schedule, decomp)
-    if error is not None:
-        with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
-            rmdp.rvi_solve(mdp, schedule, decomp)
-    else:
-        res = rmdp.rvi_solve(mdp, schedule, decomp)
+    for bound in (backends._BLOCK_ENTRIES, *bounds):
+        with mock.patch.object(backends, "_BLOCK_ENTRIES", bound):
+            if error is not None:
+                with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+                    rmdp.rvi_solve(mdp, schedule, decomp)
+                continue
+            res = rmdp.rvi_solve(mdp, schedule, decomp)
         assert res.values.v.tobytes() == v.tobytes()
         assert res.values.q.tobytes() == q.tobytes()
         assert res.policy.choice.tobytes() == pol.tobytes()
@@ -542,10 +603,26 @@ def assert_rvi_matches_level_by_level(mdp, schedule, decomp):
     return error
 
 
+def kernel_groups(mdp, schedule, decomp):
+    """The level groups rvi_solve backs up, all levels in one block."""
+    groups = []
+
+    def record(a, b, level_firsts, latest):
+        group_ptr = level_groups(a, b, level_firsts, latest)
+        groups.extend(a + g for g in group_ptr[:-1])
+        return group_ptr
+
+    level_groups = backends._level_groups
+    with mock.patch.object(backends, "_BLOCK_ENTRIES", mdp.col.size), \
+            mock.patch.object(backends, "_level_groups", record):
+        rmdp.rvi_solve(mdp, schedule, decomp)
+    return np.asarray(groups + [decomp.transient.size])
+
+
 def assert_groups_valid_and_maximal(mdp, schedule, decomp):
     levels = list(schedule.levels)
     states = np.concatenate(levels).astype(np.int64)
-    group_ptr = solvers._level_groups(mdp, levels, states, decomp.absorbing)
+    group_ptr = kernel_groups(mdp, schedule, decomp)
     level_ptr = np.concatenate([[0], np.cumsum([lv.size for lv in levels])])
     assert set(group_ptr.tolist()) <= set(level_ptr.tolist())
     assert group_ptr[0] == 0 and group_ptr[-1] == states.size
@@ -604,7 +681,7 @@ def reschedule(schedule, how, data):
 def test_rvi_merged_levels_match_level_by_level(mdp, how, data):
     sched, decomp = schedule_of(mdp)
     sched = reschedule(sched, how, data)
-    error = assert_rvi_matches_level_by_level(mdp, sched, decomp)
+    error = assert_rvi_matches_level_by_level(mdp, sched, decomp, SMALL_BLOCKS)
     if error is None and sched.levels:
         assert_groups_valid_and_maximal(mdp, sched, decomp)
 
@@ -706,6 +783,48 @@ def test_rvi_invalid_schedules_name_the_level_by_level_state():
         sched = rmdp.LevelSetSchedule(levels=tuple(lv))
         error = assert_rvi_matches_level_by_level(mdp, sched, decomp)
         assert isinstance(error, ScheduleMismatch), name
+
+
+def step_down_mdp(stays):
+    """States 1-6 step down to the closed state 0 at no reward; each state
+    in stays may instead stay for certain at a gain, at discount 1."""
+    transitions = [{"x": 0, "u": 0, "xp": 0, "p": 1.0, "r": 0.0}]
+    mask = [[0]]
+    for x in range(1, 7):
+        transitions.append({"x": x, "u": 0, "xp": x - 1, "p": 1.0, "r": 0.0})
+        if x in stays:
+            transitions.append({"x": x, "u": 1, "xp": x, "p": 1.0, "r": 1.0})
+        mask.append([0, 1] if x in stays else [0])
+    spec = {"states": 7, "actions": 2, "discount": 1.0, "mask": mask,
+            "transitions": transitions}
+    return build_mdp(spec)
+
+
+@pytest.mark.parametrize(
+    "stays, levels, expected",
+    [
+        # The divergent level comes before the level reading 3 too early.
+        ({2}, [[1], [2], [4], [3], [5], [6]], (DivergentSelfLoop, 2)),
+        # ... after it.
+        ({5}, [[1], [2], [4], [3], [5], [6]], (ScheduleMismatch, 4)),
+        ({6}, [[1], [2], [4], [3], [5], [6]], (ScheduleMismatch, 4)),
+        # ... inside it, before or after the state that reads too early.
+        ({2}, [[1], [2, 4], [3], [5], [6]], (ScheduleMismatch, 4)),
+        ({2}, [[1], [4, 2], [3], [5], [6]], (ScheduleMismatch, 4)),
+        ({1}, [[1, 4], [2], [3], [5], [6]], (ScheduleMismatch, 4)),
+        # A later level that reads its own level does not matter.
+        ({1}, [[1], [2], [3], [4, 5], [6]], (DivergentSelfLoop, 1)),
+        ({3}, [[1], [2], [3], [4, 5], [6]], (DivergentSelfLoop, 3)),
+        ({4}, [[1], [2], [3], [5, 4], [6]], (ScheduleMismatch, 5)),
+    ],
+)
+def test_rvi_errors_straddling_blocks_match_level_by_level(stays, levels, expected):
+    mdp = step_down_mdp(stays)
+    _, decomp = schedule_of(mdp)
+    sched = rmdp.LevelSetSchedule(levels=tuple(np.array(lv) for lv in levels))
+    error = assert_rvi_matches_level_by_level(mdp, sched, decomp, SMALL_BLOCKS)
+    kind, x = expected
+    assert type(error) is kind and str(error).startswith(f"state {x} ")
 
 
 # ---------------------------------------------------------------------------
