@@ -1,27 +1,24 @@
 """Numerical kernels: the hot loops of the solvers, vectorized with numpy.
 
-rvi_pass backs up the one-pass solve's level groups with the self-loop
-closed form, gs_sweep runs one Gauss-Seidel sweep, bvi_run drives the
-queue of backward value iteration, and bellman_residual_pass measures the
+rvi_pass backs up the one-pass solve's levels with the self-loop closed
+form, gs_sweep runs one Gauss-Seidel sweep, bvi_run drives the queue of
+backward value iteration, and bellman_residual_pass measures the
 residual of one synchronous Bellman backup.  The kernels work on the flat
 arrays of an Mdp and update the value, action-value and policy arrays
-they are given in place.
+they are given in place.  Each keeps its own arithmetic, and they back up
+states through shared helpers: _cut_runs cuts states into greedy maximal
+runs that read none of their own states, so that a run is backed up in
+one step from values settled before it; _run_slices slices a run's
+pairs and entries; _stay_pairs finds and values the pairs that stay
+forever; _first_best picks each state's first best pair as np.argmax.
 
-A Gauss-Seidel sweep runs over a plan (sweep_plan): its order's pairs
-and entries gathered once in sweep order, and the order cut into
-conflict-free runs.  No state in a run reads a state placed earlier in
-the same run, so every state of a run sees exactly the values the
-one-state-at-a-time loop would show it.  gs_sweep backs up each run in
-vectorized form, with results bit-identical to that serial loop.  A plan
-depends only on the order, so a solve whose order stays fixed builds it
-once for all its sweeps.  bellman_residual_pass reads the arrays as
-stored, since gathering them in natural order would only copy them.
-
-rvi_pass takes the levels in blocks of at most _BLOCK_ENTRIES (2^16)
-entries.  It gathers a block once, with the helper of the sweep plans,
-and computes the block's value-free terms and schedule checks at once;
-each run of the block's levels that reads none of its own states is
-then one step that only reads successor values and writes its values.
+gs_sweep runs over a plan (sweep_plan): its order's pairs and entries
+gathered once in sweep order and cut into runs.  A run's states see the
+values the one-state-at-a-time loop would show them, so the results are
+bit-identical to that loop, and a solve whose order stays fixed builds
+one plan for all its sweeps.  rvi_pass gathers the levels in blocks of
+at most _BLOCK_ENTRIES (2^16) entries, computes a block's value-free
+terms and schedule checks at once, and cuts the block's levels into runs.
 
 A pair with gamma * p(x|x,u) >= 1 stays at x forever: every kernel
 gives it the value 0 without reward and -inf at a cost, and raises
@@ -29,6 +26,8 @@ DivergentSelfLoop with a positive expected reward, naming the state.
 rvi_pass raises ScheduleMismatch when a state reads an unsolved
 successor, with the state and precedence of a pass over one level at a
 time.  bvi_run raises MaxSweepsExceeded when its dequeue cap is hit.
+Overflow and invalid values raise no numpy warning: such a value stays
+inf or NaN, and the solvers report it.
 """
 
 from __future__ import annotations
@@ -90,14 +89,30 @@ def _gather(states, state_ptr, pair_ptr, col, prob, rew):
     )
 
 
+def _cut_runs(first, latest, start, end):
+    """Cut the places start..end - 1 into greedy maximal runs.
+
+    first[i] is where the unit of place start + i begins (its level, or
+    the place itself), and latest[i] the latest place it reads; no place
+    reads its own unit.  A unit joins the run before it unless it reads
+    one of that run's places, so no run reads itself and each run after
+    the first reads the one before it.  Returns the run bounds counted
+    from start, 0 and end - start included.
+    """
+    cuts = [start]
+    for p, j in zip(first, latest.tolist()):
+        if j >= cuts[-1]:
+            cuts.append(p)
+    cuts.append(end)
+    return np.asarray(cuts, dtype=np.int64) - start
+
+
 def _conflict_free_runs(order, state_count, pair_off, entry_off, ecol):
     """Cut a sweep order into maximal conflict-free runs; returns run_ptr.
 
     No state in a run has a stored successor placed earlier in the same
     run, so a run can be backed up at once from the values before it.
-    Self-loops and successors outside the order never conflict.  Runs are
-    greedy and maximal: each run after the first starts at a state that
-    reads a member of the run before it.
+    Self-loops and successors outside the order never conflict.
     """
     m = order.size
     if m == 0:
@@ -110,55 +125,88 @@ def _conflict_free_runs(order, state_count, pair_off, entry_off, ecol):
     own = np.repeat(np.arange(m, dtype=np.int32), np.diff(state_off))
     earlier = pos[ecol]
     earlier[earlier >= own] = -1
-    latest = np.maximum.reduceat(earlier, state_off[:-1]).tolist()
-    cuts = [0]
-    start = 0
-    for i, j in enumerate(latest):
-        if j >= start:
-            cuts.append(i)
-            start = i
-    cuts.append(m)
-    return np.asarray(cuts, dtype=np.int64)
+    return _cut_runs(range(m), np.maximum.reduceat(earlier, state_off[:-1]), 0, m)
 
 
-def _stay_pairs(order, pair_off, entry_off, ecol, eprob, erew, gamma):
-    """The plan pairs that stay at their state forever, and their values.
+def _run_slices(run_ptr, pair_off, entry_off, stay):
+    """Where each run starts, and where its states and pairs start within it.
 
-    A pair with gamma * p(x|x,u) >= 1 is worth 0 without reward and -inf
-    at a cost, as in rvi_pass, and raises DivergentSelfLoop with a gain,
-    naming the first such state of the order.  A pair's successors are
+    Returns one row (state, pair, entry, stay pair) per run start, the
+    end included, then each state's first pair and each pair's first
+    entry counted from its run's, so that a step over a run only slices.
+    """
+    run_pairs = pair_off[run_ptr]
+    run_entries = entry_off[run_pairs]
+    starts = np.column_stack(
+        (run_ptr, run_pairs, run_entries, np.searchsorted(stay, run_pairs))
+    ).tolist()
+    pair_in = pair_off[:-1] - np.repeat(run_pairs[:-1], np.diff(run_ptr))
+    entry_in = entry_off[:-1] - np.repeat(run_entries[:-1], np.diff(run_pairs))
+    return starts, pair_in, entry_in
+
+
+def _stay_pairs(states, pair_off, entry_off, ecol, eprob, erew, gamma):
+    """The pairs of gathered states that stay at their state forever.
+
+    Returns the pairs (ascending), their values and the places in states
+    of the pairs with a gain (ascending).  A pair with
+    gamma * p(x|x,u) >= 1 is worth 0 without reward and -inf at a cost;
+    with a positive expected reward it diverges, and the caller raises
+    DivergentSelfLoop in its own precedence.  A pair's successors are
     distinct and gamma <= 1, so only an entry with p >= 1 can be one.
     """
     e = np.flatnonzero(eprob >= 1.0)
     pair = np.searchsorted(entry_off, e, side="right") - 1
-    x = order[np.searchsorted(pair_off, pair, side="right") - 1]
-    keep = (ecol[e] == x) & (1.0 - gamma * eprob[e] <= 0.0)
-    stay, x = pair[keep], x[keep]
-    if stay.size == 0:
-        return stay, np.empty(0, dtype=np.float64)
+    place = np.searchsorted(pair_off, pair, side="right") - 1
+    keep = (ecol[e] == states[place]) & (1.0 - gamma * eprob[e] <= 0.0)
+    stay, place = pair[keep], place[keep]
     lo, hi = entry_off[stay], entry_off[stay + 1]
     entries = gather_ranges(lo, hi - lo)
     rbar = np.add.reduceat(eprob[entries] * erew[entries], _offsets(hi - lo)[:-1])
-    gain = np.flatnonzero(rbar > 0.0)
-    if gain.size:
-        raise DivergentSelfLoop(f"state {int(x[gain[0]])} has gamma * p(x|x,u) = 1")
-    return stay, np.where(rbar < 0.0, -np.inf, 0.0)
+    return stay, np.where(rbar < 0.0, -np.inf, 0.0), place[rbar > 0.0]
+
+
+def _divergent(x):
+    return DivergentSelfLoop(f"state {int(x)} has gamma * p(x|x,u) = 1")
+
+
+def _first_best(qvals, best, p_lens, bounds, idx, out=None):
+    """Each state's first best pair, as np.argmax picks it from its q values.
+
+    qvals holds the q values of consecutive states, p_lens their pair
+    counts, bounds their first pairs' offsets in qvals, best their
+    largest q values (np.maximum.reduceat of qvals) and idx the pairs'
+    indices.  A NaN counts as the largest, so a state whose best is NaN
+    gets its first NaN pair.  Every state hits one of its own pairs, so
+    the fill idx[-1] never wins.
+    """
+    hit = qvals == np.repeat(best, p_lens)
+    hit |= np.isnan(qvals)
+    return np.minimum.reduceat(np.where(hit, idx, idx[-1]), bounds, out=out)
 
 
 def sweep_plan(order, state_ptr, pair_ptr, col, prob, rew, gamma):
-    """Gather the distinct states of order into a SweepPlan, runs included."""
+    """Gather the distinct states of order into a SweepPlan, runs included.
+
+    Raises DivergentSelfLoop naming the first state of the order with a
+    pair that stays forever at a gain.
+    """
     gathered = _gather(order, state_ptr, pair_ptr, col, prob, rew)
     _, pair_off, entry_off, ecol, eprob, erew = gathered
     run_ptr = _conflict_free_runs(
         order, state_ptr.size - 1, pair_off, entry_off, ecol
     )
-    stay = _stay_pairs(order, pair_off, entry_off, ecol, eprob, erew, gamma)
-    return SweepPlan(*gathered, run_ptr, *stay)
+    stay, stay_q, gains = _stay_pairs(
+        order, pair_off, entry_off, ecol, eprob, erew, gamma
+    )
+    if gains.size:
+        raise _divergent(order[gains[0]])
+    return SweepPlan(*gathered, run_ptr, stay, stay_q)
 
 
 # Entries that rvi_pass gathers at once: enough to spread a block's fixed
-# cost over many level groups, few enough that its temporaries stay small
-# next to the model.
+# cost over many runs of levels, few enough that its temporaries stay
+# small next to the model.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -183,8 +231,8 @@ def _block_terms(xs, state_ptr, pair_ptr, col, prob, rew, gamma, pos):
 
     Returns the gather's pairs, pair and entry offsets, successors and
     probabilities, each pair's expected reward rbar and denominator
-    1 - gamma * p(x|x,u), and the latest place in pos that each state
-    reads, self-loops aside.
+    1 - gamma * p(x|x,u), the latest place in pos that each state reads,
+    self-loops aside, and the three arrays of _stay_pairs.
     """
     pairs, pair_off, entry_off, ecol, eprob, erew = _gather(
         xs, state_ptr, pair_ptr, col, prob, rew
@@ -197,7 +245,9 @@ def _block_terms(xs, state_ptr, pair_ptr, col, prob, rew, gamma, pos):
     reads = pos[ecol]
     reads[is_self] = -1
     latest = np.maximum.reduceat(reads, state_off[:-1])
-    return pairs, pair_off, entry_off, ecol, eprob, rbar, 1.0 - gamma * alpha, latest
+    denom = 1.0 - gamma * alpha
+    stay = _stay_pairs(xs, pair_off, entry_off, ecol, eprob, erew, gamma)
+    return pairs, pair_off, entry_off, ecol, eprob, rbar, denom, latest, *stay
 
 
 def _raise_level_error(xs, level_start, *model):
@@ -206,37 +256,12 @@ def _raise_level_error(xs, level_start, *model):
     The first state that reads an unsolved successor wins; failing that,
     the first state with a pair that stays forever at a gain.
     """
-    _, pair_off, _, _, _, rbar, denom, latest = _block_terms(xs, *model)
+    *_, latest, _, _, gains = _block_terms(xs, *model)
     late = np.flatnonzero(latest >= level_start)
     if late.size:
         x = int(xs[late[0]])
         raise ScheduleMismatch(f"state {x} reads an unsolved successor")
-    bad = np.flatnonzero((denom <= 0.0) & (rbar > 0.0))[0]
-    x = int(xs[np.searchsorted(pair_off, bad, side="right") - 1])
-    raise DivergentSelfLoop(f"state {x} has gamma * p(x|x,u) = 1")
-
-
-def _level_groups(a, b, level_firsts, latest):
-    """Cut the block level_states[a:b] into groups backed up in one step each.
-
-    Returns offsets into the block, 0 and b - a included.  level_firsts
-    holds the places where levels start, and latest the latest place each
-    state of the block reads.  A level, or its part in the block, joins
-    the group before it unless it reads one of that group's states, so no
-    group reads itself and each group reads the one before it.
-    """
-    k0, k1 = np.searchsorted(level_firsts, (a + 1, b))
-    starts = level_firsts[k0:k1]
-    group_ptr = [0]
-    if starts.size:
-        group_start = a
-        reads = np.maximum.reduceat(latest, starts - a).tolist()
-        for p, j in zip(starts.tolist(), reads):
-            if j >= group_start:
-                group_ptr.append(p - a)
-                group_start = p
-    group_ptr.append(b - a)
-    return group_ptr
+    raise _divergent(xs[gains[0]])
 
 
 def rvi_pass(
@@ -261,10 +286,10 @@ def rvi_pass(
     is only read.  The states are taken in blocks of at most
     _BLOCK_ENTRIES entries (one state may exceed it).  A block is
     gathered, checked and given its pairs' value-free terms at once; then
-    each run of consecutive levels in it that reads none of its own
-    states is backed up in one step, and the block's policy is its first
-    best pairs.  Values, policy and errors are those of a pass that backs
-    up one level at a time.
+    its levels are cut into greedy maximal runs that read none of their
+    own states, each backed up in one step, and the block's policy is its
+    first best pairs.  Values, policy and errors are those of a pass that
+    backs up one level at a time.
     """
     m = level_states.size
     if m == 0:
@@ -276,60 +301,43 @@ def rvi_pass(
     pos[level_states] = np.arange(m, dtype=np.int64)
     pos[solved.astype(bool)] = -1
     level_start = np.repeat(level_ptr[:-1], np.diff(level_ptr))
-    level_firsts = np.flatnonzero(level_start == np.arange(m))
     model = (state_ptr, pair_ptr, col, prob, rew, gamma, pos)
     # Unsolved states read as +0.0, so a self-loop entry adds p * 0.0 = 0.0
     # to the successor sum; the denominator accounts for it instead.
     v[level_states] = 0.0
     cuts = _block_cuts(level_states, state_ptr, pair_ptr)
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        xs = level_states[a:b]
-        pairs, pair_off, entry_off, ecol, eprob, rbar, denom, latest = (
-            _block_terms(xs, *model)
-        )
-        stuck = denom <= 0.0
-        late = latest >= level_start[a:b]
-        bad = stuck & (rbar > 0.0)
-        if np.any(late) or np.any(bad):
-            fails = late | np.logical_or.reduceat(bad, pair_off[:-1])
-            lo = level_start[a + np.flatnonzero(fails)[0]]
-            k = np.searchsorted(level_firsts, lo, side="right")
-            hi = level_firsts[k] if k < level_firsts.size else m
-            _raise_level_error(level_states[lo:hi], lo, *model)
-        # A pair with gamma * p(x|x,u) >= 1 stays at x forever: worth 0
-        # without reward and -inf at a cost.
-        fixed = np.where(rbar < 0.0, -np.inf, 0.0) if np.any(stuck) else None
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            xs = level_states[a:b]
+            (pairs, pair_off, entry_off, ecol, eprob, rbar, denom, latest,
+             stay, stay_q, gains) = _block_terms(xs, *model)
+            late = np.flatnonzero(latest >= level_start[a:b])
+            fails = np.concatenate((late[:1], gains[:1]))
+            if fails.size:
+                lo = level_start[a + fails.min()]
+                hi = np.searchsorted(level_start, lo, side="right")
+                _raise_level_error(level_states[lo:hi], lo, *model)
 
-        # Each group's bounds, and each pair's and entry's offset in its
-        # group, so that a group step only slices.
-        group_ptr = np.asarray(_level_groups(a, b, level_firsts, latest))
-        group_pairs = pair_off[group_ptr]
-        group_entries = entry_off[group_pairs]
-        pair_in = pair_off[:-1] - np.repeat(group_pairs[:-1], np.diff(group_ptr))
-        entry_in = entry_off[:-1] - np.repeat(
-            group_entries[:-1], np.diff(group_pairs)
-        )
-        bounds = np.column_stack((group_ptr, group_pairs, group_entries)).tolist()
-        qall = np.empty(pairs.size, dtype=np.float64)
-        vblk = np.empty(b - a, dtype=np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for (s, pa, ea), (t, pb, eb) in zip(bounds, bounds[1:]):
+            run_ptr = _cut_runs(level_start[a:b].tolist(), latest, a, b)
+            starts, pair_in, entry_in = _run_slices(run_ptr, pair_off, entry_off, stay)
+            qall = np.empty(pairs.size, dtype=np.float64)
+            vblk = np.empty(b - a, dtype=np.float64)
+            for (s, pa, ea, sa), (t, pb, eb, sb) in zip(starts, starts[1:]):
                 sums = np.add.reduceat(
                     eprob[ea:eb] * v[ecol[ea:eb]], entry_in[pa:pb]
                 )
                 qvals = np.divide(
                     rbar[pa:pb] + gamma * sums, denom[pa:pb], out=qall[pa:pb]
                 )
-                if fixed is not None:
-                    np.copyto(qvals, fixed[pa:pb], where=stuck[pa:pb])
+                if sb > sa:
+                    qall[stay[sa:sb]] = stay_q[sa:sb]
                 np.maximum.reduceat(qvals, pair_in[s:t], out=vblk[s:t])
                 v[xs[s:t]] = vblk[s:t]
 
-        hit = qall == np.repeat(vblk, np.diff(pair_off))
-        idx = np.where(hit, np.arange(pairs.size, dtype=np.int64), pairs.size)
-        first = np.minimum.reduceat(idx, pair_off[:-1])
-        q[pairs] = qall
-        pol[xs] = pair_action[pairs[first]]
+            idx = np.arange(pairs.size, dtype=np.int64)
+            first = _first_best(qall, vblk, np.diff(pair_off), pair_off[:-1], idx)
+            q[pairs] = qall
+            pol[xs] = pair_action[pairs[first]]
 
 
 def gs_sweep(order, state_ptr, pair_action, pair_ptr, plan, gamma, v, q, pol):
@@ -349,51 +357,25 @@ def gs_sweep(order, state_ptr, pair_action, pair_ptr, plan, gamma, v, q, pol):
     pairs, pair_off, entry_off, ecol, eprob, erew, run_ptr, stay, stay_q = plan
     p_lens = np.diff(pair_off)
     pair_idx = np.arange(pairs.size, dtype=np.int64)
+    starts, pair_in, entry_in = _run_slices(run_ptr, pair_off, entry_off, stay)
     v_old = v[order]
     qall = np.empty(pairs.size, dtype=np.float64)
     first = np.empty(m, dtype=np.int64)
-    # Each run's slice of the stay-forever pairs, whose values are fixed.
-    stay_ptr = None
-    if stay.size:
-        stay_ptr = np.searchsorted(stay, pair_off[run_ptr]).tolist()
-
-    for k in range(run_ptr.size - 1):
-        s, t = run_ptr[k], run_ptr[k + 1]
-        pa, pb = pair_off[s], pair_off[t]
-        ea, eb = entry_off[pa], entry_off[pb]
-        vals = eprob[ea:eb] * (erew[ea:eb] + gamma * v[ecol[ea:eb]])
-        qvals = np.add.reduceat(vals, entry_off[pa:pb] - ea, out=qall[pa:pb])
-        if stay_ptr is not None:
-            i, j = stay_ptr[k], stay_ptr[k + 1]
-            qall[stay[i:j]] = stay_q[i:j]
-        sbounds = pair_off[s:t] - pa
-        vmax = np.maximum.reduceat(qvals, sbounds)
-        hit = qvals == np.repeat(vmax, p_lens[s:t])
-        np.minimum.reduceat(
-            np.where(hit, pair_idx[pa:pb], pairs.size), sbounds, out=first[s:t]
-        )
-        v[order[s:t]] = qall[first[s:t]]
-
-    q[pairs] = qall
-    pol[order] = pair_action[pairs[first]]
-    return float(np.max(np.abs(v[order] - v_old)))
-
-
-def _backup_state(
-    x, state_ptr, pair_action, pair_ptr, col, prob, rew, gamma, v, q, stay
-):
-    a, b = state_ptr[x], state_ptr[x + 1]
-    lo, hi = pair_ptr[a], pair_ptr[b]
-    vals = prob[lo:hi] * (rew[lo:hi] + gamma * v[col[lo:hi]])
-    bounds = pair_ptr[a:b] - lo
-    qvals = np.add.reduceat(vals, bounds)
-    if stay:
-        for i in range(a, b):
-            if i in stay:
-                qvals[i - a] = stay[i]
-    q[a:b] = qvals
-    best = int(np.argmax(qvals))
-    return qvals[best], pair_action[a + best], b - a
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (s, pa, ea, sa), (t, pb, eb, sb) in zip(starts, starts[1:]):
+            vals = eprob[ea:eb] * (erew[ea:eb] + gamma * v[ecol[ea:eb]])
+            qvals = np.add.reduceat(vals, entry_in[pa:pb], out=qall[pa:pb])
+            if sb > sa:
+                qall[stay[sa:sb]] = stay_q[sa:sb]
+            bounds = pair_in[s:t]
+            vmax = np.maximum.reduceat(qvals, bounds)
+            _first_best(
+                qvals, vmax, p_lens[s:t], bounds, pair_idx[pa:pb], out=first[s:t]
+            )
+            v[order[s:t]] = qall[first[s:t]]
+        q[pairs] = qall
+        pol[order] = pair_action[pairs[first]]
+        return float(np.max(np.abs(v[order] - v_old)))
 
 
 def bvi_run(
@@ -414,51 +396,65 @@ def bvi_run(
     q,
     pol,
 ):
-    # Pairs that stay forever keep their fixed values, as in gs_sweep.
-    stay = _stay_pairs(
-        np.arange(v.size, dtype=np.int64), state_ptr, pair_ptr, col, prob, rew, gamma
+    """Backward value iteration from the queue seeds; returns (dequeues, backups).
+
+    Each dequeued state gets a plain backup of all its pairs, and its
+    transient predecessors (rev_ptr, rev_src) are queued when its value
+    moved by more than epsilon or they were never backed up.  Pairs that
+    stay forever keep their fixed values, as in gs_sweep.
+    """
+    n = v.size
+    stay, stay_q, gains = _stay_pairs(
+        np.arange(n, dtype=np.int64), state_ptr, pair_ptr, col, prob, rew, gamma
     )
-    stay = dict(zip(*(part.tolist() for part in stay)))
-    in_q = np.zeros(v.size, dtype=np.uint8)
-    visited = np.zeros(v.size, dtype=np.uint8)
-    queue = deque()
-    for s in seeds:
-        queue.append(int(s))
-        in_q[s] = 1
+    if gains.size:
+        raise _divergent(gains[0])
+    stay_ptr = np.searchsorted(stay, state_ptr).tolist()
+    in_q = np.zeros(n, dtype=np.uint8)
+    in_q[seeds] = 1
+    visited = np.zeros(n, dtype=np.uint8)
+    queue = deque(seeds.tolist())
     dequeues = 0
     backups = 0
-    while queue:
-        if dequeues >= max_dequeues:
-            raise MaxSweepsExceeded(f"BVI hit the dequeue cap ({max_dequeues})")
-        x = queue.popleft()
-        in_q[x] = 0
-        visited[x] = 1
-        dequeues += 1
-        best, act, n_pairs = _backup_state(
-            x, state_ptr, pair_action, pair_ptr, col, prob, rew, gamma, v, q, stay
-        )
-        backups += int(n_pairs)
-        delta = abs(best - v[x])
-        v[x] = best
-        pol[x] = act
-        # A zero delta must not cut off upstream propagation: predecessors
-        # that have never been backed up still need their first visit.
-        for y in rev_src[rev_ptr[x] : rev_ptr[x + 1]]:
-            if (
-                is_transient[y]
-                and not in_q[y]
-                and (delta > epsilon or not visited[y])
-            ):
-                in_q[y] = 1
-                queue.append(int(y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while queue:
+            if dequeues >= max_dequeues:
+                raise MaxSweepsExceeded(f"BVI hit the dequeue cap ({max_dequeues})")
+            x = queue.popleft()
+            in_q[x] = 0
+            visited[x] = 1
+            dequeues += 1
+            a, b = state_ptr[x], state_ptr[x + 1]
+            lo, hi = pair_ptr[a], pair_ptr[b]
+            vals = prob[lo:hi] * (rew[lo:hi] + gamma * v[col[lo:hi]])
+            qvals = np.add.reduceat(vals, pair_ptr[a:b] - lo, out=q[a:b])
+            i, j = stay_ptr[x], stay_ptr[x + 1]
+            if j > i:
+                q[stay[i:j]] = stay_q[i:j]
+            best = int(np.argmax(qvals))
+            backups += int(b - a)
+            delta = abs(qvals[best] - v[x])
+            v[x] = qvals[best]
+            pol[x] = pair_action[a + best]
+            # A zero delta must not cut off upstream propagation: predecessors
+            # that have never been backed up still need their first visit.
+            for y in rev_src[rev_ptr[x] : rev_ptr[x + 1]]:
+                if (
+                    is_transient[y]
+                    and not in_q[y]
+                    and (delta > epsilon or not visited[y])
+                ):
+                    in_q[y] = 1
+                    queue.append(int(y))
     return dequeues, backups
 
 
 def bellman_residual_pass(state_ptr, pair_ptr, col, prob, rew, gamma, v):
-    vals = prob * (rew + gamma * v[col])
-    qall = np.add.reduceat(vals, pair_ptr[:-1])
-    vnew = np.maximum.reduceat(qall, state_ptr[:-1])
-    return float(np.max(np.abs(vnew - v)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = prob * (rew + gamma * v[col])
+        qall = np.add.reduceat(vals, pair_ptr[:-1])
+        vnew = np.maximum.reduceat(qall, state_ptr[:-1])
+        return float(np.max(np.abs(vnew - v)))
 
 
 def active_backend():

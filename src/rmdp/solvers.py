@@ -31,7 +31,7 @@ from .errors import (
     NotReductive,
     ScheduleMismatch,
 )
-from .mdp import Policy, ValueTable, _unique_sorted, induced_chain
+from .mdp import Policy, ValueTable, _unique_sorted, gather_ranges, induced_chain
 from .reachability import absorbing_decomposition
 
 NATURAL = "Natural"
@@ -232,9 +232,10 @@ def rvi_solve(mdp, schedule, decomp, cfg=None):
     Each transient (state, action) pair is evaluated exactly once with the
     closed-form update, so stats.q_updates equals the number of admissible
     transient pairs and stats.sweeps is always 1.  backends.rvi_pass
-    gathers the levels in blocks of at most 2^16 entries and backs up
-    consecutive levels with no edge between them in one step; values,
-    policy and errors are the same as level by level.  Raises
+    gathers the levels in blocks of at most 2^16 entries, cuts each
+    block's levels into greedy maximal runs that read none of their own
+    states and backs up each run in one step; values, policy and errors
+    are the same as level by level.  Raises
     ScheduleMismatch when a level references a successor outside earlier
     levels or the absorbing part, and DivergentSelfLoop on
     gamma * p(x|x,u) = 1 with a positive expected reward.  Such a pair
@@ -405,10 +406,10 @@ def bvi_solve(mdp, decomp, cfg):
     is_abs = np.zeros(n, dtype=bool)
     is_abs[decomp.absorbing] = True
     is_transient = (~is_abs).astype(np.uint8)
+    starts = rev_ptr[decomp.absorbing]
+    preds = gather_ranges(starts, rev_ptr[decomp.absorbing + 1] - starts)
     seed_mask = np.zeros(n, dtype=bool)
-    for x in decomp.absorbing:
-        preds = rev_src[rev_ptr[x] : rev_ptr[x + 1]]
-        seed_mask[preds] = True
+    seed_mask[rev_src[preds]] = True
     seed_mask[decomp.absorbing] = False
     seeds = np.where(seed_mask)[0].astype(np.int64)
 

@@ -3,7 +3,9 @@
 gs_sweep must match a one-state-at-a-time Gauss-Seidel loop bit for bit
 over one sweep plan reused for every sweep, and bellman_residual_pass the
 largest change of one-state backups of an unchanged value table, on
-random small MDPs and on a liquidation instance.
+random small MDPs and on a liquidation instance.  The references pick a
+state's best pair with np.argmax, so a NaN counts as the largest, and a
+NaN change is the largest change.
 """
 
 import contextlib
@@ -60,8 +62,9 @@ def serial_backup(x, state_ptr, pair_ptr, col, prob, rew, gamma, v):
     """Reference: the q values of state x and the first best pair among them."""
     a, b = state_ptr[x], state_ptr[x + 1]
     lo, hi = pair_ptr[a], pair_ptr[b]
-    vals = prob[lo:hi] * (rew[lo:hi] + gamma * v[col[lo:hi]])
-    qvals = np.add.reduceat(vals, pair_ptr[a:b] - lo)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = prob[lo:hi] * (rew[lo:hi] + gamma * v[col[lo:hi]])
+        qvals = np.add.reduceat(vals, pair_ptr[a:b] - lo)
     return qvals, int(np.argmax(qvals))
 
 
@@ -86,27 +89,34 @@ def serial_gs_sweep(
     order, state_ptr, pair_action, pair_ptr, col, prob, rew, gamma, v, q, pol
 ):
     """Reference: back up one state at a time in order; returns max delta."""
-    max_delta = 0.0
+    deltas = [0.0]
     for x in order:
         qvals, _ = serial_backup(x, state_ptr, pair_ptr, col, prob, rew, gamma, v)
         best = stay_forever(x, state_ptr, pair_ptr, col, prob, rew, gamma, qvals)
         a = state_ptr[x]
         q[a : a + qvals.size] = qvals
-        delta = abs(qvals[best] - v[x])
-        if delta > max_delta:
-            max_delta = delta
+        with np.errstate(over="ignore", invalid="ignore"):
+            deltas.append(abs(qvals[best] - v[x]))
         v[x] = qvals[best]
         pol[x] = pair_action[a + best]
-    return max_delta
+    return np.max(deltas)
 
 
 def serial_residual(state_ptr, pair_ptr, col, prob, rew, gamma, v):
     """Reference: largest |best - v[x]| over one-state backups of an unchanged v."""
-    res = 0.0
+    res = [0.0]
     for x in range(state_ptr.size - 1):
         qvals, best = serial_backup(x, state_ptr, pair_ptr, col, prob, rew, gamma, v)
-        res = max(res, abs(qvals[best] - v[x]))
-    return res
+        with np.errstate(over="ignore", invalid="ignore"):
+            res.append(abs(qvals[best] - v[x]))
+    return np.max(res)
+
+
+def same_bits(a, b):
+    """a equals b bit for bit, except that a NaN matches any NaN payload."""
+    a, b = np.asarray(a), np.asarray(b)
+    keep = ~(np.isnan(a) & np.isnan(b))
+    return a.shape == b.shape and a[keep].tobytes() == b[keep].tobytes()
 
 
 def mdp_from_rows(rows, discount):
@@ -128,13 +138,23 @@ def mdp_from_rows(rows, discount):
     )
 
 
+BIG = 1e308
+# Reward and start-value choices.  Huge ones overflow, so a backup can
+# add +inf to -inf.
+SCALES = {
+    "zero": ([0.0, -0.0], [0.0, -0.0, 1.0, -2.0, 0.25]),
+    "small": ([0.0, -0.0, 1.0, -1.0, 0.5], [0.0, -0.0, 1.0, -2.0, 0.25]),
+    "huge": ([BIG, -BIG, 1.0], [BIG, -BIG, 0.0]),
+}
+
+
 @st.composite
 def sweep_cases(draw):
-    """A small MDP (self-loops, several actions, ties, signed zeros), a
-    sweep order over all or some of its states, and a start value table."""
+    """A small MDP (self-loops, several actions, ties, signed zeros, rewards
+    and start values of +-1e308 whose backups overflow to +-inf and NaN),
+    a sweep order over all or some of its states, and a start value table."""
     n = draw(st.integers(min_value=1, max_value=8))
-    zero_rewards = draw(st.booleans())
-    rewards = [0.0, -0.0] if zero_rewards else [0.0, -0.0, 1.0, -1.0, 0.5]
+    rewards, values = SCALES[draw(st.sampled_from(sorted(SCALES)))]
     reward = st.sampled_from(rewards)
     rows = []
     for _ in range(n):
@@ -153,7 +173,7 @@ def sweep_cases(draw):
         order = draw(st.permutations(range(n)))
         if kind == "subset":
             order = order[: draw(st.integers(min_value=0, max_value=n))]
-    v0 = [draw(st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.25])) for _ in range(n)]
+    v0 = [draw(st.sampled_from(values)) for _ in range(n)]
     return mdp, np.asarray(order, dtype=np.int64), np.asarray(v0, dtype=np.float64)
 
 
@@ -219,18 +239,19 @@ def assert_batched_matches_serial(mdp, order, v0, sweeps=3):
     for _ in range(sweeps):
         r_ref = serial_residual(*entries, ref[0])
         r_out = bellman_residual_pass(*entries, out[0])
-        assert np.float64(r_out).tobytes() == np.float64(r_ref).tobytes()
+        assert same_bits(r_out, r_ref)
         d_ref = serial_gs_sweep(order, *model, mdp.discount, *ref)
         d_out = gs_sweep(*prefix, plan, mdp.discount, *out)
-        assert np.float64(d_out).tobytes() == np.float64(d_ref).tobytes()
+        assert same_bits(d_out, d_ref)
         for a, b in zip(out, ref):
-            assert a.tobytes() == b.tobytes()
+            assert same_bits(a, b)
         for a, b in zip(plan, frozen):
             assert a.tobytes() == b.tobytes()
         if not np.all(np.isfinite(ref[0])):
-            # A costly stay-forever pair is worth -inf.  The solvers stop at
-            # the first sweep that leaves a value non-finite, and later
-            # sweeps would only compare NaN deltas.
+            # A costly stay-forever pair is worth -inf, and a value can
+            # overflow.  The solvers stop at the first sweep that leaves a
+            # value non-finite, and later sweeps would only compare NaN
+            # deltas.
             break
     return run_ptr
 
@@ -260,6 +281,22 @@ def test_batched_gs_sweep_edge_cases():
     # each state reads only later states or itself: one run
     up = chain_mdp([1, 2, 3, 4, 4])
     assert assert_batched_matches_serial(up, order, np.zeros(5)).tolist() == [0, 5]
+
+
+def test_batched_gs_sweep_takes_a_nan_as_the_best_q():
+    """State 1's second action adds +inf to -inf.  Its NaN is the largest
+    q, as in np.argmax, so the NaN is the value and not the first action's
+    finite q."""
+    rows = [[([0], [0.0])], [([0], [1.0]), ([2, 3], [BIG, -BIG])]]
+    mdp = mdp_from_rows(rows + [[([0], [0.0])]] * 2, 0.9)
+    order = np.arange(4, dtype=np.int64)
+    v0 = np.array([0.0, 0.0, BIG, -BIG])
+    assert assert_batched_matches_serial(mdp, order, v0).tolist() == [0, 1, 4]
+    entries = (mdp.state_ptr, mdp.pair_ptr, mdp.col, mdp.prob, mdp.rew, mdp.discount)
+    v, q, pol = v0.copy(), np.zeros(mdp.pair_count), np.zeros(4, dtype=np.int64)
+    prefix = (order, mdp.state_ptr, mdp.pair_action, mdp.pair_ptr)
+    delta = gs_sweep(*prefix, sweep_plan(order, *entries), mdp.discount, v, q, pol)
+    assert np.isnan(delta) and np.isnan(v[1]) and pol[1] == 1
 
 
 def test_batched_gs_sweep_matches_serial_loop_on_liquidation():

@@ -6,6 +6,7 @@ chains and SCC passes call the CLI's main() in-process instead.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -532,6 +533,45 @@ def test_value_overflow_exits_4(tmp_path, capsys, solver, spec, state):
         assert rmdp.cli.main(args) == 4
     err = capsys.readouterr().err
     assert f"state {state} has a non-finite value (inf)" in err
+    assert not out.exists()
+
+
+# At discount 1, state 1 overflows to +inf and state 3 to -inf: each
+# stays or leaves half and half, at a reward of 1e308 and -1e308.  State
+# 4 moves to both, so its value is NaN.
+OVERFLOW_TO_NAN = {
+    "states": 5,
+    "actions": 1,
+    "discount": 1.0,
+    "mask": [[0], [0], [0], [0], [0]],
+    "transitions": [
+        {"x": 0, "u": 0, "xp": 0, "p": 1.0, "r": 0.0},
+        {"x": 1, "u": 0, "xp": 0, "p": 0.5, "r": 1e308},
+        {"x": 1, "u": 0, "xp": 1, "p": 0.5, "r": 1e308},
+        {"x": 2, "u": 0, "xp": 2, "p": 1.0, "r": 0.0},
+        {"x": 3, "u": 0, "xp": 2, "p": 0.5, "r": -1e308},
+        {"x": 3, "u": 0, "xp": 3, "p": 0.5, "r": -1e308},
+        {"x": 4, "u": 0, "xp": 1, "p": 0.5, "r": 0.0},
+        {"x": 4, "u": 0, "xp": 3, "p": 0.5, "r": 0.0},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "solver, seed",
+    [("rvi", 0), ("qvi-reversed", 0), ("bvi", 0)]
+    + [("qvi-random", seed) for seed in range(6)],
+)
+def test_overflow_to_nan_exits_4_with_one_line(tmp_path, capsys, solver, seed):
+    """No traceback and no numpy warning: the one stderr line names the
+    first state whose value is not finite."""
+    model = write_json(tmp_path / "nan.json", OVERFLOW_TO_NAN)
+    out = tmp_path / "out.json"
+    args = ["solve", "--model", model, "--solver", solver, "--seed", str(seed)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rmdp.cli.main([*args, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "rmdp: state 1 has a non-finite value (inf)\n"
     assert not out.exists()
 
 

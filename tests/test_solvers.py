@@ -420,14 +420,21 @@ def test_bvi_residual_is_nonzero_when_iteration_stops_short():
 # agreement on randomized reductive MDPs
 
 
+# Choices of transient rewards; one is drawn per model.  Huge rewards
+# make values overflow to +-inf, and NaN where a pair reaches both.
+REWARDS = (0.0, 1.0, -1.0, 2.5)
+HUGE_REWARDS = (1.0, 1e308, -1e308)
+
+
 @st.composite
-def reductive_mdps(draw):
+def reductive_mdps(draw, reward_sets=(REWARDS,)):
     n_transient = draw(st.integers(min_value=1, max_value=5))
     class_sizes = draw(
         st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=2)
     )
     n = n_transient + sum(class_sizes)
     discount = draw(st.sampled_from([0.9, 1.0]))
+    rewards = draw(st.sampled_from(reward_sets))
     transitions = []
     mask = []
     base = n_transient
@@ -453,7 +460,7 @@ def reductive_mdps(draw):
             loop = draw(st.sampled_from([0.0, 0.4]))
             share = (1.0 - loop) / len(succs)
             for s in succs:
-                r = draw(st.sampled_from([0.0, 1.0, -1.0, 2.5]))
+                r = draw(st.sampled_from(rewards))
                 transitions.append({"x": x, "u": u, "xp": s, "p": share, "r": r})
             if loop:
                 transitions.append({"x": x, "u": u, "xp": x, "p": loop, "r": 0.5})
@@ -501,7 +508,8 @@ def rvi_pass_per_level(
     """Reference for backends.rvi_pass: gather and back up one level at a time.
 
     A level fails on the first state that reads an unsolved successor,
-    else on the first with a pair that stays forever at a gain.
+    else on the first with a pair that stays forever at a gain.  A state's
+    policy is the np.argmax of its q values, so a NaN counts as the largest.
     """
     for lv in range(level_ptr.size - 1):
         xs = level_states[level_ptr[lv] : level_ptr[lv + 1]]
@@ -522,27 +530,23 @@ def rvi_pass_per_level(
             raise ScheduleMismatch(f"state {x} reads an unsolved successor")
 
         ebounds = entry_off[:-1]
-        rbar = np.add.reduceat(eprob * erew, ebounds)
-        alpha = np.add.reduceat(np.where(is_self, eprob, 0.0), ebounds)
-        s = np.add.reduceat(np.where(is_self, 0.0, eprob * v[ecol]), ebounds)
-        denom = 1.0 - gamma * alpha
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rbar = np.add.reduceat(eprob * erew, ebounds)
+            alpha = np.add.reduceat(np.where(is_self, eprob, 0.0), ebounds)
+            s = np.add.reduceat(np.where(is_self, 0.0, eprob * v[ecol]), ebounds)
+            denom = 1.0 - gamma * alpha
+            qvals = (rbar + gamma * s) / denom
         stuck = denom <= 0.0
         bad = stuck & (rbar > 0.0)
         if np.any(bad):
             x = int(xs[state_of_pair[np.where(bad)[0][0]]])
             raise DivergentSelfLoop(f"state {x} has gamma * p(x|x,u) = 1")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            qvals = (rbar + gamma * s) / denom
         qvals[stuck] = np.where(rbar[stuck] < 0.0, -np.inf, 0.0)
         q[pairs] = qvals
-
-        sbounds = pair_off[:-1]
-        vmax = np.maximum.reduceat(qvals, sbounds)
-        v[xs] = vmax
-        hit = qvals == vmax[state_of_pair]
-        idx = np.where(hit, np.arange(pairs.size, dtype=np.int64), pairs.size)
-        first = np.minimum.reduceat(idx, sbounds)
-        pol[xs] = pair_action[pairs[first]]
+        v[xs] = np.maximum.reduceat(qvals, pair_off[:-1])
+        for i, x in enumerate(xs.tolist()):
+            lo, hi = pair_off[i], pair_off[i + 1]
+            pol[x] = pair_action[pairs[lo + np.argmax(qvals[lo:hi])]]
         solved[xs] = 1
 
 
@@ -581,40 +585,62 @@ def rvi_level_by_level(mdp, schedule, decomp):
 SMALL_BLOCKS = (1, 2, 3)
 
 
+def same_bits(a, b):
+    """a equals b bit for bit, except that a NaN matches any NaN payload."""
+    keep = ~(np.isnan(a) & np.isnan(b))
+    return a.shape == b.shape and a[keep].tobytes() == b[keep].tobytes()
+
+
 def assert_rvi_matches_level_by_level(mdp, schedule, decomp, bounds=()):
     """rvi_solve equals the reference bit for bit, or fails as it does.
 
-    A failure must be the same exception naming the same state.  The
-    solve runs with the kernel's own block bound and then with each of
-    bounds.  Returns the reference's error, None when it ran through.
+    A failure must be the same exception naming the same state.  Where
+    the reference leaves a value non-finite, rvi_solve must raise
+    NonFiniteValue naming the first such state, and the values it leaves
+    are compared with its finiteness check off.  The solve runs with the
+    kernel's own block bound and then with each of bounds.  Returns the
+    reference's error, None when it ran through.
     """
     error, v, q, pol, q_updates = rvi_level_by_level(mdp, schedule, decomp)
+    bad = np.flatnonzero(~np.isfinite(v))
     for bound in (backends._BLOCK_ENTRIES, *bounds):
         with mock.patch.object(backends, "_BLOCK_ENTRIES", bound):
             if error is not None:
                 with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
                     rmdp.rvi_solve(mdp, schedule, decomp)
                 continue
-            res = rmdp.rvi_solve(mdp, schedule, decomp)
-        assert res.values.v.tobytes() == v.tobytes()
-        assert res.values.q.tobytes() == q.tobytes()
+            if bad.size:
+                with pytest.raises(NonFiniteValue, match=f"^state {bad[0]} has"):
+                    rmdp.rvi_solve(mdp, schedule, decomp)
+            with mock.patch.object(solvers, "_require_finite", lambda v: None):
+                res = rmdp.rvi_solve(mdp, schedule, decomp)
+        assert same_bits(res.values.v, v)
+        assert same_bits(res.values.q, q)
         assert res.policy.choice.tobytes() == pol.tobytes()
         assert res.stats.q_updates == q_updates
     return error
 
 
 def kernel_groups(mdp, schedule, decomp):
-    """The level groups rvi_solve backs up, all levels in one block."""
+    """The level groups rvi_solve backs up, all levels in one block.
+
+    Only the runs that rvi_pass cuts are recorded, not those of the
+    absorbing solve's sweep plan, which shares the cut.
+    """
     groups = []
 
-    def record(a, b, level_firsts, latest):
-        group_ptr = level_groups(a, b, level_firsts, latest)
-        groups.extend(a + g for g in group_ptr[:-1])
-        return group_ptr
+    def record(first, latest, start, end):
+        run_ptr = cut_runs(first, latest, start, end)
+        groups.extend((start + run_ptr[:-1]).tolist())
+        return run_ptr
 
-    level_groups = backends._level_groups
+    def recording_pass(*args):
+        with mock.patch.object(backends, "_cut_runs", record):
+            return rvi_pass(*args)
+
+    cut_runs, rvi_pass = backends._cut_runs, backends.rvi_pass
     with mock.patch.object(backends, "_BLOCK_ENTRIES", mdp.col.size), \
-            mock.patch.object(backends, "_level_groups", record):
+            mock.patch.object(backends, "rvi_pass", recording_pass):
         rmdp.rvi_solve(mdp, schedule, decomp)
     return np.asarray(groups + [decomp.transient.size])
 
@@ -664,7 +690,7 @@ def reschedule(schedule, how, data):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    reductive_mdps(),
+    reductive_mdps((REWARDS, HUGE_REWARDS)),
     st.sampled_from(
         [
             "derived",
@@ -683,7 +709,8 @@ def test_rvi_merged_levels_match_level_by_level(mdp, how, data):
     sched = reschedule(sched, how, data)
     error = assert_rvi_matches_level_by_level(mdp, sched, decomp, SMALL_BLOCKS)
     if error is None and sched.levels:
-        assert_groups_valid_and_maximal(mdp, sched, decomp)
+        with mock.patch.object(solvers, "_require_finite", lambda v: None):
+            assert_groups_valid_and_maximal(mdp, sched, decomp)
 
 
 @pytest.mark.parametrize("derived", [False, True])
@@ -695,6 +722,40 @@ def test_rvi_merged_levels_match_level_by_level_on_liquidation(derived):
     groups = assert_groups_valid_and_maximal(mdp, sched, decomp)
     if derived:
         assert groups < len(sched.levels)
+
+
+def test_rvi_takes_a_nan_as_the_best_q():
+    """At discount 1, state 1 overflows to +inf and state 3 to -inf.  State
+    4 reaches the absorbing state 0 at a reward of 1 (action 0) or 1 and 3
+    half and half (action 1).  Its NaN q is the largest, as in np.argmax.
+    State 5 moves on to state 4, so 4 is not the last state backed up."""
+    big = 1e308
+    mdp = build_mdp(
+        {
+            "states": 6,
+            "actions": 2,
+            "discount": 1.0,
+            "mask": [[0], [0], [0], [0], [0, 1], [0]],
+            "transitions": [
+                {"x": 0, "u": 0, "xp": 0, "p": 1.0, "r": 0.0},
+                {"x": 1, "u": 0, "xp": 0, "p": 0.5, "r": big},
+                {"x": 1, "u": 0, "xp": 1, "p": 0.5, "r": big},
+                {"x": 2, "u": 0, "xp": 2, "p": 1.0, "r": 0.0},
+                {"x": 3, "u": 0, "xp": 2, "p": 0.5, "r": -big},
+                {"x": 3, "u": 0, "xp": 3, "p": 0.5, "r": -big},
+                {"x": 4, "u": 0, "xp": 0, "p": 1.0, "r": 1.0},
+                {"x": 4, "u": 1, "xp": 1, "p": 0.5, "r": 0.0},
+                {"x": 4, "u": 1, "xp": 3, "p": 0.5, "r": 0.0},
+                {"x": 5, "u": 0, "xp": 4, "p": 1.0, "r": 0.0},
+            ],
+        }
+    )
+    sched, decomp = schedule_of(mdp)
+    assert assert_rvi_matches_level_by_level(mdp, sched, decomp, SMALL_BLOCKS) is None
+    with mock.patch.object(solvers, "_require_finite", lambda v: None):
+        res = rmdp.rvi_solve(mdp, sched, decomp)
+    assert res.values.v[[1, 3]].tolist() == [np.inf, -np.inf]
+    assert np.isnan(res.values.v[4]) and res.policy.choice[4] == 1
 
 
 def assert_levels_read_only_earlier(mdp, schedule, decomp):
