@@ -12,13 +12,20 @@ one step from values settled before it; _run_slices slices a run's
 pairs and entries; _stay_pairs finds and values the pairs that stay
 forever; _first_best picks each state's first best pair as np.argmax.
 
-gs_sweep runs over a plan (sweep_plan): its order's pairs and entries
-gathered once in sweep order and cut into runs.  A run's states see the
-values the one-state-at-a-time loop would show them, so the results are
-bit-identical to that loop, and a solve whose order stays fixed builds
-one plan for all its sweeps.  rvi_pass gathers the levels in blocks of
-at most _BLOCK_ENTRIES (2^16) entries, computes a block's value-free
-terms and schedule checks at once, and cuts the block's levels into runs.
+gs_sweep runs over a plan in steps, each a slice of the plan backed up
+at once.  A SweepPlan (sweep_plan) holds one order's pairs and entries,
+gathered in sweep order and cut into runs; a solve whose order stays
+fixed builds one for all its sweeps.  A LevelPlan (_level_plan) holds
+every state's, gathered once in level order: by the height of the
+state's component in the condensation, a valid level for every order.
+A sweep in a new order then only re-indexes the plan: each entry reads
+the new or the old copy of its successor's value, and the multi-state
+components are laid out in the waves this order needs (_level_steps).
+Either way a step's states see the values the one-state-at-a-time loop
+would show them, so the results are bit-identical to that loop.
+rvi_pass gathers the levels in blocks of at most _BLOCK_ENTRIES (2^16)
+entries, computes a block's value-free terms and schedule checks at
+once, and cuts the block's levels into runs.
 
 A pair with gamma * p(x|x,u) >= 1 stays at x forever: every kernel
 gives it the value 0 without reward and -inf at a cost, and raises
@@ -39,6 +46,7 @@ import numpy as np
 
 from .errors import DivergentSelfLoop, MaxSweepsExceeded, ScheduleMismatch
 from .mdp import gather_ranges
+from .reachability import _frontier_heights
 
 
 def _offsets(lengths):
@@ -128,21 +136,23 @@ def _conflict_free_runs(order, state_count, pair_off, entry_off, ecol):
     return _cut_runs(range(m), np.maximum.reduceat(earlier, state_off[:-1]), 0, m)
 
 
-def _run_slices(run_ptr, pair_off, entry_off, stay):
+def _run_slices(run_ptr, pair_off, entry_off):
     """Where each run starts, and where its states and pairs start within it.
 
-    Returns one row (state, pair, entry, stay pair) per run start, the
-    end included, then each state's first pair and each pair's first
-    entry counted from its run's, so that a step over a run only slices.
+    Returns one row (state, pair, entry) per run start, the end included,
+    then each state's first pair and each pair's first entry counted from
+    its run's, so that a step over a run only slices.
     """
     run_pairs = pair_off[run_ptr]
     run_entries = entry_off[run_pairs]
-    starts = np.column_stack(
-        (run_ptr, run_pairs, run_entries, np.searchsorted(stay, run_pairs))
-    ).tolist()
     pair_in = pair_off[:-1] - np.repeat(run_pairs[:-1], np.diff(run_ptr))
     entry_in = entry_off[:-1] - np.repeat(run_entries[:-1], np.diff(run_pairs))
-    return starts, pair_in, entry_in
+    return np.column_stack((run_ptr, run_pairs, run_entries)), pair_in, entry_in
+
+
+def _step_rows(starts, stay):
+    """The rows of starts with each step's first stay pair, as lists."""
+    return np.column_stack((starts, np.searchsorted(stay, starts[:, 1]))).tolist()
 
 
 def _stay_pairs(states, pair_off, entry_off, ecol, eprob, erew, gamma):
@@ -202,6 +212,260 @@ def sweep_plan(order, state_ptr, pair_ptr, col, prob, rew, gamma):
     if gains.size:
         raise _divergent(order[gains[0]])
     return SweepPlan(*gathered, run_ptr, stay, stay_q)
+
+
+class _ClassPart(NamedTuple):
+    """The states of multi-state components, as LevelPlan gathered them.
+
+    slots, pair_slots and entry_slots are their places in the plan's
+    layout, which each sweep refills in wave order.  The other arrays are
+    the states' own copies, counted locally in gathered order (height,
+    then id): states, base (height times the number of states), p_lens
+    and pair_start per state; pairs, e_lens and entry_start per pair;
+    ecol, eown, eprob and erew per entry; stay and stay_q, the local
+    pairs that stay forever and their values; src and dst, the edges
+    between distinct states of one component, grouped by dst.
+    """
+
+    slots: np.ndarray
+    pair_slots: np.ndarray
+    entry_slots: np.ndarray
+    states: np.ndarray
+    base: np.ndarray
+    p_lens: np.ndarray
+    pair_start: np.ndarray
+    pairs: np.ndarray
+    e_lens: np.ndarray
+    entry_start: np.ndarray
+    ecol: np.ndarray
+    eown: np.ndarray
+    eprob: np.ndarray
+    erew: np.ndarray
+    stay: np.ndarray
+    stay_q: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+
+
+class LevelPlan(NamedTuple):
+    """A model's pairs and entries gathered once, for sweeps in any order.
+
+    The states are laid out by (component height, in a multi-state
+    component, id).  A successor in another component has a lower
+    height, so a level of one height reads only lower levels and its own
+    components, whatever the sweep order.  Per slot: dest, the state;
+    p_lens and pair_in, its pair count and first pair counted from its
+    step's.  Per pair: pairs and entry_in.  Per entry: ecol, eown (the
+    entry's state), eprob and erew.  steps are the (slot, pair, entry)
+    starts of the levels of single-state components, the end included,
+    and stay, stay_q their pairs that stay forever.  gains are the states
+    with a pair that stays forever at a gain.  part holds the multi-state
+    components, whose slots each sweep rewrites (see _level_steps).  The
+    rest is scratch that a sweep reuses: pos, reads, own_pos, later, buf
+    (the new values, then the old), qall, first and pair_idx.
+    """
+
+    dest: np.ndarray
+    p_lens: np.ndarray
+    pair_in: np.ndarray
+    pairs: np.ndarray
+    entry_in: np.ndarray
+    ecol: np.ndarray
+    eown: np.ndarray
+    eprob: np.ndarray
+    erew: np.ndarray
+    steps: np.ndarray
+    stay: np.ndarray
+    stay_q: np.ndarray
+    gains: np.ndarray
+    part: _ClassPart
+    pos: np.ndarray
+    reads: np.ndarray
+    own_pos: np.ndarray
+    later: np.ndarray
+    buf: np.ndarray
+    qall: np.ndarray
+    first: np.ndarray
+    pair_idx: np.ndarray
+
+
+def _level_plan(
+    height, class_src, class_dst, state_ptr, pair_ptr, col, prob, rew, gamma
+):
+    """Gather every state once into a LevelPlan.
+
+    height[x] is the height of x's component in the condensation of the
+    model's support, and class_src, class_dst the support's edges between
+    distinct states of one component.
+    """
+    n = height.size
+    in_class = np.zeros(n, dtype=bool)
+    in_class[class_src] = True
+    key = 2 * height + in_class
+    lay = np.argsort(key, kind="stable")
+    pairs, pair_off, entry_off, ecol, eprob, erew = _gather(
+        lay, state_ptr, pair_ptr, col, prob, rew
+    )
+    p_lens = np.diff(pair_off)
+    e_lens = np.diff(entry_off)
+    eown = np.repeat(lay, np.diff(entry_off[pair_off]))
+    stay, stay_q, gains = _stay_pairs(
+        lay, pair_off, entry_off, ecol, eprob, erew, gamma
+    )
+
+    # One step per block of equal keys; the class blocks' steps are
+    # replaced by their waves in every sweep.
+    key = key[lay]
+    block = np.ones(n, dtype=bool)
+    block[1:] = key[1:] != key[:-1]
+    block_ptr = np.append(np.flatnonzero(block), n)
+    steps, pair_in, entry_in = _run_slices(block_ptr, pair_off, entry_off)
+    steps = steps[np.append(~in_class[lay[block_ptr[:-1]]], True)]
+
+    slots = np.flatnonzero(in_class[lay])
+    states = lay[slots]
+    c_plens = p_lens[slots]
+    pair_slots = gather_ranges(pair_off[slots], c_plens)
+    c_elens = e_lens[pair_slots]
+    entry_slots = gather_ranges(entry_off[pair_slots], c_elens)
+    shared = in_class[lay[np.searchsorted(pair_off, stay, side="right") - 1]]
+    loc = np.zeros(n, dtype=np.int64)
+    loc[states] = np.arange(states.size, dtype=np.int64)
+    by_dst = np.argsort(loc[class_dst], kind="stable")
+    part = _ClassPart(
+        slots=slots,
+        pair_slots=pair_slots,
+        entry_slots=entry_slots,
+        states=states,
+        base=height[states] * states.size,
+        p_lens=c_plens,
+        pair_start=_offsets(c_plens)[:-1],
+        pairs=pairs[pair_slots],
+        e_lens=c_elens,
+        entry_start=_offsets(c_elens)[:-1],
+        ecol=ecol[entry_slots],
+        eown=eown[entry_slots],
+        eprob=eprob[entry_slots],
+        erew=erew[entry_slots],
+        stay=np.searchsorted(pair_slots, stay[shared]),
+        stay_q=stay_q[shared],
+        src=loc[class_src][by_dst],
+        dst=loc[class_dst][by_dst],
+    )
+    entries = ecol.size
+    return LevelPlan(
+        dest=lay,
+        p_lens=p_lens,
+        pair_in=pair_in,
+        pairs=pairs,
+        entry_in=entry_in,
+        ecol=ecol,
+        eown=eown,
+        eprob=eprob,
+        erew=erew,
+        steps=steps,
+        stay=stay[~shared],
+        stay_q=stay_q[~shared],
+        gains=lay[gains],
+        part=part,
+        pos=np.empty(n, dtype=np.int64),
+        reads=np.empty(entries, dtype=np.int64),
+        own_pos=np.empty(entries, dtype=np.int64),
+        later=np.empty(entries, dtype=bool),
+        buf=np.empty(2 * n, dtype=np.float64),
+        qall=np.empty(pairs.size, dtype=np.float64),
+        first=np.empty(n, dtype=np.int64),
+        pair_idx=np.arange(pairs.size, dtype=np.int64),
+    )
+
+
+def _class_waves(plan, pos):
+    """Lay the multi-state components out in this sweep's waves.
+
+    A state waits for the states of its component placed before it in the
+    sweep, so its wave is one more than the latest of theirs, found in
+    Kahn frontiers (_frontier_heights).  Rewrites the component slots of
+    the plan in (height, wave, id) order and returns the steps and the
+    stay pairs and values with the waves' steps and stay pairs merged in.
+    """
+    c = plan.part
+    count = c.states.size
+    cpos = pos[c.states]
+    waits = cpos[c.src] > cpos[c.dst]
+    src, dst = c.src[waits], c.dst[waits]
+    wave = _frontier_heights(
+        _offsets(np.bincount(dst, minlength=count)),
+        src,
+        np.bincount(src, minlength=count),
+    )
+    key = c.base + wave
+    perm = np.argsort(key, kind="stable")
+    key = key[perm]
+    p_lens = c.p_lens[perm]
+    pperm = gather_ranges(c.pair_start[perm], p_lens)
+    e_lens = c.e_lens[pperm]
+    eperm = gather_ranges(c.entry_start[pperm], e_lens)
+    cut = np.ones(count, dtype=bool)
+    cut[1:] = key[1:] != key[:-1]
+    run_ptr = np.append(np.flatnonzero(cut), count)
+    starts, pair_in, entry_in = _run_slices(
+        run_ptr, _offsets(p_lens), _offsets(e_lens)
+    )
+
+    plan.dest[c.slots] = c.states[perm]
+    plan.p_lens[c.slots] = p_lens
+    plan.pair_in[c.slots] = pair_in
+    plan.pairs[c.pair_slots] = c.pairs[pperm]
+    plan.entry_in[c.pair_slots] = entry_in
+    for name in ("ecol", "eown", "eprob", "erew"):
+        getattr(plan, name)[c.entry_slots] = getattr(c, name)[eperm]
+
+    s, pa, ea = starts[:-1].T
+    waves = np.column_stack((c.slots[s], c.pair_slots[pa], c.entry_slots[ea]))
+    steps = np.concatenate((plan.steps[:-1], waves))
+    steps = np.concatenate((steps[np.argsort(steps[:, 0])], plan.steps[-1:]))
+    stay, stay_q = plan.stay, plan.stay_q
+    if c.stay.size:
+        place = np.empty(pperm.size, dtype=np.int64)
+        place[pperm] = np.arange(pperm.size, dtype=np.int64)
+        stay = np.concatenate((stay, c.pair_slots[place[c.stay]]))
+        stay_q = np.concatenate((stay_q, c.stay_q))
+        by_pair = np.argsort(stay)
+        stay, stay_q = stay[by_pair], stay_q[by_pair]
+    return steps, stay, stay_q
+
+
+def _level_steps(plan, order, v):
+    """Index a LevelPlan for one sweep in order, a permutation of the states.
+
+    Lays out the multi-state components in this order's waves, points
+    each entry at the new or the old copy of its successor in buf and
+    fills both copies with v.  Returns the steps' (slot, pair, entry)
+    starts, the end included, and the stay pairs and values.
+    Raises DivergentSelfLoop naming the first state of order with a pair
+    that stays forever at a gain.
+    """
+    n = v.size
+    pos = plan.pos
+    pos[order] = np.arange(n, dtype=np.int64)
+    if plan.gains.size:
+        raise _divergent(plan.gains[np.argmin(pos[plan.gains])])
+    steps, stay, stay_q = plan.steps, plan.stay, plan.stay_q
+    if plan.part.states.size:
+        steps, stay, stay_q = _class_waves(plan, pos)
+    # The new copy of a successor placed before the entry's state is
+    # settled by then; any other successor, the state itself included, is
+    # read from the old copy at n + successor.
+    # (np.take buffers its out array unless the mode is "clip" or "wrap".)
+    reads = plan.reads
+    np.take(pos, plan.ecol, out=reads, mode="clip")
+    np.take(pos, plan.eown, out=plan.own_pos, mode="clip")
+    np.greater_equal(reads, plan.own_pos, out=plan.later)
+    np.multiply(plan.later, n, out=reads)
+    reads += plan.ecol
+    plan.buf[:n] = v
+    plan.buf[n:] = v
+    return steps, stay, stay_q
 
 
 # Entries that rvi_pass gathers at once: enough to spread a block's fixed
@@ -319,7 +583,8 @@ def rvi_pass(
                 _raise_level_error(level_states[lo:hi], lo, *model)
 
             run_ptr = _cut_runs(level_start[a:b].tolist(), latest, a, b)
-            starts, pair_in, entry_in = _run_slices(run_ptr, pair_off, entry_off, stay)
+            starts, pair_in, entry_in = _run_slices(run_ptr, pair_off, entry_off)
+            starts = _step_rows(starts, stay)
             qall = np.empty(pairs.size, dtype=np.float64)
             vblk = np.empty(b - a, dtype=np.float64)
             for (s, pa, ea, sa), (t, pb, eb, sb) in zip(starts, starts[1:]):
@@ -343,27 +608,38 @@ def rvi_pass(
 def gs_sweep(order, state_ptr, pair_action, pair_ptr, plan, gamma, v, q, pol):
     """One Gauss-Seidel sweep over order; returns the largest value change.
 
-    plan is sweep_plan(order, ...) of the same model, and the sweep reads
-    the model's entries only through it.  state_ptr and pair_ptr are
-    those of that model; they let a caller count the entries a sweep
-    covers from its arguments alone.
+    plan is sweep_plan(order, ...) of the same model, stepped run by
+    run, or a LevelPlan of the model when order is a permutation of all
+    its states, stepped level by level after it is re-indexed for this
+    order; the sweep reads the model's entries only through the plan.
+    state_ptr and pair_ptr are those of that model; they let a caller
+    count the entries a sweep covers from its arguments alone.
     """
-    # Each run is a slice of the plan.  Only v is read during the sweep
-    # and each state is backed up once, so q, pol and the deltas are
-    # settled after the last run.
+    # Each step is a slice of the plan: a run of a SweepPlan, or a level
+    # of a LevelPlan.  A step's states read only buf, through reads, and
+    # each state is backed up once, so q, pol and the deltas are settled
+    # after the last step.
     m = order.size
     if m == 0:
         return 0.0
-    pairs, pair_off, entry_off, ecol, eprob, erew, run_ptr, stay, stay_q = plan
-    p_lens = np.diff(pair_off)
-    pair_idx = np.arange(pairs.size, dtype=np.int64)
-    starts, pair_in, entry_in = _run_slices(run_ptr, pair_off, entry_off, stay)
-    v_old = v[order]
-    qall = np.empty(pairs.size, dtype=np.float64)
-    first = np.empty(m, dtype=np.int64)
+    if isinstance(plan, LevelPlan):
+        starts, stay, stay_q = _level_steps(plan, order, v)
+        dest, p_lens, pair_in = plan.dest, plan.p_lens, plan.pair_in
+        pairs, entry_in, reads = plan.pairs, plan.entry_in, plan.reads
+        eprob, erew, buf = plan.eprob, plan.erew, plan.buf
+        qall, first, pair_idx = plan.qall, plan.first, plan.pair_idx
+    else:
+        pairs, pair_off, entry_off, reads, eprob, erew, run_ptr, stay, stay_q = plan
+        starts, pair_in, entry_in = _run_slices(run_ptr, pair_off, entry_off)
+        p_lens = np.diff(pair_off)
+        dest, buf, old = order, v, v[order]
+        qall = np.empty(pairs.size, dtype=np.float64)
+        first = np.empty(m, dtype=np.int64)
+        pair_idx = np.arange(pairs.size, dtype=np.int64)
+    starts = _step_rows(starts, stay)
     with np.errstate(over="ignore", invalid="ignore"):
         for (s, pa, ea, sa), (t, pb, eb, sb) in zip(starts, starts[1:]):
-            vals = eprob[ea:eb] * (erew[ea:eb] + gamma * v[ecol[ea:eb]])
+            vals = eprob[ea:eb] * (erew[ea:eb] + gamma * buf[reads[ea:eb]])
             qvals = np.add.reduceat(vals, entry_in[pa:pb], out=qall[pa:pb])
             if sb > sa:
                 qall[stay[sa:sb]] = stay_q[sa:sb]
@@ -372,10 +648,14 @@ def gs_sweep(order, state_ptr, pair_action, pair_ptr, plan, gamma, v, q, pol):
             _first_best(
                 qvals, vmax, p_lens[s:t], bounds, pair_idx[pa:pb], out=first[s:t]
             )
-            v[order[s:t]] = qall[first[s:t]]
+            buf[dest[s:t]] = qall[first[s:t]]
         q[pairs] = qall
-        pol[order] = pair_action[pairs[first]]
-        return float(np.max(np.abs(v[order] - v_old)))
+        pol[dest] = pair_action[pairs[first]]
+        if buf is v:
+            return float(np.max(np.abs(v[order] - old)))
+        n = v.size
+        v[:] = buf[:n]
+        return float(np.max(np.abs(buf[:n] - buf[n:])))
 
 
 def bvi_run(

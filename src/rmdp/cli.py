@@ -115,8 +115,50 @@ def _write_text(path, text):
             fh.write(text)
 
 
+# How json spells the floats that float.__repr__ writes as nan and inf.
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(reprs):
+    if "nan" in reprs or "inf" in reprs or "-inf" in reprs:
+        return [_JSON_FLOATS.get(r, r) for r in reprs]
+    return reprs
+
+
+def _json_text(obj, depth=0):
+    """json.dumps(obj, indent=2), byte for byte, placed at nesting depth.
+
+    With indent, json encodes in pure Python, one call per number.  Here
+    a list of plain floats or of plain ints is one join of float.__repr__
+    or int.__repr__ strings; strings and any other type go to json.dumps,
+    whose newlines get this depth's indent.
+    """
+    inner = "\n" + "  " * (depth + 1)
+    if type(obj) is list:
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        if kinds == {float}:
+            items = _json_floats(list(map(float.__repr__, obj)))
+        elif kinds == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_text(x, depth + 1) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+    if type(obj) is dict and all(type(k) is str for k in obj):
+        if not obj:
+            return "{}"
+        items = [
+            json.dumps(k) + ": " + _json_text(x, depth + 1) for k, x in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "}"
+    if type(obj) is float:
+        return _json_floats([float.__repr__(obj)])[0]
+    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
+
+
 def _write_json(path, payload):
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    _write_text(path, _json_text(payload) + "\n")
 
 
 def _liq_params(res, **overrides):

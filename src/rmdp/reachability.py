@@ -264,21 +264,30 @@ def counting_potential(chain):
 
 
 def _heights(cond, out_degree):
-    """Kahn frontier index of every component, sinks at 0.
+    """Kahn frontier index of every component, sinks at 0 (_frontier_heights).
 
-    A component joins the next frontier once all its successors are in
-    earlier ones, so its height is one more than its tallest successor's.
     Linear in the condensation's size: scipy's CSR to CSC conversion, a
-    counting sort, lists each component's predecessors, and each frontier
-    lowers the waiting counts of its predecessors' edges only.
+    counting sort, lists each component's predecessors.
     """
     n_comp = out_degree.size
     ones = np.ones(cond.succ.size, dtype=np.int8)
     by_target = csr_matrix(
         (ones, cond.succ, cond.succ_ptr), shape=(n_comp, n_comp)
     ).tocsc()
-    pred = by_target.indices.astype(np.int64)
     pred_ptr = by_target.indptr.astype(np.int64)
+    return _frontier_heights(pred_ptr, by_target.indices.astype(np.int64), out_degree)
+
+
+def _frontier_heights(pred_ptr, pred, out_degree):
+    """Kahn frontier index of every node of a DAG, sinks at 0.
+
+    pred[pred_ptr[y]:pred_ptr[y + 1]] lists the sources of y's incoming
+    edges, and out_degree counts each node's outgoing edges.  A node
+    joins the next frontier once all its successors are in earlier ones,
+    so its height is one more than its tallest successor's.  Each
+    frontier lowers the waiting counts of its predecessors' edges only.
+    """
+    n_comp = out_degree.size
     pred_len = np.diff(pred_ptr)
     waiting = out_degree.copy()
     height = np.zeros(n_comp, dtype=np.int64)

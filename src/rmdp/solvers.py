@@ -32,7 +32,7 @@ from .errors import (
     ScheduleMismatch,
 )
 from .mdp import Policy, ValueTable, _unique_sorted, gather_ranges, induced_chain
-from .reachability import absorbing_decomposition
+from .reachability import _condensation, _heights, absorbing_decomposition
 
 NATURAL = "Natural"
 RANDOM_PER_SWEEP = "RandomPerSweep"
@@ -147,6 +147,40 @@ def _require_finite(v):
 def _plan(mdp, order):
     return backends.sweep_plan(
         order, mdp.state_ptr, mdp.pair_ptr, mdp.col, mdp.prob, mdp.rew, mdp.discount
+    )
+
+
+def _components(mdp):
+    """Component heights and inner edges, from the condensation of mdp.support().
+
+    Returns each state's component height and the support's edges between
+    distinct states of one component.  The support is dropped on return.
+    """
+    support = mdp.support()
+    cond = _condensation(support)
+    labels = cond.labels
+    big = np.flatnonzero(np.diff(cond.member_ptr)[labels] > 1)
+    starts = support.row_ptr[big]
+    lens = support.row_ptr[big + 1] - starts
+    src = np.repeat(big, lens)
+    dst = support.col[gather_ranges(starts, lens)]
+    inner = (labels[src] == labels[dst]) & (src != dst)
+    return _heights(cond, np.diff(cond.succ_ptr))[labels], src[inner], dst[inner]
+
+
+def _level_plan(mdp):
+    """The Mdp gathered once for sweeps in any order (backends.LevelPlan)."""
+    height, src, dst = _components(mdp)
+    return backends._level_plan(
+        height,
+        src,
+        dst,
+        mdp.state_ptr,
+        mdp.pair_ptr,
+        mdp.col,
+        mdp.prob,
+        mdp.rew,
+        mdp.discount,
     )
 
 
@@ -307,7 +341,11 @@ def qvi_solve(mdp, cfg, schedule=None, v0=None):
     cfg.epsilon.  ReversedLevelSets processes the schedule's levels in
     descending potential with the remaining states last, the worst case
     for information flow; it needs the schedule argument.  v0 warm-starts
-    the value table.
+    the value table.  A fixed order (Natural, ReversedLevelSets) is
+    gathered once into a sweep plan.  RandomPerSweep draws a new
+    permutation for every sweep, and gathers the model once per solve
+    into a level plan (_level_plan), which each sweep only re-indexes.
+    Every order gives the values of a one-state-at-a-time sweep.
     """
     t0 = time.perf_counter_ns()
     n = mdp.state_count
@@ -330,17 +368,16 @@ def qvi_solve(mdp, cfg, schedule=None, v0=None):
         raise InvalidParams("v0 length does not match state count")
     q = np.zeros(mdp.pair_count, dtype=np.float64)
     pol = np.zeros(n, dtype=np.int64)
+    if rng is not None:
+        plan = _level_plan(mdp)
 
     per_sweep = mdp.pair_count
     sweeps = 0
     q_updates = 0
     while True:
-        if rng is None:
-            residual = _sweep(mdp, order, plan, v, q, pol)
-        else:
-            # Each sweep's plan is dropped before the next is gathered.
+        if rng is not None:
             order = rng.permutation(n).astype(np.int64)
-            residual = _sweep(mdp, order, _plan(mdp, order), v, q, pol)
+        residual = _sweep(mdp, order, plan, v, q, pol)
         sweeps += 1
         if not np.isfinite(residual):
             _require_finite(v)

@@ -1,11 +1,12 @@
 """The numpy kernels against serial references.
 
-gs_sweep must match a one-state-at-a-time Gauss-Seidel loop bit for bit
-over one sweep plan reused for every sweep, and bellman_residual_pass the
-largest change of one-state backups of an unchanged value table, on
-random small MDPs and on a liquidation instance.  The references pick a
-state's best pair with np.argmax, so a NaN counts as the largest, and a
-NaN change is the largest change.
+gs_sweep must match a one-state-at-a-time Gauss-Seidel loop bit for bit,
+over one sweep plan reused for every sweep in a fixed order and over one
+level plan reused for sweeps in changing orders, and
+bellman_residual_pass the largest change of one-state backups of an
+unchanged value table, on random small MDPs and on a liquidation
+instance.  The references pick a state's best pair with np.argmax, so a
+NaN counts as the largest, and a NaN change is the largest change.
 """
 
 import contextlib
@@ -22,7 +23,15 @@ from hypothesis import strategies as st
 
 import rmdp
 import rmdp.cli
-from rmdp import DivergentSelfLoop, LiquidationParams, Mdp, build_liquidation
+from rmdp import (
+    DivergentSelfLoop,
+    LiquidationParams,
+    Mdp,
+    SolverConfig,
+    backends,
+    build_liquidation,
+    solvers,
+)
 from rmdp.backends import bellman_residual_pass, gs_sweep, rvi_pass, sweep_plan
 
 # The benchmark package sits at the root of the checkout.
@@ -52,6 +61,21 @@ def test_tracer_counts_kernel_entries_from_leading_arguments():
     first = mdp.pair_ptr[mdp.state_ptr[decomp.transient]]
     last = mdp.pair_ptr[mdp.state_ptr[decomp.transient + 1]]
     assert tr.counts["backends.rvi_pass.entries"] == int(np.sum(last - first)) > 0
+
+
+def test_tracer_counts_every_random_sweep_over_the_whole_model():
+    """A random-order solve calls gs_sweep once per sweep, each time with
+    a full order, so the tracer counts every entry of the model per sweep."""
+    tr = tracer.Tracer()
+    out = io.StringIO()
+    argv = ["bench", "--q-max", "10", "--solvers", "rvi,qvi-random"]
+    with tracer.installed(tr, rmdp), contextlib.redirect_stdout(out):
+        assert rmdp.cli.main(argv) == 0
+    rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+    sweeps = sum(int(row[4]) for row in rows if row[0] == "qvi-random")
+    mdp, _, _ = build_liquidation(LiquidationParams(q_max=10))
+    assert tr.counts["backends.gs_sweep.calls"] == sweeps > 1
+    assert tr.counts["backends.gs_sweep.entries"] == sweeps * mdp.col.size
 
 
 # ---------------------------------------------------------------------------
@@ -306,3 +330,129 @@ def test_batched_gs_sweep_matches_serial_loop_on_liquidation():
     )
     order = np.random.default_rng(5).permutation(mdp.state_count).astype(np.int64)
     assert_batched_matches_serial(mdp, order, np.zeros(mdp.state_count), sweeps=4)
+
+
+# ---------------------------------------------------------------------------
+# level plans: one gather for sweeps in any order
+
+
+@st.composite
+def level_cases(draw):
+    """An MDP of planted components, start values and sweep orders.
+
+    The states are cut into blocks.  A block of two or more states is
+    one component: its states' first actions step around it.  Every
+    other successor lies in the state's own block or an earlier one, so a
+    block with no successor in an earlier block is a closed class and any
+    other block of two or more states a transient cycle.  A state whose
+    only successor is itself stays there forever.  Each order is a
+    permutation of all the states.
+    """
+    n = draw(st.integers(min_value=1, max_value=9))
+    cuts = draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else set()
+    bounds = [0, *sorted(cuts), n]
+    rewards, values = SCALES[draw(st.sampled_from(sorted(SCALES)))]
+    reward = st.sampled_from(rewards)
+    rows = []
+    for a, b in zip(bounds, bounds[1:]):
+        for x in range(a, b):
+            actions = []
+            for u in range(draw(st.integers(min_value=1, max_value=3))):
+                succs = draw(st.sets(st.integers(0, b - 1), max_size=3))
+                if u == 0 and b - a > 1:
+                    succs.add(a + (x - a + 1) % (b - a))
+                succs = sorted(succs or {x})
+                actions.append((succs, [draw(reward) for _ in succs]))
+            rows.append(actions)
+    mdp = mdp_from_rows(rows, draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])))
+    orders = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    v0 = [draw(st.sampled_from(values)) for _ in range(n)]
+    return mdp, [np.asarray(o, dtype=np.int64) for o in orders], np.asarray(v0)
+
+
+def assert_level_sweeps_match_serial(mdp, orders, v0):
+    """Sweep in each order over one level plan, checking every sweep
+    against the serial loop.  Where the serial loop raises
+    DivergentSelfLoop, the sweep raises it too, naming the same state."""
+    plan = solvers._level_plan(mdp)
+    model = (mdp.state_ptr, mdp.pair_action, mdp.pair_ptr, mdp.col, mdp.prob, mdp.rew)
+    ref = [
+        v0.copy(),
+        np.zeros(mdp.pair_count),
+        np.zeros(mdp.state_count, dtype=np.int64),
+    ]
+    out = [a.copy() for a in ref]
+    for order in orders:
+        prefix = (order, mdp.state_ptr, mdp.pair_action, mdp.pair_ptr)
+        try:
+            d_ref = serial_gs_sweep(order, *model, mdp.discount, *ref)
+        except DivergentSelfLoop as exc:
+            with pytest.raises(DivergentSelfLoop, match=f"^{re.escape(str(exc))}$"):
+                gs_sweep(*prefix, plan, mdp.discount, *out)
+            return
+        d_out = gs_sweep(*prefix, plan, mdp.discount, *out)
+        assert same_bits(d_out, d_ref)
+        for a, b in zip(out, ref):
+            assert same_bits(a, b)
+        if not np.all(np.isfinite(ref[0])):
+            break
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_cases())
+def test_level_sweeps_match_serial_loop(case):
+    assert_level_sweeps_match_serial(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweep_cases(), st.randoms(use_true_random=False))
+def test_level_sweeps_match_serial_loop_on_random_graphs(case, rnd):
+    mdp, _, v0 = case
+    orders = [np.asarray(rnd.sample(range(mdp.state_count), mdp.state_count))]
+    assert_level_sweeps_match_serial(mdp, orders * 2 + orders[::-1], v0)
+
+
+def test_level_sweeps_wave_through_a_transient_cycle_into_a_closed_class():
+    """States 3, 4 and 5 cycle and leave into the closed class 0, 1, 2."""
+    rows = [
+        [([1], [0.0]), ([0, 2], [1.0, -1.0])],
+        [([2], [0.0])],
+        [([0], [0.0]), ([1, 2], [0.5, 0.25])],
+        [([4], [1.0]), ([0, 3], [2.0, 0.0])],
+        [([5], [-1.0])],
+        [([3], [0.5]), ([1, 4], [0.0, 3.0])],
+    ]
+    mdp = mdp_from_rows(rows, 0.9)
+    rng = np.random.default_rng(0)
+    orders = [rng.permutation(6) for _ in range(20)]
+    orders += [np.arange(6), np.arange(6)[::-1]]
+    assert_level_sweeps_match_serial(mdp, orders, np.zeros(6))
+
+
+def test_level_sweeps_match_serial_loop_on_liquidation():
+    """A 9-state closed class below 36 transient states."""
+    mdp, _, _ = build_liquidation(
+        LiquidationParams(q_max=4, z_min=100, z_max=108, z0=104)
+    )
+    rng = np.random.default_rng(5)
+    orders = [rng.permutation(mdp.state_count) for _ in range(4)]
+    assert_level_sweeps_match_serial(mdp, orders, np.zeros(mdp.state_count))
+
+
+def test_random_order_solve_gathers_the_model_once(monkeypatch):
+    """qvi-random gathers every state once per solve, not once per sweep."""
+    mdp, _, _ = build_liquidation(
+        LiquidationParams(q_max=6, z_min=100, z_max=108, z0=104)
+    )
+    gathered = []
+    gather = backends._gather
+
+    def counting(states, *model):
+        gathered.append(states.size)
+        return gather(states, *model)
+
+    monkeypatch.setattr(backends, "_gather", counting)
+    cfg = SolverConfig(ordering=solvers.RANDOM_PER_SWEEP, seed=3)
+    result = solvers.qvi_solve(mdp, cfg)
+    assert result.stats.sweeps > 1
+    assert gathered == [mdp.state_count]

@@ -2,14 +2,22 @@
 
 Each test drives `python -m rmdp.cli` exactly as a user would and checks
 exit codes, JSON payloads, and CSV layouts; the tests that count union
-chains and SCC passes call the CLI's main() in-process instead.
+chains and SCC passes, compare the JSON writer with json.dumps or feed
+hard-edge model files call the CLI's main() in-process instead.
 """
 
+import contextlib
+import io
 import json
+import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rmdp.cli
 import rmdp.reachability
@@ -755,3 +763,124 @@ def test_out_files_use_unix_newlines(cli, tmp_path):
     raw = out.read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+
+def test_json_writer_matches_json_dumps_on_edge_payloads():
+    nan, inf = float("nan"), float("inf")
+    payloads = [
+        {"v": [0.1, -0.0, nan, inf, -inf, 1e308, 5e-324], "policy": [0, 3, -2]},
+        {"x": nan, "y": -inf, "z": -0.0, "w": 2**70, "t": True, "n": None},
+        {"empty": {}, "none": [], "nested": {"a": {"b": [[], [1.0], {"c": [True]}]}}},
+        {"s": "caf\u00e9 \u4e2d \U0001f600 \"q\"\n\t", "\u00e9": ["\u00e9", 1, 1.5]},
+        [], {}, [[1, 2], [3.0, nan]], [1, True, None, "a"], "\u00e9", 1.0, nan, -inf,
+        {"tuple": (1, 2.5), "ints": {1: "a"}, "deep": [{"k": {2: [1.0]}}]},
+    ]
+    for payload in payloads:
+        assert rmdp.cli._json_text(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--domain", "liquidation", "--q-max", "6", *SMALL],
+        ["verify", "--domain", "fig2b"],
+        ["verify", "--model", "{cycle}"],
+        ["solve", "--domain", "liquidation", "--q-max", "6", *SMALL],
+        ["solve", "--domain", "spiral", "--solver", "qvi-random"],
+        ["solve", "--model", "{cycle}", "--solver", "bvi"],
+        ["shrink", "--trials", "50", "--steps", "20"],
+        ["shrink", "--mode", "DeltaInterval", "--delta", "0.1", "--trials", "50"],
+    ],
+)
+def test_json_writer_matches_json_dumps_on_cli_payloads(tmp_path, argv):
+    """Every JSON file rmdp writes reads back to an equal payload that
+    json.dumps(indent=2) writes byte for byte."""
+    cycle = write_json(tmp_path / "cycle.json", TWO_CYCLE_SPEC)
+    out = tmp_path / "out.json"
+    argv = [a.replace("{cycle}", cycle) for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert rmdp.cli.main([*argv, "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# hard edges: every model file ends in one exit code and at most one line
+
+# perfbench's model generator sits at the root of the checkout.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench import models  # noqa: E402
+
+INT64_EDGES = [2**63 - 1, -(2**63), 2**63, -(2**63) - 1]
+HUGE_REWARDS = [1e308, -1e308, 1.7e308, -1.7e308]
+
+
+@st.composite
+def hard_edge_specs(draw):
+    """A small perfbench-style model file with some of these mutations:
+    rewards near +-1e308, discount 1, certain self-loops that cost, pay
+    nothing or gain, tiny exits beside p = 1 loops, and ids at the int64
+    edge."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec, _ = models.make_model(
+        rng,
+        draw(st.integers(min_value=4, max_value=12)),
+        draw(st.integers(min_value=1, max_value=3)),
+        draw(st.integers(min_value=1, max_value=3)),
+        draw(st.sampled_from(models.DISCOUNTS)),
+        draw(st.booleans()),
+    )
+    trans = spec["transitions"]
+    kinds = ["huge", "discount", "loop", "tiny_exit", "int64"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        pick = st.integers(0, len(trans) - 1)
+        t = trans[draw(pick)]
+        if kind == "huge":
+            for i in draw(st.lists(pick, min_size=1, max_size=4)):
+                trans[i]["r"] = draw(st.sampled_from(HUGE_REWARDS))
+        elif kind == "discount":
+            spec["discount"] = 1.0
+        elif kind in ("loop", "tiny_exit"):
+            x, u = t["x"], t["u"]
+            trans[:] = [e for e in trans if (e["x"], e["u"]) != (x, u)]
+            r = draw(st.sampled_from([0.0, -1.0, 1.0]))
+            trans.append({"x": x, "u": u, "xp": x, "p": 1.0, "r": r})
+            if kind == "tiny_exit":
+                exit_p = draw(st.sampled_from([5e-324, 1e-300, 1e-17]))
+                y = draw(st.integers(0, spec["states"] - 1))
+                if y != x:
+                    trans.append({"x": x, "u": u, "xp": y, "p": exit_p, "r": r})
+            trans.sort(key=lambda e: (e["x"], e["u"], e["xp"]))
+        else:
+            field = draw(st.sampled_from(["x", "u", "xp"]))
+            t[field] = draw(st.sampled_from(INT64_EDGES))
+    return spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(hard_edge_specs())
+def test_hard_edge_models_exit_cleanly(spec):
+    """verify and the four solves, run in process with warnings as
+    errors, exit 0, 2, 3 or 4 and write at most one stderr line, which
+    starts with "rmdp: "."""
+    with tempfile.TemporaryDirectory() as tmp:
+        model = write_json(Path(tmp) / "model.json", spec)
+        calls = [["verify", "--model", model]] + [
+            ["solve", "--model", model, "--solver", solver, "--max-sweeps", "200"]
+            for solver in rmdp.cli.SOLVER_NAMES
+        ]
+        for argv in calls:
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error")
+                code = rmdp.cli.main(argv)
+            assert code in (0, 2, 3, 4), argv
+            lines = err.getvalue().splitlines()
+            assert lines == [] or (len(lines) == 1 and lines[0].startswith("rmdp: ")), (
+                argv, lines,
+            )
