@@ -6,26 +6,27 @@ backward value iteration, and bellman_residual_pass measures the
 residual of one synchronous Bellman backup.  The kernels work on the flat
 arrays of an Mdp and update the value, action-value and policy arrays
 they are given in place.  Each keeps its own arithmetic, and they back up
-states through shared helpers: _cut_runs cuts states into greedy maximal
-runs that read none of their own states, so that a run is backed up in
-one step from values settled before it; _run_slices slices a run's
-pairs and entries; _stay_pairs finds and values the pairs that stay
-forever; _first_best picks each state's first best pair as np.argmax.
+states through shared helpers: _run_slices slices a group of states'
+pairs and entries so that a step over it only slices; _stay_pairs finds
+and values the pairs that stay forever; _first_best picks each state's
+first best pair as np.argmax.
 
-gs_sweep runs over a plan in steps, each a slice of the plan backed up
-at once.  A SweepPlan (sweep_plan) holds one order's pairs and entries,
-gathered in sweep order and cut into runs; a solve whose order stays
-fixed builds one for all its sweeps.  A LevelPlan (_level_plan) holds
-every state's, gathered once in level order: by the height of the
-state's component in the condensation, a valid level for every order.
-A sweep in a new order then only re-indexes the plan: each entry reads
-the new or the old copy of its successor's value, and the multi-state
-components are laid out in the waves this order needs (_level_steps).
-Either way a step's states see the values the one-state-at-a-time loop
-would show them, so the results are bit-identical to that loop.
-rvi_pass gathers the levels in blocks of at most _BLOCK_ENTRIES (2^16)
-entries, computes a block's value-free terms and schedule checks at
-once, and cuts the block's levels into runs.
+gs_sweep runs over a LevelPlan: states' pairs and entries gathered once
+per solve in level order, each level one step backed up at once.  Each
+entry reads the new or the old copy of its successor's value from a
+two-copy buffer [v_new | v_old]: the new copy when the successor is
+placed before the entry's state in the sweep order.  A level reads only
+the new values of earlier levels, so the results are bit-identical to
+the one-state-at-a-time loop (level scheduling of a triangular solve).
+A plan for one fixed order (_order_plan) is levelled by the order's own
+Kahn waves and indexed once.  A plan for sweeps in any order
+(_level_plan) is levelled by the height of each state's component in
+the condensation, a valid level for every order; each sweep re-indexes
+it and lays the multi-state components out in the waves its order needs
+(_level_steps).  rvi_pass gathers the levels in blocks of at most
+_BLOCK_ENTRIES (2^16) entries, computes a block's value-free terms and
+schedule checks at once, and cuts the block's levels into greedy maximal
+runs that read none of their own states (_cut_runs).
 
 A pair with gamma * p(x|x,u) >= 1 stays at x forever: every kernel
 gives it the value 0 without reward and -inf at a cost, and raises
@@ -56,36 +57,19 @@ def _offsets(lengths):
     return out
 
 
-class SweepPlan(NamedTuple):
-    """A sweep order's pairs and entries, gathered in sweep order.
-
-    The pairs of order[i] are pairs[pair_off[i]:pair_off[i + 1]], the
-    entries of pairs[j] are col, prob and rew[entry_off[j]:entry_off[j + 1]],
-    and run k of the order is order[run_ptr[k]:run_ptr[k + 1]].  The
-    plan pairs stay (ascending) have gamma * p(x|x,u) >= 1 and the fixed
-    values stay_q.  Nothing in a plan changes during a sweep, so one plan
-    serves every sweep over the same order.
-    """
-
-    pairs: np.ndarray
-    pair_off: np.ndarray
-    entry_off: np.ndarray
-    col: np.ndarray
-    prob: np.ndarray
-    rew: np.ndarray
-    run_ptr: np.ndarray
-    stay: np.ndarray
-    stay_q: np.ndarray
+def _entry_spans(states, state_ptr, pair_ptr):
+    """Where each state's entries start in the model, and how many it has."""
+    starts = pair_ptr[state_ptr[states]]
+    return starts, pair_ptr[state_ptr[states + 1]] - starts
 
 
 def _gather(states, state_ptr, pair_ptr, col, prob, rew):
-    """The plan of states without its runs: pairs, offsets and entries."""
+    """The pairs of states, their pair and entry offsets, and their entries."""
     p_starts = state_ptr[states]
     p_lens = state_ptr[states + 1] - p_starts
     pairs = gather_ranges(p_starts, p_lens)
     # A state's pairs are adjacent, and so are their entries.
-    e_starts = pair_ptr[p_starts]
-    entries = gather_ranges(e_starts, pair_ptr[p_starts + p_lens] - e_starts)
+    entries = gather_ranges(*_entry_spans(states, state_ptr, pair_ptr))
     entry_off = _offsets(pair_ptr[pairs + 1] - pair_ptr[pairs])
     return (
         pairs,
@@ -95,6 +79,13 @@ def _gather(states, state_ptr, pair_ptr, col, prob, rew):
         prob[entries],
         rew[entries],
     )
+
+
+def _blocks(key):
+    """Where the runs of equal values of key start, and its size."""
+    cut = np.ones(key.size, dtype=bool)
+    cut[1:] = key[1:] != key[:-1]
+    return np.append(np.flatnonzero(cut), key.size)
 
 
 def _cut_runs(first, latest, start, end):
@@ -113,27 +104,6 @@ def _cut_runs(first, latest, start, end):
             cuts.append(p)
     cuts.append(end)
     return np.asarray(cuts, dtype=np.int64) - start
-
-
-def _conflict_free_runs(order, state_count, pair_off, entry_off, ecol):
-    """Cut a sweep order into maximal conflict-free runs; returns run_ptr.
-
-    No state in a run has a stored successor placed earlier in the same
-    run, so a run can be backed up at once from the values before it.
-    Self-loops and successors outside the order never conflict.
-    """
-    m = order.size
-    if m == 0:
-        return np.zeros(1, dtype=np.int64)
-    # Positions are int32, and the per-entry arrays are reused in place,
-    # to keep this pass's memory small next to the gathered plan.
-    pos = np.full(state_count, m, dtype=np.int32)
-    pos[order] = np.arange(m, dtype=np.int32)
-    state_off = entry_off[pair_off]
-    own = np.repeat(np.arange(m, dtype=np.int32), np.diff(state_off))
-    earlier = pos[ecol]
-    earlier[earlier >= own] = -1
-    return _cut_runs(range(m), np.maximum.reduceat(earlier, state_off[:-1]), 0, m)
 
 
 def _run_slices(run_ptr, pair_off, entry_off):
@@ -195,36 +165,17 @@ def _first_best(qvals, best, p_lens, bounds, idx, out=None):
     return np.minimum.reduceat(np.where(hit, idx, idx[-1]), bounds, out=out)
 
 
-def sweep_plan(order, state_ptr, pair_ptr, col, prob, rew, gamma):
-    """Gather the distinct states of order into a SweepPlan, runs included.
-
-    Raises DivergentSelfLoop naming the first state of the order with a
-    pair that stays forever at a gain.
-    """
-    gathered = _gather(order, state_ptr, pair_ptr, col, prob, rew)
-    _, pair_off, entry_off, ecol, eprob, erew = gathered
-    run_ptr = _conflict_free_runs(
-        order, state_ptr.size - 1, pair_off, entry_off, ecol
-    )
-    stay, stay_q, gains = _stay_pairs(
-        order, pair_off, entry_off, ecol, eprob, erew, gamma
-    )
-    if gains.size:
-        raise _divergent(order[gains[0]])
-    return SweepPlan(*gathered, run_ptr, stay, stay_q)
-
-
 class _ClassPart(NamedTuple):
-    """The states of multi-state components, as LevelPlan gathered them.
+    """The states of multi-state components, as _level_plan gathered them.
 
     slots, pair_slots and entry_slots are their places in the plan's
     layout, which each sweep refills in wave order.  The other arrays are
     the states' own copies, counted locally in gathered order (height,
     then id): states, base (height times the number of states), p_lens
     and pair_start per state; pairs, e_lens and entry_start per pair;
-    ecol, eown, eprob and erew per entry; stay and stay_q, the local
-    pairs that stay forever and their values; src and dst, the edges
-    between distinct states of one component, grouped by dst.
+    ecol, eprob and erew per entry; stay and stay_q, the local pairs that
+    stay forever and their values; src and dst, the edges between
+    distinct states of one component, src ascending.
     """
 
     slots: np.ndarray
@@ -238,7 +189,6 @@ class _ClassPart(NamedTuple):
     e_lens: np.ndarray
     entry_start: np.ndarray
     ecol: np.ndarray
-    eown: np.ndarray
     eprob: np.ndarray
     erew: np.ndarray
     stay: np.ndarray
@@ -248,21 +198,26 @@ class _ClassPart(NamedTuple):
 
 
 class LevelPlan(NamedTuple):
-    """A model's pairs and entries gathered once, for sweeps in any order.
+    """States' pairs and entries gathered once per solve, in level order.
 
-    The states are laid out by (component height, in a multi-state
-    component, id).  A successor in another component has a lower
-    height, so a level of one height reads only lower levels and its own
-    components, whatever the sweep order.  Per slot: dest, the state;
-    p_lens and pair_in, its pair count and first pair counted from its
-    step's.  Per pair: pairs and entry_in.  Per entry: ecol, eown (the
-    entry's state), eprob and erew.  steps are the (slot, pair, entry)
-    starts of the levels of single-state components, the end included,
-    and stay, stay_q their pairs that stay forever.  gains are the states
-    with a pair that stays forever at a gain.  part holds the multi-state
-    components, whose slots each sweep rewrites (see _level_steps).  The
-    rest is scratch that a sweep reuses: pos, reads, own_pos, later, buf
-    (the new values, then the old), qall, first and pair_idx.
+    A level reads only the new values of earlier levels, so a sweep backs
+    up each level in one step.  Per slot: dest, the state; p_lens and
+    pair_in, its pair count and first pair counted from its step's.  Per
+    pair: pairs and entry_in.  Per entry: reads, where in buf its
+    successor's value is read (the new copy at the successor, the old at
+    n + successor), eprob and erew.  steps are the (slot, pair, entry)
+    starts of the levels, the end included, and stay, stay_q their pairs
+    that stay forever and the pairs' values.  gains are the states with a
+    pair that stays forever at a gain.  buf (the new values, then the
+    old), qall, first and pair_idx are scratch that every sweep reuses.
+
+    _order_plan builds a plan for one fixed order, levelled by the
+    order's own waves and indexed once.  _level_plan builds a plan for
+    sweeps in any order, levelled by (component height, in a multi-state
+    component, id); its steps and stay pairs cover the single-state
+    components.  Each sweep re-indexes it (_level_steps): reads from ecol,
+    the entries' successors, with pos as scratch for the sweep's places,
+    and the multi-state components of part laid out in the sweep's waves.
     """
 
     dest: np.ndarray
@@ -270,29 +225,129 @@ class LevelPlan(NamedTuple):
     pair_in: np.ndarray
     pairs: np.ndarray
     entry_in: np.ndarray
-    ecol: np.ndarray
-    eown: np.ndarray
+    reads: np.ndarray
     eprob: np.ndarray
     erew: np.ndarray
     steps: np.ndarray
     stay: np.ndarray
     stay_q: np.ndarray
     gains: np.ndarray
-    part: _ClassPart
-    pos: np.ndarray
-    reads: np.ndarray
-    own_pos: np.ndarray
-    later: np.ndarray
     buf: np.ndarray
     qall: np.ndarray
     first: np.ndarray
     pair_idx: np.ndarray
+    ecol: np.ndarray | None = None
+    part: _ClassPart | None = None
+    pos: np.ndarray | None = None
+
+
+def _layout(dest, key, state_ptr, pair_ptr, col, prob, rew, gamma):
+    """Gather the states dest into a LevelPlan, a level per run of equal key.
+
+    The plan's reads are the entries' successors, not yet pointed at buf
+    (_point_reads).  Returns the plan and its pair and entry offsets.
+    """
+    pairs, pair_off, entry_off, ecol, eprob, erew = _gather(
+        dest, state_ptr, pair_ptr, col, prob, rew
+    )
+    stay, stay_q, gains = _stay_pairs(
+        dest, pair_off, entry_off, ecol, eprob, erew, gamma
+    )
+    steps, pair_in, entry_in = _run_slices(_blocks(key), pair_off, entry_off)
+    plan = LevelPlan(
+        dest=dest,
+        p_lens=np.diff(pair_off),
+        pair_in=pair_in,
+        pairs=pairs,
+        entry_in=entry_in,
+        reads=ecol,
+        eprob=eprob,
+        erew=erew,
+        steps=steps,
+        stay=stay,
+        stay_q=stay_q,
+        gains=dest[gains],
+        buf=np.empty(2 * (state_ptr.size - 1), dtype=np.float64),
+        qall=np.empty(pairs.size, dtype=np.float64),
+        first=np.empty(dest.size, dtype=np.int64),
+        pair_idx=np.arange(pairs.size, dtype=np.int64),
+    )
+    return plan, pair_off, entry_off
+
+
+def _point_reads(reads, ecol, pos, dest, state_ptr, pair_ptr):
+    """Point each entry of a plan at the copy of its successor it reads.
+
+    ecol holds the successors of the entries of dest's states, laid out
+    as the plan gathered them, and pos each state's place in the sweep.
+    A successor placed before the entry's state is read from the new
+    copy, at its id; any other, the state itself included, from the old
+    copy at n + id.  The places are compared in blocks of at most
+    _BLOCK_ENTRIES entries, so no entry-sized array of places is made.
+    reads may be ecol itself.
+    """
+    n = pos.size
+    e_lens = _entry_spans(dest, state_ptr, pair_ptr)[1]
+    cum = _offsets(e_lens)
+    own = pos[dest]
+    cuts = _block_cuts(cum)
+    for a, b in zip(cuts, cuts[1:]):
+        lo, hi = cum[a], cum[b]
+        later = pos[ecol[lo:hi]] >= np.repeat(own[a:b], e_lens[a:b])
+        np.add(ecol[lo:hi], later * n, out=reads[lo:hi])
+
+
+def _waves(reader, read, count):
+    """The Kahn wave of each of count nodes (_frontier_heights).
+
+    Node reader[i] waits for node read[i], reader ascending.  A node's
+    wave is one more than the latest wave it waits for, 0 when it waits
+    for none.
+    """
+    return _frontier_heights(_offsets(np.bincount(reader, minlength=count)), read)
+
+
+def _order_waves(order, pos, state_ptr, pair_ptr, col):
+    """Each state's wave in a sweep over order, by its place in order.
+
+    A state waits for its successors placed before it in order.
+    """
+    m = order.size
+    e_starts, e_lens = _entry_spans(order, state_ptr, pair_ptr)
+    succ = pos[col[gather_ranges(e_starts, e_lens)]]
+    own = np.repeat(np.arange(m, dtype=pos.dtype), e_lens)
+    waits = succ < own
+    return _waves(own[waits], succ[waits], m)
+
+
+def _order_plan(order, state_ptr, pair_ptr, col, prob, rew, gamma):
+    """Gather the distinct states of order into a LevelPlan for sweeps in it.
+
+    The levels are the order's own waves (_order_waves), each laid out in
+    order, and the entries are indexed once.  Raises DivergentSelfLoop
+    naming the first state of order with a pair that stays forever at a
+    gain.
+    """
+    m = order.size
+    # Places are int32 to keep the wave graph small next to the plan; a
+    # state outside order is placed after all of it.
+    pos = np.full(state_ptr.size - 1, m, dtype=np.int32)
+    pos[order] = np.arange(m, dtype=np.int32)
+    wave = _order_waves(order, pos, state_ptr, pair_ptr, col)
+    lay = np.argsort(wave, kind="stable")
+    plan, _, _ = _layout(
+        order[lay], wave[lay], state_ptr, pair_ptr, col, prob, rew, gamma
+    )
+    if plan.gains.size:
+        raise _divergent(order[pos[plan.gains].min()])
+    _point_reads(plan.reads, plan.reads, pos, plan.dest, state_ptr, pair_ptr)
+    return plan
 
 
 def _level_plan(
     height, class_src, class_dst, state_ptr, pair_ptr, col, prob, rew, gamma
 ):
-    """Gather every state once into a LevelPlan.
+    """Gather every state once into a LevelPlan for sweeps in any order.
 
     height[x] is the height of x's component in the condensation of the
     model's support, and class_src, class_dst the support's edges between
@@ -303,35 +358,23 @@ def _level_plan(
     in_class[class_src] = True
     key = 2 * height + in_class
     lay = np.argsort(key, kind="stable")
-    pairs, pair_off, entry_off, ecol, eprob, erew = _gather(
-        lay, state_ptr, pair_ptr, col, prob, rew
+    plan, pair_off, entry_off = _layout(
+        lay, key[lay], state_ptr, pair_ptr, col, prob, rew, gamma
     )
-    p_lens = np.diff(pair_off)
-    e_lens = np.diff(entry_off)
-    eown = np.repeat(lay, np.diff(entry_off[pair_off]))
-    stay, stay_q, gains = _stay_pairs(
-        lay, pair_off, entry_off, ecol, eprob, erew, gamma
-    )
+    ecol, pairs, stay, stay_q = plan.reads, plan.pairs, plan.stay, plan.stay_q
 
-    # One step per block of equal keys; the class blocks' steps are
-    # replaced by their waves in every sweep.
-    key = key[lay]
-    block = np.ones(n, dtype=bool)
-    block[1:] = key[1:] != key[:-1]
-    block_ptr = np.append(np.flatnonzero(block), n)
-    steps, pair_in, entry_in = _run_slices(block_ptr, pair_off, entry_off)
-    steps = steps[np.append(~in_class[lay[block_ptr[:-1]]], True)]
-
+    # The class blocks' steps are replaced by their waves in every sweep.
+    steps = plan.steps[np.append(~in_class[lay[plan.steps[:-1, 0]]], True)]
     slots = np.flatnonzero(in_class[lay])
     states = lay[slots]
-    c_plens = p_lens[slots]
+    c_plens = plan.p_lens[slots]
     pair_slots = gather_ranges(pair_off[slots], c_plens)
-    c_elens = e_lens[pair_slots]
+    c_elens = np.diff(entry_off)[pair_slots]
     entry_slots = gather_ranges(entry_off[pair_slots], c_elens)
     shared = in_class[lay[np.searchsorted(pair_off, stay, side="right") - 1]]
     loc = np.zeros(n, dtype=np.int64)
     loc[states] = np.arange(states.size, dtype=np.int64)
-    by_dst = np.argsort(loc[class_dst], kind="stable")
+    by_src = np.argsort(loc[class_src], kind="stable")
     part = _ClassPart(
         slots=slots,
         pair_slots=pair_slots,
@@ -344,38 +387,21 @@ def _level_plan(
         e_lens=c_elens,
         entry_start=_offsets(c_elens)[:-1],
         ecol=ecol[entry_slots],
-        eown=eown[entry_slots],
-        eprob=eprob[entry_slots],
-        erew=erew[entry_slots],
+        eprob=plan.eprob[entry_slots],
+        erew=plan.erew[entry_slots],
         stay=np.searchsorted(pair_slots, stay[shared]),
         stay_q=stay_q[shared],
-        src=loc[class_src][by_dst],
-        dst=loc[class_dst][by_dst],
+        src=loc[class_src][by_src],
+        dst=loc[class_dst][by_src],
     )
-    entries = ecol.size
-    return LevelPlan(
-        dest=lay,
-        p_lens=p_lens,
-        pair_in=pair_in,
-        pairs=pairs,
-        entry_in=entry_in,
-        ecol=ecol,
-        eown=eown,
-        eprob=eprob,
-        erew=erew,
+    return plan._replace(
+        reads=np.empty(ecol.size, dtype=np.int64),
         steps=steps,
         stay=stay[~shared],
         stay_q=stay_q[~shared],
-        gains=lay[gains],
+        ecol=ecol,
         part=part,
         pos=np.empty(n, dtype=np.int64),
-        reads=np.empty(entries, dtype=np.int64),
-        own_pos=np.empty(entries, dtype=np.int64),
-        later=np.empty(entries, dtype=bool),
-        buf=np.empty(2 * n, dtype=np.float64),
-        qall=np.empty(pairs.size, dtype=np.float64),
-        first=np.empty(n, dtype=np.int64),
-        pair_idx=np.arange(pairs.size, dtype=np.int64),
     )
 
 
@@ -383,33 +409,21 @@ def _class_waves(plan, pos):
     """Lay the multi-state components out in this sweep's waves.
 
     A state waits for the states of its component placed before it in the
-    sweep, so its wave is one more than the latest of theirs, found in
-    Kahn frontiers (_frontier_heights).  Rewrites the component slots of
-    the plan in (height, wave, id) order and returns the steps and the
-    stay pairs and values with the waves' steps and stay pairs merged in.
+    sweep (_waves).  Rewrites the component slots of the plan in (height,
+    wave, id) order and returns the steps and the stay pairs and values
+    with the waves' steps and stay pairs merged in.
     """
     c = plan.part
-    count = c.states.size
     cpos = pos[c.states]
     waits = cpos[c.src] > cpos[c.dst]
-    src, dst = c.src[waits], c.dst[waits]
-    wave = _frontier_heights(
-        _offsets(np.bincount(dst, minlength=count)),
-        src,
-        np.bincount(src, minlength=count),
-    )
-    key = c.base + wave
+    key = c.base + _waves(c.src[waits], c.dst[waits], c.states.size)
     perm = np.argsort(key, kind="stable")
-    key = key[perm]
     p_lens = c.p_lens[perm]
     pperm = gather_ranges(c.pair_start[perm], p_lens)
     e_lens = c.e_lens[pperm]
     eperm = gather_ranges(c.entry_start[pperm], e_lens)
-    cut = np.ones(count, dtype=bool)
-    cut[1:] = key[1:] != key[:-1]
-    run_ptr = np.append(np.flatnonzero(cut), count)
     starts, pair_in, entry_in = _run_slices(
-        run_ptr, _offsets(p_lens), _offsets(e_lens)
+        _blocks(key[perm]), _offsets(p_lens), _offsets(e_lens)
     )
 
     plan.dest[c.slots] = c.states[perm]
@@ -417,7 +431,7 @@ def _class_waves(plan, pos):
     plan.pair_in[c.slots] = pair_in
     plan.pairs[c.pair_slots] = c.pairs[pperm]
     plan.entry_in[c.pair_slots] = entry_in
-    for name in ("ecol", "eown", "eprob", "erew"):
+    for name in ("ecol", "eprob", "erew"):
         getattr(plan, name)[c.entry_slots] = getattr(c, name)[eperm]
 
     s, pa, ea = starts[:-1].T
@@ -435,34 +449,26 @@ def _class_waves(plan, pos):
     return steps, stay, stay_q
 
 
-def _level_steps(plan, order, v):
-    """Index a LevelPlan for one sweep in order, a permutation of the states.
+def _level_steps(plan, order, state_ptr, pair_ptr, v):
+    """Ready a LevelPlan for one sweep in order and fill buf with v.
 
-    Lays out the multi-state components in this order's waves, points
-    each entry at the new or the old copy of its successor in buf and
-    fills both copies with v.  Returns the steps' (slot, pair, entry)
-    starts, the end included, and the stay pairs and values.
-    Raises DivergentSelfLoop naming the first state of order with a pair
-    that stays forever at a gain.
+    A plan for sweeps in any order, where order is a permutation of the
+    states, lays out its multi-state components in this order's waves
+    and points each entry at the new or the old copy of its successor.
+    Returns the steps' (slot, pair, entry) starts, the end included, and
+    the stay pairs and values.  Raises DivergentSelfLoop naming the first
+    state of order with a pair that stays forever at a gain.
     """
     n = v.size
-    pos = plan.pos
-    pos[order] = np.arange(n, dtype=np.int64)
-    if plan.gains.size:
-        raise _divergent(plan.gains[np.argmin(pos[plan.gains])])
     steps, stay, stay_q = plan.steps, plan.stay, plan.stay_q
-    if plan.part.states.size:
-        steps, stay, stay_q = _class_waves(plan, pos)
-    # The new copy of a successor placed before the entry's state is
-    # settled by then; any other successor, the state itself included, is
-    # read from the old copy at n + successor.
-    # (np.take buffers its out array unless the mode is "clip" or "wrap".)
-    reads = plan.reads
-    np.take(pos, plan.ecol, out=reads, mode="clip")
-    np.take(pos, plan.eown, out=plan.own_pos, mode="clip")
-    np.greater_equal(reads, plan.own_pos, out=plan.later)
-    np.multiply(plan.later, n, out=reads)
-    reads += plan.ecol
+    if plan.part is not None:
+        pos = plan.pos
+        pos[order] = np.arange(n, dtype=np.int64)
+        if plan.gains.size:
+            raise _divergent(plan.gains[np.argmin(pos[plan.gains])])
+        if plan.part.states.size:
+            steps, stay, stay_q = _class_waves(plan, pos)
+        _point_reads(plan.reads, plan.ecol, pos, plan.dest, state_ptr, pair_ptr)
     plan.buf[:n] = v
     plan.buf[n:] = v
     return steps, stay, stay_q
@@ -474,16 +480,15 @@ def _level_steps(plan, order, v):
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _block_cuts(level_states, state_ptr, pair_ptr):
-    """Cut level_states into blocks of at most _BLOCK_ENTRIES entries.
+def _block_cuts(cum):
+    """Cut states into blocks of at most _BLOCK_ENTRIES entries.
 
-    Returns the cut positions, 0 and the end included.  A state with more
-    entries than the bound is a block of its own.
+    cum[i] is the number of entries of the states before the i-th, the
+    total last.  Returns the cut positions, 0 and the end included.  A
+    state with more entries than the bound is a block of its own.
     """
-    p_starts = state_ptr[level_states]
-    cum = _offsets(pair_ptr[state_ptr[level_states + 1]] - pair_ptr[p_starts])
     cuts = [0]
-    while cuts[-1] < level_states.size:
+    while cuts[-1] < cum.size - 1:
         a = cuts[-1]
         b = int(np.searchsorted(cum, cum[a] + _BLOCK_ENTRIES, side="right")) - 1
         cuts.append(max(b, a + 1))
@@ -569,7 +574,7 @@ def rvi_pass(
     # Unsolved states read as +0.0, so a self-loop entry adds p * 0.0 = 0.0
     # to the successor sum; the denominator accounts for it instead.
     v[level_states] = 0.0
-    cuts = _block_cuts(level_states, state_ptr, pair_ptr)
+    cuts = _block_cuts(_offsets(_entry_spans(level_states, state_ptr, pair_ptr)[1]))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for a, b in zip(cuts[:-1], cuts[1:]):
             xs = level_states[a:b]
@@ -608,34 +613,21 @@ def rvi_pass(
 def gs_sweep(order, state_ptr, pair_action, pair_ptr, plan, gamma, v, q, pol):
     """One Gauss-Seidel sweep over order; returns the largest value change.
 
-    plan is sweep_plan(order, ...) of the same model, stepped run by
-    run, or a LevelPlan of the model when order is a permutation of all
-    its states, stepped level by level after it is re-indexed for this
-    order; the sweep reads the model's entries only through the plan.
-    state_ptr and pair_ptr are those of that model; they let a caller
-    count the entries a sweep covers from its arguments alone.
+    plan is a LevelPlan of the same model: _order_plan(order, ...), built
+    for this order, or a _level_plan of the model when order is a
+    permutation of all its states.  The sweep reads the model's entries
+    only through the plan, and writes v, q and pol only for order's
+    states.  state_ptr and pair_ptr are those of that model; they let a
+    caller count the entries a sweep covers from its arguments alone.
     """
-    # Each step is a slice of the plan: a run of a SweepPlan, or a level
-    # of a LevelPlan.  A step's states read only buf, through reads, and
-    # each state is backed up once, so q, pol and the deltas are settled
-    # after the last step.
-    m = order.size
-    if m == 0:
-        return 0.0
-    if isinstance(plan, LevelPlan):
-        starts, stay, stay_q = _level_steps(plan, order, v)
-        dest, p_lens, pair_in = plan.dest, plan.p_lens, plan.pair_in
-        pairs, entry_in, reads = plan.pairs, plan.entry_in, plan.reads
-        eprob, erew, buf = plan.eprob, plan.erew, plan.buf
-        qall, first, pair_idx = plan.qall, plan.first, plan.pair_idx
-    else:
-        pairs, pair_off, entry_off, reads, eprob, erew, run_ptr, stay, stay_q = plan
-        starts, pair_in, entry_in = _run_slices(run_ptr, pair_off, entry_off)
-        p_lens = np.diff(pair_off)
-        dest, buf, old = order, v, v[order]
-        qall = np.empty(pairs.size, dtype=np.float64)
-        first = np.empty(m, dtype=np.int64)
-        pair_idx = np.arange(pairs.size, dtype=np.int64)
+    # Each step is a level of the plan.  A step's states read only buf,
+    # through reads, and each state is backed up once, so q, pol and the
+    # deltas are settled after the last step.
+    starts, stay, stay_q = _level_steps(plan, order, state_ptr, pair_ptr, v)
+    dest, p_lens, pair_in = plan.dest, plan.p_lens, plan.pair_in
+    pairs, entry_in, reads = plan.pairs, plan.entry_in, plan.reads
+    eprob, erew, buf = plan.eprob, plan.erew, plan.buf
+    qall, first, pair_idx = plan.qall, plan.first, plan.pair_idx
     starts = _step_rows(starts, stay)
     with np.errstate(over="ignore", invalid="ignore"):
         for (s, pa, ea, sa), (t, pb, eb, sb) in zip(starts, starts[1:]):
@@ -651,11 +643,9 @@ def gs_sweep(order, state_ptr, pair_action, pair_ptr, plan, gamma, v, q, pol):
             buf[dest[s:t]] = qall[first[s:t]]
         q[pairs] = qall
         pol[dest] = pair_action[pairs[first]]
-        if buf is v:
-            return float(np.max(np.abs(v[order] - old)))
-        n = v.size
-        v[:] = buf[:n]
-        return float(np.max(np.abs(buf[:n] - buf[n:])))
+        new = buf[dest]
+        v[dest] = new
+        return float(np.max(np.abs(new - buf[v.size + dest]), initial=0.0))
 
 
 def bvi_run(

@@ -142,10 +142,16 @@ def _condensation(model):
     member_ptr = np.zeros(n_comp + 1, dtype=np.int64)
     np.cumsum(np.bincount(labels, minlength=n_comp), out=member_ptr[1:])
 
-    src = np.repeat(labels, np.diff(model.row_ptr))
+    # The edge keys are built in place: they are the largest temporaries
+    # of a structure query.
+    keys = np.repeat(labels, np.diff(model.row_ptr))
     dst = labels[model.col]
-    cross = src != dst
-    keys = _unique_sorted(src[cross] * np.int64(n_comp) + dst[cross])
+    cross = keys != dst
+    keys = keys[cross]
+    keys *= n_comp
+    keys += dst[cross]
+    del dst, cross
+    keys = _unique_sorted(keys)
     out_degree = np.bincount(keys // n_comp, minlength=n_comp)
     succ_ptr = np.zeros(n_comp + 1, dtype=np.int64)
     np.cumsum(out_degree, out=succ_ptr[1:])
@@ -218,7 +224,7 @@ def counting_potential(chain):
     n_comp = cond.is_open.size
     out_degree = np.diff(cond.succ_ptr)
     owner = np.repeat(np.arange(n_comp, dtype=np.int64), out_degree)
-    height = _heights(cond, out_degree)
+    height = _heights(cond)
     # A component's tallest successors sit exactly one frontier below it;
     # any one of them will do.
     tall = height[cond.succ] == height[owner] - 1
@@ -263,44 +269,40 @@ def counting_potential(chain):
     )
 
 
-def _heights(cond, out_degree):
-    """Kahn frontier index of every component, sinks at 0 (_frontier_heights).
-
-    Linear in the condensation's size: scipy's CSR to CSC conversion, a
-    counting sort, lists each component's predecessors.
-    """
-    n_comp = out_degree.size
-    ones = np.ones(cond.succ.size, dtype=np.int8)
-    by_target = csr_matrix(
-        (ones, cond.succ, cond.succ_ptr), shape=(n_comp, n_comp)
-    ).tocsc()
-    pred_ptr = by_target.indptr.astype(np.int64)
-    return _frontier_heights(pred_ptr, by_target.indices.astype(np.int64), out_degree)
+def _heights(cond):
+    """Kahn frontier index of every component, sinks at 0 (_frontier_heights)."""
+    return _frontier_heights(cond.succ_ptr, cond.succ)
 
 
-def _frontier_heights(pred_ptr, pred, out_degree):
+def _frontier_heights(succ_ptr, succ):
     """Kahn frontier index of every node of a DAG, sinks at 0.
 
-    pred[pred_ptr[y]:pred_ptr[y + 1]] lists the sources of y's incoming
-    edges, and out_degree counts each node's outgoing edges.  A node
-    joins the next frontier once all its successors are in earlier ones,
-    so its height is one more than its tallest successor's.  Each
-    frontier lowers the waiting counts of its predecessors' edges only.
+    succ[succ_ptr[x]:succ_ptr[x + 1]] are the targets of x's edges, a
+    repeated edge counted as often as it is listed.  A node joins the
+    next frontier once all its successors are in earlier ones, so its
+    height is one more than its tallest successor's.  The predecessor
+    lists come from scipy's CSR to CSC conversion, a counting sort, and
+    each frontier lowers the waiting counts of its predecessors' edges
+    only, so the whole is linear in the graph's size.
     """
-    n_comp = out_degree.size
+    n = succ_ptr.size - 1
+    ones = np.ones(succ.size, dtype=np.int8)
+    by_target = csr_matrix((ones, succ, succ_ptr), shape=(n, n)).tocsc()
+    pred_ptr = by_target.indptr.astype(np.int64)
+    pred = by_target.indices.astype(np.int64)
     pred_len = np.diff(pred_ptr)
-    waiting = out_degree.copy()
-    height = np.zeros(n_comp, dtype=np.int64)
-    stamp = np.zeros(n_comp, dtype=np.int64)
-    frontier = (out_degree == 0).nonzero()[0]
+    waiting = np.diff(succ_ptr)
+    height = np.zeros(n, dtype=np.int64)
+    stamp = np.zeros(n, dtype=np.int64)
+    frontier = (waiting == 0).nonzero()[0]
     h = 0
     while frontier.size:
         height[frontier] = h
         preds = pred[gather_ranges(pred_ptr[frontier], pred_len[frontier])]
         np.subtract.at(waiting, preds, 1)
         ready = preds[waiting[preds] == 0]
-        # Keep one copy of each ready component: whichever of its writes
-        # lands, exactly one of its copies matches it.
+        # Keep one copy of each ready node: whichever of its writes lands,
+        # exactly one of its copies matches it.
         rank = np.arange(ready.size)
         stamp[ready] = rank
         frontier = ready[stamp[ready] == rank]
@@ -482,7 +484,7 @@ def height_schedule(chain, decomp):
     Support.
     """
     cond = _condensation(chain)
-    height = _heights(cond, np.diff(cond.succ_ptr))
+    height = _heights(cond)
     return _grouped(decomp.transient, height[cond.labels])
 
 

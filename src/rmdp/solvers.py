@@ -144,12 +144,6 @@ def _require_finite(v):
         raise NonFiniteValue(f"state {x} has a non-finite value ({v[x]})")
 
 
-def _plan(mdp, order):
-    return backends.sweep_plan(
-        order, mdp.state_ptr, mdp.pair_ptr, mdp.col, mdp.prob, mdp.rew, mdp.discount
-    )
-
-
 def _components(mdp):
     """Component heights and inner edges, from the condensation of mdp.support().
 
@@ -165,23 +159,20 @@ def _components(mdp):
     src = np.repeat(big, lens)
     dst = support.col[gather_ranges(starts, lens)]
     inner = (labels[src] == labels[dst]) & (src != dst)
-    return _heights(cond, np.diff(cond.succ_ptr))[labels], src[inner], dst[inner]
+    return _heights(cond)[labels], src[inner], dst[inner]
 
 
-def _level_plan(mdp):
-    """The Mdp gathered once for sweeps in any order (backends.LevelPlan)."""
-    height, src, dst = _components(mdp)
-    return backends._level_plan(
-        height,
-        src,
-        dst,
-        mdp.state_ptr,
-        mdp.pair_ptr,
-        mdp.col,
-        mdp.prob,
-        mdp.rew,
-        mdp.discount,
-    )
+def _level_plan(mdp, order=None):
+    """The Mdp gathered once per solve into a backends.LevelPlan.
+
+    With an order, its states levelled by the order's own waves, for
+    sweeps in that order; without, every state levelled by component
+    height, for sweeps in any order.
+    """
+    model = (mdp.state_ptr, mdp.pair_ptr, mdp.col, mdp.prob, mdp.rew, mdp.discount)
+    if order is not None:
+        return backends._order_plan(order, *model)
+    return backends._level_plan(*_components(mdp), *model)
 
 
 def _sweep(mdp, order, plan, v, q, pol):
@@ -218,7 +209,7 @@ def _solve_absorbing(mdp, decomp, cfg, v, q, pol):
                     f"containing state {int(block[0])}"
                 )
     order = np.sort(absorbing).astype(np.int64)
-    plan = _plan(mdp, order)
+    plan = _level_plan(mdp, order)
     residual = np.inf
     sweeps = 0
     while True:
@@ -322,16 +313,24 @@ def rvi_solve(mdp, schedule, decomp, cfg=None):
 
 
 def _reversed_order(mdp, schedule):
+    """The schedule's levels in reverse, then the unscheduled states.
+
+    Raises ScheduleMismatch naming the first scheduled state that is not
+    a state of mdp, or failing that the first one scheduled more than once.
+    """
     if schedule is None:
         raise InvalidParams("ReversedLevelSets ordering requires a schedule")
-    levels = list(schedule.levels)
-    in_schedule = np.zeros(mdp.state_count, dtype=bool)
-    for lv in levels:
-        in_schedule[lv] = True
-    rest = np.where(~in_schedule)[0].astype(np.int64)
-    parts = [np.asarray(lv, dtype=np.int64) for lv in reversed(levels)]
-    parts.append(rest)
-    return np.concatenate(parts)
+    n = mdp.state_count
+    levels = [np.asarray(lv, dtype=np.int64) for lv in schedule.levels]
+    scheduled = np.concatenate([np.empty(0, dtype=np.int64), *levels])
+    outside = scheduled[(scheduled < 0) | (scheduled >= n)]
+    if outside.size:
+        raise ScheduleMismatch(f"state {int(outside[0])} is not a state of the model")
+    times = np.bincount(scheduled, minlength=n)
+    if scheduled.size > np.count_nonzero(times):
+        x = int(scheduled[np.argmax(times[scheduled] > 1)])
+        raise ScheduleMismatch(f"state {x} is scheduled twice")
+    return np.concatenate([*levels[::-1], np.flatnonzero(times == 0)])
 
 
 def qvi_solve(mdp, cfg, schedule=None, v0=None):
@@ -341,23 +340,24 @@ def qvi_solve(mdp, cfg, schedule=None, v0=None):
     cfg.epsilon.  ReversedLevelSets processes the schedule's levels in
     descending potential with the remaining states last, the worst case
     for information flow; it needs the schedule argument.  v0 warm-starts
-    the value table.  A fixed order (Natural, ReversedLevelSets) is
-    gathered once into a sweep plan.  RandomPerSweep draws a new
-    permutation for every sweep, and gathers the model once per solve
-    into a level plan (_level_plan), which each sweep only re-indexes.
-    Every order gives the values of a one-state-at-a-time sweep.
+    the value table.  Each solve gathers the model once into a level plan
+    (_level_plan).  A fixed order (Natural, ReversedLevelSets) is levelled
+    by its own waves and indexed once.  RandomPerSweep draws a new
+    permutation for every sweep; its plan is levelled by component height
+    and each sweep only re-indexes it.  Every order gives the values of a
+    one-state-at-a-time sweep.  Raises ScheduleMismatch when a scheduled
+    state is not a state of mdp or is scheduled twice.
     """
     t0 = time.perf_counter_ns()
     n = mdp.state_count
-    rng = None
+    rng = order = None
     if cfg.ordering == REVERSED_LEVEL_SETS:
         order = _reversed_order(mdp, schedule)
     elif cfg.ordering == NATURAL:
         order = np.arange(n, dtype=np.int64)
     else:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
-    if rng is None:
-        plan = _plan(mdp, order)
+    plan = _level_plan(mdp, order)
 
     v = (
         np.array(v0, dtype=np.float64, copy=True)
@@ -368,8 +368,6 @@ def qvi_solve(mdp, cfg, schedule=None, v0=None):
         raise InvalidParams("v0 length does not match state count")
     q = np.zeros(mdp.pair_count, dtype=np.float64)
     pol = np.zeros(n, dtype=np.int64)
-    if rng is not None:
-        plan = _level_plan(mdp)
 
     per_sweep = mdp.pair_count
     sweeps = 0

@@ -1,12 +1,15 @@
 """The numpy kernels against serial references.
 
 gs_sweep must match a one-state-at-a-time Gauss-Seidel loop bit for bit,
-over one sweep plan reused for every sweep in a fixed order and over one
-level plan reused for sweeps in changing orders, and
-bellman_residual_pass the largest change of one-state backups of an
-unchanged value table, on random small MDPs and on a liquidation
-instance.  The references pick a state's best pair with np.argmax, so a
-NaN counts as the largest, and a NaN change is the largest change.
+over one level plan per solve: a fixed order's plan, levelled by its own
+waves and reused for every sweep, and a plan for sweeps in changing
+orders, levelled by component height and re-indexed per sweep.  Every
+plan gives each swept state one slot and lets a state read the new value
+only of states in earlier steps.  bellman_residual_pass must match the
+largest change of one-state backups of an unchanged value table.  The
+checks run on random small MDPs and on a liquidation instance.  The
+references pick a state's best pair with np.argmax, so a NaN counts as
+the largest, and a NaN change is the largest change.
 """
 
 import contextlib
@@ -25,6 +28,8 @@ import rmdp
 import rmdp.cli
 from rmdp import (
     DivergentSelfLoop,
+    InvalidParams,
+    LevelSetSchedule,
     LiquidationParams,
     Mdp,
     SolverConfig,
@@ -32,7 +37,8 @@ from rmdp import (
     build_liquidation,
     solvers,
 )
-from rmdp.backends import bellman_residual_pass, gs_sweep, rvi_pass, sweep_plan
+from rmdp.backends import bellman_residual_pass, gs_sweep, rvi_pass
+from rmdp.mdp import gather_ranges
 
 # The benchmark package sits at the root of the checkout.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -201,40 +207,65 @@ def sweep_cases(draw):
     return mdp, np.asarray(order, dtype=np.int64), np.asarray(v0, dtype=np.float64)
 
 
-def assert_runs_conflict_free_and_maximal(mdp, order, run_ptr):
-    assert run_ptr[0] == 0 and run_ptr[-1] == order.size
-    assert np.all(np.diff(run_ptr) > 0)
-    pos = {int(x): i for i, x in enumerate(order)}
+def assert_plan_levels_order(mdp, order, plan, steps, fixed):
+    """The plan as a sweep over order steps through it.
 
-    def reads(i):
-        x = order[i]
-        lo, hi = mdp.pair_ptr[mdp.state_ptr[x]], mdp.pair_ptr[mdp.state_ptr[x + 1]]
-        return {pos[int(y)] for y in mdp.col[lo:hi] if int(y) in pos}
+    Each state of order has exactly one slot, holding all its pairs and
+    their entries.  An entry reads the new copy of its successor exactly
+    when the successor is placed before the entry's state in order, and
+    that successor sits in an earlier step.  For a fixed order, every
+    state in step k > 0 reads the new copy of a state in step k - 1.
+    """
+    n = mdp.state_count
+    dest = plan.dest.tolist()
+    assert sorted(dest) == sorted(order.tolist())
+    assert steps[0].tolist() == [0, 0, 0]
+    assert steps[-1].tolist() == [order.size, plan.pairs.size, plan.reads.size]
+    assert np.all(np.diff(steps[:, 0]) > 0)
+    place = {x: i for i, x in enumerate(order.tolist())}
+    step = np.repeat(np.arange(len(steps) - 1), np.diff(steps[:, 0]))
+    step_of = dict(zip(dest, step.tolist()))
+    # Walk the slots: their pairs, and the pairs' entries, follow each other.
+    p = e = 0
+    for i, x in enumerate(dest):
+        k = step_of[x]
+        _, pa, ea = steps[k]
+        assert p == pa + plan.pair_in[i]
+        pairs = plan.pairs[p : p + plan.p_lens[i]].tolist()
+        assert pairs == list(range(mdp.state_ptr[x], mdp.state_ptr[x + 1]))
+        entries = []
+        for j, pair in enumerate(pairs):
+            assert e + len(entries) == ea + plan.entry_in[p + j]
+            entries += range(mdp.pair_ptr[pair], mdp.pair_ptr[pair + 1])
+        p += len(pairs)
+        span = slice(e, e + len(entries))
+        e = span.stop
+        assert plan.eprob[span].tobytes() == mdp.prob[entries].tobytes()
+        assert plan.erew[span].tobytes() == mdp.rew[entries].tobytes()
+        reads = plan.reads[span].tolist()
+        assert all(0 <= r < 2 * n for r in reads)
+        assert [r % n for r in reads] == mdp.col[entries].tolist()
+        new = [r for r in reads if r < n]
+        for r in reads:
+            y = r % n
+            assert (r < n) == (y in place and place[y] < place[x]), (x, y)
+        assert all(step_of[y] < k for y in new), (x, new)
+        if fixed and k:
+            assert any(step_of[y] == k - 1 for y in new), (x, k)
 
-    for k in range(run_ptr.size - 1):
-        s, t = int(run_ptr[k]), int(run_ptr[k + 1])
-        for i in range(s, t):
-            assert not any(s <= j < i for j in reads(i)), (k, i)
-        if k:
-            prev = int(run_ptr[k - 1])
-            assert any(prev <= j < s for j in reads(s)), k
 
-
-def assert_plan_gathers_order(mdp, order, plan):
-    """The plan lists order's pairs and their entries, in sweep order."""
-    pairs = [p for x in order for p in range(mdp.state_ptr[x], mdp.state_ptr[x + 1])]
-    assert plan.pairs.tolist() == pairs
-    assert plan.pair_off.tolist() == [0, *np.cumsum(mdp.mask_sizes()[order])]
-    entries = [e for p in pairs for e in range(mdp.pair_ptr[p], mdp.pair_ptr[p + 1])]
-    sizes = [mdp.pair_ptr[p + 1] - mdp.pair_ptr[p] for p in pairs]
-    assert plan.entry_off.tolist() == [0, *np.cumsum(sizes, dtype=np.int64)]
-    for name in ("col", "prob", "rew"):
-        assert getattr(plan, name).tobytes() == getattr(mdp, name)[entries].tobytes()
+# The parts of a plan that a sweep only reads.
+PLAN_FIELDS = (
+    "dest", "p_lens", "pair_in", "pairs", "entry_in", "reads", "eprob", "erew",
+    "steps", "stay", "stay_q",
+)
 
 
 def assert_batched_matches_serial(mdp, order, v0, sweeps=3):
-    """Sweep with one plan built up front, checking each sweep against the
-    serial loop and the plan against its own copy after every sweep.
+    """Sweep with one plan built up front for order, checking each sweep
+    against the serial loop and the plan against its own copy after
+    every sweep.  Returns the slots where the plan's steps start, the end
+    included.
 
     Where the serial loop raises DivergentSelfLoop, building the plan
     must raise it too, naming the same state; returns None then.
@@ -246,13 +277,11 @@ def assert_batched_matches_serial(mdp, order, v0, sweeps=3):
         serial_gs_sweep(order, *model, mdp.discount, *copies)
     except DivergentSelfLoop as exc:
         with pytest.raises(DivergentSelfLoop, match=f"^{re.escape(str(exc))}$"):
-            sweep_plan(order, *entries)
+            solvers._level_plan(mdp, order)
         return None
-    plan = sweep_plan(order, *entries)
-    assert_plan_gathers_order(mdp, order, plan)
-    run_ptr = plan.run_ptr
-    assert_runs_conflict_free_and_maximal(mdp, order, run_ptr)
-    frozen = [a.copy() for a in plan]
+    plan = solvers._level_plan(mdp, order)
+    assert_plan_levels_order(mdp, order, plan, plan.steps, fixed=True)
+    frozen = [getattr(plan, name).copy() for name in PLAN_FIELDS]
     ref = [
         v0.copy(),
         np.zeros(mdp.pair_count),
@@ -269,15 +298,15 @@ def assert_batched_matches_serial(mdp, order, v0, sweeps=3):
         assert same_bits(d_out, d_ref)
         for a, b in zip(out, ref):
             assert same_bits(a, b)
-        for a, b in zip(plan, frozen):
-            assert a.tobytes() == b.tobytes()
+        for name, b in zip(PLAN_FIELDS, frozen):
+            assert getattr(plan, name).tobytes() == b.tobytes()
         if not np.all(np.isfinite(ref[0])):
             # A costly stay-forever pair is worth -inf, and a value can
             # overflow.  The solvers stop at the first sweep that leaves a
             # value non-finite, and later sweeps would only compare NaN
             # deltas.
             break
-    return run_ptr
+    return plan.steps[:, 0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -297,12 +326,12 @@ def test_batched_gs_sweep_edge_cases():
     empty = np.empty(0, dtype=np.int64)
     assert assert_batched_matches_serial(mdp, empty, v0).tolist() == [0]
     assert assert_batched_matches_serial(mdp, np.array([1]), v0).tolist() == [0, 1]
-    # each state reads the one before it: every run is a single state
+    # each state reads the one before it: every wave is a single state
     down = chain_mdp([0, 0, 1, 2, 3])
     order = np.arange(5, dtype=np.int64)
-    runs = assert_batched_matches_serial(down, order, np.zeros(5))
-    assert runs.tolist() == [0, 1, 2, 3, 4, 5]
-    # each state reads only later states or itself: one run
+    waves = assert_batched_matches_serial(down, order, np.zeros(5))
+    assert waves.tolist() == [0, 1, 2, 3, 4, 5]
+    # each state reads only later states or itself: one wave
     up = chain_mdp([1, 2, 3, 4, 4])
     assert assert_batched_matches_serial(up, order, np.zeros(5)).tolist() == [0, 5]
 
@@ -316,10 +345,10 @@ def test_batched_gs_sweep_takes_a_nan_as_the_best_q():
     order = np.arange(4, dtype=np.int64)
     v0 = np.array([0.0, 0.0, BIG, -BIG])
     assert assert_batched_matches_serial(mdp, order, v0).tolist() == [0, 1, 4]
-    entries = (mdp.state_ptr, mdp.pair_ptr, mdp.col, mdp.prob, mdp.rew, mdp.discount)
     v, q, pol = v0.copy(), np.zeros(mdp.pair_count), np.zeros(4, dtype=np.int64)
     prefix = (order, mdp.state_ptr, mdp.pair_action, mdp.pair_ptr)
-    delta = gs_sweep(*prefix, sweep_plan(order, *entries), mdp.discount, v, q, pol)
+    plan = solvers._level_plan(mdp, order)
+    delta = gs_sweep(*prefix, plan, mdp.discount, v, q, pol)
     assert np.isnan(delta) and np.isnan(v[1]) and pol[1] == 1
 
 
@@ -330,6 +359,49 @@ def test_batched_gs_sweep_matches_serial_loop_on_liquidation():
     )
     order = np.random.default_rng(5).permutation(mdp.state_count).astype(np.int64)
     assert_batched_matches_serial(mdp, order, np.zeros(mdp.state_count), sweeps=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweep_cases(), st.data())
+def test_subset_sweep_writes_only_its_states(case, data):
+    """A sweep over part of the states leaves the values, q values and
+    policy of every other state as they were."""
+    mdp, order, v0 = case
+    order = order[: data.draw(st.integers(0, order.size))]
+    try:
+        plan = solvers._level_plan(mdp, order)
+    except DivergentSelfLoop:
+        return
+    v, q = v0.copy(), np.full(mdp.pair_count, 7.5)
+    pol = np.full(mdp.state_count, -1, dtype=np.int64)
+    rest = np.setdiff1d(np.arange(mdp.state_count), order)
+    rest_pairs = gather_ranges(
+        mdp.state_ptr[rest], mdp.state_ptr[rest + 1] - mdp.state_ptr[rest]
+    )
+    kept = (v[rest].tobytes(), q[rest_pairs].tobytes(), pol[rest].tobytes())
+    prefix = (order, mdp.state_ptr, mdp.pair_action, mdp.pair_ptr)
+    for _ in range(2):
+        gs_sweep(*prefix, plan, mdp.discount, v, q, pol)
+        assert (v[rest].tobytes(), q[rest_pairs].tobytes(), pol[rest].tobytes()) == kept
+
+
+def test_fixed_order_divergence_is_raised_before_the_v0_check():
+    """A fixed order's plan is built before qvi_solve reads v0, and raises
+    DivergentSelfLoop for a pair that stays forever at a gain.  A random
+    order's plan finds the pair only in its first sweep, after the v0
+    length check."""
+    mdp = mdp_from_rows([[([1], [1.0])], [([1], [1.0])]], 1.0)
+    sched = LevelSetSchedule(levels=(np.array([0]),))
+    short = np.zeros(1)
+    for ordering in (solvers.NATURAL, solvers.REVERSED_LEVEL_SETS):
+        cfg = SolverConfig(ordering=ordering)
+        with pytest.raises(DivergentSelfLoop, match="^state 1 has"):
+            solvers.qvi_solve(mdp, cfg, schedule=sched, v0=short)
+    cfg = SolverConfig(ordering=solvers.RANDOM_PER_SWEEP)
+    with pytest.raises(InvalidParams, match="v0 length"):
+        solvers.qvi_solve(mdp, cfg, v0=short)
+    with pytest.raises(DivergentSelfLoop, match="^state 1 has"):
+        solvers.qvi_solve(mdp, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +466,10 @@ def assert_level_sweeps_match_serial(mdp, orders, v0):
         assert same_bits(d_out, d_ref)
         for a, b in zip(out, ref):
             assert same_bits(a, b)
+        steps, _, _ = backends._level_steps(
+            plan, order, mdp.state_ptr, mdp.pair_ptr, out[0]
+        )
+        assert_plan_levels_order(mdp, order, plan, steps, fixed=False)
         if not np.all(np.isfinite(ref[0])):
             break
 

@@ -541,6 +541,8 @@ def mutate(spec, kind, data):
             rec = records[k]
             if isinstance(rec, dict) and isinstance(rec.get("x"), int):
                 allowed = mask[rec["x"]] if 0 <= rec["x"] < len(mask) else []
+                if not isinstance(allowed, list):
+                    continue  # that mask row is already broken
                 outside = [u for u in range(spec["actions"])[:10] if u not in allowed]
                 if outside:
                     rec["u"] = data.draw(st.sampled_from(outside))

@@ -302,6 +302,26 @@ def test_qvi_reversed_requires_schedule():
         rmdp.qvi_solve(mdp, SolverConfig(ordering=rmdp.REVERSED_LEVEL_SETS))
 
 
+def test_qvi_reversed_rejects_a_schedule_that_cannot_be_an_order():
+    """A scheduled state outside the model, or one scheduled twice, raises
+    ScheduleMismatch naming it; an out-of-range id is reported first."""
+    mdp = reward_mdp()
+    cfg = SolverConfig(ordering=rmdp.REVERSED_LEVEL_SETS)
+    cases = [
+        ([[1], [0, 1_000_000]], "state 1000000 is not a state of the model"),
+        ([[1], [-1]], "state -1 is not a state of the model"),
+        ([[1], [0, 1]], "state 1 is scheduled twice"),
+        ([[0, 1], [2, 1, 0]], "state 0 is scheduled twice"),
+        ([[1, 1], [7]], "state 7 is not a state of the model"),
+    ]
+    for levels, message in cases:
+        sched = rmdp.LevelSetSchedule(
+            levels=tuple(np.asarray(lv, dtype=np.int64) for lv in levels)
+        )
+        with pytest.raises(ScheduleMismatch, match=f"^{message}$"):
+            rmdp.qvi_solve(mdp, cfg, schedule=sched)
+
+
 def test_qvi_max_sweeps_exceeded():
     mdp = single_loop_mdp(alpha=0.9, gamma=1.0, reward=1.0)
     with pytest.raises(MaxSweepsExceeded):
@@ -622,11 +642,8 @@ def assert_rvi_matches_level_by_level(mdp, schedule, decomp, bounds=()):
 
 
 def kernel_groups(mdp, schedule, decomp):
-    """The level groups rvi_solve backs up, all levels in one block.
-
-    Only the runs that rvi_pass cuts are recorded, not those of the
-    absorbing solve's sweep plan, which shares the cut.
-    """
+    """The level groups rvi_solve backs up, all levels in one block: the
+    runs that rvi_pass cuts with _cut_runs."""
     groups = []
 
     def record(first, latest, start, end):
