@@ -18,12 +18,13 @@ two-copy buffer [v_new | v_old]: the new copy when the successor is
 placed before the entry's state in the sweep order.  A level reads only
 the new values of earlier levels, so the results are bit-identical to
 the one-state-at-a-time loop (level scheduling of a triangular solve).
-A plan for one fixed order (_order_plan) is levelled by the order's own
-Kahn waves and indexed once.  A plan for sweeps in any order
-(_level_plan) is levelled by the height of each state's component in
-the condensation, a valid level for every order; each sweep re-indexes
-it and lays the multi-state components out in the waves its order needs
-(_level_steps).  rvi_pass gathers the levels in blocks of at most
+A plan for one fixed order (_order_plan) is gathered once in that
+order, levelled by the order's own Kahn waves (permuted into wave order
+when the waves do not already ascend) and indexed once.  A plan for
+sweeps in any order (_level_plan) is levelled by the height of each
+state's component in the condensation, a valid level for every order;
+each sweep re-indexes it and lays the multi-state components out in the
+waves its order needs (_level_steps).  rvi_pass gathers the levels in blocks of at most
 _BLOCK_ENTRIES (2^16) entries, computes a block's value-free terms and
 schedule checks at once, and cuts the block's levels into greedy maximal
 runs that read none of their own states (_cut_runs).
@@ -46,15 +47,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DivergentSelfLoop, MaxSweepsExceeded, ScheduleMismatch
-from .mdp import gather_ranges
+from .mdp import _offsets, gather_ranges
 from .reachability import _frontier_heights
-
-
-def _offsets(lengths):
-    """Start offsets of consecutive segments of the given lengths, plus the end."""
-    out = np.zeros(lengths.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=out[1:])
-    return out
 
 
 def _entry_spans(states, state_ptr, pair_ptr):
@@ -171,9 +165,10 @@ class _ClassPart(NamedTuple):
     slots, pair_slots and entry_slots are their places in the plan's
     layout, which each sweep refills in wave order.  The other arrays are
     the states' own copies, counted locally in gathered order (height,
-    then id): states, base (height times the number of states), p_lens
-    and pair_start per state; pairs, e_lens and entry_start per pair;
-    ecol, eprob and erew per entry; stay and stay_q, the local pairs that
+    then id): states and base (height times the number of states) per
+    state; pair_off, each state's pairs, with the end; pairs per pair;
+    entry_off, each pair's entries, with the end; ecol, eprob and erew
+    per entry; stay and stay_q, the local pairs that
     stay forever and their values; src and dst, the edges between
     distinct states of one component, src ascending.
     """
@@ -183,11 +178,9 @@ class _ClassPart(NamedTuple):
     entry_slots: np.ndarray
     states: np.ndarray
     base: np.ndarray
-    p_lens: np.ndarray
-    pair_start: np.ndarray
+    pair_off: np.ndarray
     pairs: np.ndarray
-    e_lens: np.ndarray
-    entry_start: np.ndarray
+    entry_off: np.ndarray
     ecol: np.ndarray
     eprob: np.ndarray
     erew: np.ndarray
@@ -241,15 +234,14 @@ class LevelPlan(NamedTuple):
     pos: np.ndarray | None = None
 
 
-def _layout(dest, key, state_ptr, pair_ptr, col, prob, rew, gamma):
-    """Gather the states dest into a LevelPlan, a level per run of equal key.
+def _layout(dest, key, gathered, state_count, gamma):
+    """Lay the states dest out as a LevelPlan, a level per run of equal key.
 
-    The plan's reads are the entries' successors, not yet pointed at buf
-    (_point_reads).  Returns the plan and its pair and entry offsets.
+    gathered is what _gather returns for dest.  The plan's reads are the
+    entries' successors, not yet pointed at buf (_point_reads).  Returns
+    the plan and its pair and entry offsets.
     """
-    pairs, pair_off, entry_off, ecol, eprob, erew = _gather(
-        dest, state_ptr, pair_ptr, col, prob, rew
-    )
+    pairs, pair_off, entry_off, ecol, eprob, erew = gathered
     stay, stay_q, gains = _stay_pairs(
         dest, pair_off, entry_off, ecol, eprob, erew, gamma
     )
@@ -267,7 +259,7 @@ def _layout(dest, key, state_ptr, pair_ptr, col, prob, rew, gamma):
         stay=stay,
         stay_q=stay_q,
         gains=dest[gains],
-        buf=np.empty(2 * (state_ptr.size - 1), dtype=np.float64),
+        buf=np.empty(2 * state_count, dtype=np.float64),
         qall=np.empty(pairs.size, dtype=np.float64),
         first=np.empty(dest.size, dtype=np.int64),
         pair_idx=np.arange(pairs.size, dtype=np.int64),
@@ -307,41 +299,77 @@ def _waves(reader, read, count):
     return _frontier_heights(_offsets(np.bincount(reader, minlength=count)), read)
 
 
-def _order_waves(order, pos, state_ptr, pair_ptr, col):
-    """Each state's wave in a sweep over order, by its place in order.
-
-    A state waits for its successors placed before it in order.
-    """
-    m = order.size
-    e_starts, e_lens = _entry_spans(order, state_ptr, pair_ptr)
-    succ = pos[col[gather_ranges(e_starts, e_lens)]]
-    own = np.repeat(np.arange(m, dtype=pos.dtype), e_lens)
-    waits = succ < own
-    return _waves(own[waits], succ[waits], m)
-
-
 def _order_plan(order, state_ptr, pair_ptr, col, prob, rew, gamma):
     """Gather the distinct states of order into a LevelPlan for sweeps in it.
 
-    The levels are the order's own waves (_order_waves), each laid out in
-    order, and the entries are indexed once.  Raises DivergentSelfLoop
-    naming the first state of order with a pair that stays forever at a
-    gain.
+    The states are gathered once, in order.  The levels are the order's
+    own waves: a state waits for its successors placed before it in
+    order.  The gather is permuted into wave order unless the waves
+    already ascend along order, and its entries are indexed once.
+    Raises DivergentSelfLoop naming the first state of order with a pair
+    that stays forever at a gain.
     """
     m = order.size
     # Places are int32 to keep the wave graph small next to the plan; a
     # state outside order is placed after all of it.
     pos = np.full(state_ptr.size - 1, m, dtype=np.int32)
     pos[order] = np.arange(m, dtype=np.int32)
-    wave = _order_waves(order, pos, state_ptr, pair_ptr, col)
-    lay = np.argsort(wave, kind="stable")
-    plan, _, _ = _layout(
-        order[lay], wave[lay], state_ptr, pair_ptr, col, prob, rew, gamma
-    )
+    gathered = _gather(order, state_ptr, pair_ptr, col, prob, rew)
+    wave = _order_waves(pos, *gathered[1:4])
+    dest, key = order, wave
+    if np.any(wave[1:] < wave[:-1]):
+        lay = np.argsort(wave, kind="stable")
+        dest, key = order[lay], wave[lay]
+        gathered = _permuted(gathered, lay)
+    plan, _, _ = _layout(dest, key, gathered, state_ptr.size - 1, gamma)
     if plan.gains.size:
         raise _divergent(order[pos[plan.gains].min()])
     _point_reads(plan.reads, plan.reads, pos, plan.dest, state_ptr, pair_ptr)
     return plan
+
+
+def _order_waves(pos, pair_off, entry_off, ecol):
+    """Each gathered state's wave in a sweep over its order.
+
+    pos is each state's place in the order, and the states were gathered
+    in it.  A state waits for its successors placed before it.
+    """
+    m = pair_off.size - 1
+    succ = pos[ecol]
+    own = np.repeat(np.arange(m, dtype=pos.dtype), np.diff(entry_off[pair_off]))
+    waits = succ < own
+    return _waves(own[waits], succ[waits], m)
+
+
+def _permuted(gathered, perm):
+    """A _gather of some states, redone for the same states in perm's order."""
+    pairs, pair_off, entry_off, ecol, eprob, erew = gathered
+    p_lens, pperm, e_lens, eperm = _slot_perm(perm, pair_off, entry_off)
+    return (
+        pairs[pperm],
+        _offsets(p_lens),
+        _offsets(e_lens),
+        ecol[eperm],
+        eprob[eperm],
+        erew[eperm],
+    )
+
+
+def _slot_perm(perm, pair_off, entry_off):
+    """Lay gathered states out in perm's order.
+
+    pair_off gives each state's pairs in the gather and entry_off each
+    pair's entries, both with the end.  Returns the states' pair counts
+    in the new order, the pairs' places in the gather, the pairs' entry
+    counts in the new order and the entries' places in the gather.  A
+    state's pairs are adjacent, and so are their entries.
+    """
+    first, last = pair_off[perm], pair_off[perm + 1]
+    p_lens = last - first
+    pperm = gather_ranges(first, p_lens)
+    starts = entry_off[first]
+    eperm = gather_ranges(starts, entry_off[last] - starts)
+    return p_lens, pperm, np.diff(entry_off)[pperm], eperm
 
 
 def _level_plan(
@@ -359,7 +387,7 @@ def _level_plan(
     key = 2 * height + in_class
     lay = np.argsort(key, kind="stable")
     plan, pair_off, entry_off = _layout(
-        lay, key[lay], state_ptr, pair_ptr, col, prob, rew, gamma
+        lay, key[lay], _gather(lay, state_ptr, pair_ptr, col, prob, rew), n, gamma
     )
     ecol, pairs, stay, stay_q = plan.reads, plan.pairs, plan.stay, plan.stay_q
 
@@ -367,10 +395,7 @@ def _level_plan(
     steps = plan.steps[np.append(~in_class[lay[plan.steps[:-1, 0]]], True)]
     slots = np.flatnonzero(in_class[lay])
     states = lay[slots]
-    c_plens = plan.p_lens[slots]
-    pair_slots = gather_ranges(pair_off[slots], c_plens)
-    c_elens = np.diff(entry_off)[pair_slots]
-    entry_slots = gather_ranges(entry_off[pair_slots], c_elens)
+    c_plens, pair_slots, c_elens, entry_slots = _slot_perm(slots, pair_off, entry_off)
     shared = in_class[lay[np.searchsorted(pair_off, stay, side="right") - 1]]
     loc = np.zeros(n, dtype=np.int64)
     loc[states] = np.arange(states.size, dtype=np.int64)
@@ -381,11 +406,9 @@ def _level_plan(
         entry_slots=entry_slots,
         states=states,
         base=height[states] * states.size,
-        p_lens=c_plens,
-        pair_start=_offsets(c_plens)[:-1],
+        pair_off=_offsets(c_plens),
         pairs=pairs[pair_slots],
-        e_lens=c_elens,
-        entry_start=_offsets(c_elens)[:-1],
+        entry_off=_offsets(c_elens),
         ecol=ecol[entry_slots],
         eprob=plan.eprob[entry_slots],
         erew=plan.erew[entry_slots],
@@ -418,10 +441,7 @@ def _class_waves(plan, pos):
     waits = cpos[c.src] > cpos[c.dst]
     key = c.base + _waves(c.src[waits], c.dst[waits], c.states.size)
     perm = np.argsort(key, kind="stable")
-    p_lens = c.p_lens[perm]
-    pperm = gather_ranges(c.pair_start[perm], p_lens)
-    e_lens = c.e_lens[pperm]
-    eperm = gather_ranges(c.entry_start[pperm], e_lens)
+    p_lens, pperm, e_lens, eperm = _slot_perm(perm, c.pair_off, c.entry_off)
     starts, pair_in, entry_in = _run_slices(
         _blocks(key[perm]), _offsets(p_lens), _offsets(e_lens)
     )

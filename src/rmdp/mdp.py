@@ -78,12 +78,20 @@ def gather_ranges(starts, lengths):
     """Concatenate index ranges [starts[i], starts[i]+lengths[i]) into one array."""
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    base = np.repeat(starts - (ends - lengths), lengths)
-    return base + np.arange(total, dtype=np.int64)
+    # Method calls, not np.cumsum and np.repeat: this runs once per Kahn
+    # frontier, where the arrays are small and call overhead dominates.
+    ends = lengths.cumsum()
+    back = (ends - lengths - starts).repeat(lengths)
+    out = np.arange(back.size, dtype=np.int64)
+    out -= back
+    return out
+
+
+def _offsets(lengths):
+    """Start offsets of consecutive segments of the given lengths, plus the end."""
+    out = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out
 
 
 def _unique_sorted(keys):

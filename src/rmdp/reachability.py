@@ -22,22 +22,29 @@ condensation is computed on a model's first structure query and kept on
 the model, which never changes.  A model is a MarkovChain or the Support
 of an Mdp (Mdp.support()): the distinct successors of each state over
 all its actions, which is all the structure of the Mdp's union chain, so
-an Mdp is certified and ordered without building that chain.  The
-potential walks the condensation in Kahn frontiers, sinks first, and
-builds a whole frontier's reach sets at once as rows of a bitset matrix.
+an Mdp is certified and ordered without building that chain.
+
+The components come from one numpy pass over the model's successor
+lists, self-loops aside.  It peels the graph in Kahn frontiers from its
+sources; a peeled state lies on no cycle, and in a reductive model the
+peel takes every transient state.  Only what is left, the closed
+classes and in a non-reductive model the transient cycles and what they
+reach, is split by trimming and forward-backward search.  The peel's
+frontiers are kept on the condensation, so the Kahn heights of the
+components (one more than the tallest successor's, sinks at 0) take one
+pass back through them.  The potential visits the components by height
+and builds a whole height's reach sets at once as rows of a bitset
+matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ModelError, NotReductive
-from .mdp import _unique_sorted, gather_ranges
+from .mdp import _offsets, _unique_sorted, gather_ranges
 
 # Violation kinds reported in a ReductivityVerdict.
 NO_ABSORBING_SET = "NoAbsorbingSet"
@@ -108,66 +115,270 @@ class LevelSetSchedule:
     levels: tuple[np.ndarray, ...]
 
 
-class _Condensation(NamedTuple):
+class _Condensation:
     """Strongly-connected components of a chain and the edges between them.
 
-    labels[x] is the component of state x.  members lists the states
-    grouped by component (ascending inside each group), component c owning
-    members[member_ptr[c]:member_ptr[c + 1]].  succ[succ_ptr[c]:
+    labels[x] is the component of state x; components are numbered in
+    the order of their smallest members.  members lists the states
+    grouped by component (ascending inside each group), component c
+    owning members[member_ptr[c]:member_ptr[c + 1]].  succ[succ_ptr[c]:
     succ_ptr[c + 1]] are the distinct other components that c has an edge
     into, ascending; is_open[c] says that there is at least one.
+    frontiers[frontier_ptr[k]:frontier_ptr[k + 1]] are the components of
+    the k-th Kahn frontier from the sources: every edge runs from an
+    earlier frontier to a later one.  The arrays are read-only; _heights
+    computes the components' heights once and keeps them here.
     """
 
-    labels: np.ndarray
-    members: np.ndarray
-    member_ptr: np.ndarray
-    succ_ptr: np.ndarray
-    succ: np.ndarray
-    is_open: np.ndarray
+    __slots__ = (
+        "labels",
+        "members",
+        "member_ptr",
+        "succ_ptr",
+        "succ",
+        "is_open",
+        "frontiers",
+        "frontier_ptr",
+        "height",
+    )
+
+    def __init__(self, **arrays):
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            setattr(self, name, arr)
+        self.height = None
 
 
 def _condensation(model):
     """The model's condensation, computed on first use and kept on the model.
 
-    The model's rows must not repeat a successor: scipy's strong
-    components loop forever on some rows that do.
+    The components come from one pass over the model's support
+    (_strong_components).  The edge keys are (source << shift) | target
+    of the cross-component entries.  They are sorted only when the
+    entries do not already come in that order, which they do when the
+    numbering by smallest member keeps the order of the states and no
+    multi-state component has edges out of it from two of its states:
+    for example when every multi-state component is a closed class of
+    consecutive states.
     """
     if model._condensation is not None:
         return model._condensation
     n = model.state_count
-    mat = csr_matrix((model.prob, model.col, model.row_ptr), shape=(n, n))
-    n_comp, labels = connected_components(mat, directed=True, connection="strong")
-    labels = labels.astype(np.int64)
-
-    member_ptr = np.zeros(n_comp + 1, dtype=np.int64)
-    np.cumsum(np.bincount(labels, minlength=n_comp), out=member_ptr[1:])
+    rep, peeled, peel_ptr = _strong_components(model.row_ptr, model.col)
+    is_rep = rep == np.arange(n, dtype=np.int64)
+    labels = (np.cumsum(is_rep) - 1)[rep]
+    n_comp = int(np.count_nonzero(is_rep))
+    member_ptr = _offsets(np.bincount(labels, minlength=n_comp))
 
     # The edge keys are built in place: they are the largest temporaries
-    # of a structure query.
+    # of a structure query.  Keys within a component drop out with the
+    # repeats.
+    shift = max(n_comp - 1, 1).bit_length()
+    low = (1 << shift) - 1
     keys = np.repeat(labels, np.diff(model.row_ptr))
     dst = labels[model.col]
-    cross = keys != dst
-    keys = keys[cross]
-    keys *= n_comp
-    keys += dst[cross]
-    del dst, cross
-    keys = _unique_sorted(keys)
-    out_degree = np.bincount(keys // n_comp, minlength=n_comp)
-    succ_ptr = np.zeros(n_comp + 1, dtype=np.int64)
-    np.cumsum(out_degree, out=succ_ptr[1:])
+    keep = keys != dst
+    keys <<= shift
+    keys |= dst
+    del dst
+    if np.any(keys[1:] < keys[:-1]):
+        keys.sort()
+        keep = (keys >> shift) != (keys & low)
+    keep[1:] &= keys[1:] != keys[:-1]
+    keys = keys[keep]
+    del keep
+    succ_ptr = np.searchsorted(keys, np.arange(n_comp + 1, dtype=np.int64) << shift)
+    out_degree = np.diff(succ_ptr)
+    succ = keys & low
+    del keys
 
+    # The peeled states are components of their own, in the peel's
+    # frontiers.  The other components only reach one another; they
+    # follow in their own Kahn frontiers.
+    rest = np.ones(n_comp, dtype=bool)
+    rest[labels[peeled]] = False
+    rest = np.flatnonzero(rest)
+    waiting = np.bincount(
+        succ[gather_ranges(succ_ptr[rest], out_degree[rest])], minlength=n_comp
+    )
+    order, order_ptr = _peel((succ_ptr, succ), waiting, rest[waiting[rest] == 0])
     cond = _Condensation(
         labels=labels,
         members=np.argsort(labels, kind="stable"),
         member_ptr=member_ptr,
         succ_ptr=succ_ptr,
-        succ=keys % n_comp,
+        succ=succ,
         is_open=out_degree > 0,
+        frontiers=np.concatenate((labels[peeled], order)),
+        frontier_ptr=np.concatenate((peel_ptr, peel_ptr[-1] + order_ptr[1:])),
     )
-    for arr in cond:
-        arr.setflags(write=False)
     model._condensation = cond
     return cond
+
+
+def _strong_components(row_ptr, col):
+    """Strongly-connected components of a graph, and its source peel.
+
+    Node x has the successors col[row_ptr[x]:row_ptr[x + 1]]; self-loops
+    are ignored and a row may repeat a successor.  The graph is peeled in
+    Kahn frontiers from its sources (_peel).  A peeled node lies on no
+    cycle, so it is a component of its own; in a reductive model that is
+    every transient state.  The nodes left over only reach one another
+    and are split by _split.  Returns each node's representative (the
+    smallest member of its component), the peeled nodes frontier by
+    frontier, and the frontiers' bounds.
+    """
+    n = row_ptr.size - 1
+    deg = np.diff(row_ptr)
+    src = np.repeat(np.arange(n, dtype=np.int64), deg)
+    waiting = np.bincount(col, minlength=n)
+    waiting -= np.bincount(src[src == col], minlength=n)
+    del src
+    peeled, peel_ptr = _peel((row_ptr, col), waiting, (waiting == 0).nonzero()[0])
+    rep = np.arange(n, dtype=np.int64)
+    rest = np.flatnonzero(waiting > 0)
+    if rest.size:
+        lens = deg[rest]
+        local = np.zeros(n, dtype=np.int64)
+        local[rest] = np.arange(rest.size, dtype=np.int64)
+        a = np.repeat(np.arange(rest.size, dtype=np.int64), lens)
+        b = local[col[gather_ranges(row_ptr[rest], lens)]]
+        loop = a == b
+        rep[rest] = rest[_split(rest.size, a[~loop], b[~loop])]
+    return rep, peeled, peel_ptr
+
+
+def _kahn(graph, waiting, frontier):
+    """Walk a graph in Kahn frontiers, starting from frontier.
+
+    graph is (ptr, succ): node x has the successors succ[ptr[x]:ptr[x +
+    1]].  waiting[x] counts x's in-edges from nodes not yet walked;
+    frontier's nodes wait for none.  A node joins the next frontier once
+    its count falls to 0.  waiting is updated in place: a walked node's
+    count is negative, and a node never reached keeps a positive one.
+    Yields each frontier with its nodes' out-degrees and successors.
+    """
+    while frontier.size:
+        # Mark the frontier's nodes as walked; of the copies of a node
+        # that two edges made ready, one matches the mark that landed.
+        mark = -1 - np.arange(frontier.size, dtype=np.int64)
+        waiting[frontier] = mark
+        frontier = frontier[waiting[frontier] == mark]
+        nxt, lens = _out_edges(graph, frontier)
+        yield frontier, lens, nxt
+        np.subtract.at(waiting, nxt, 1)
+        frontier = nxt[waiting[nxt] == 0]
+
+
+def _peel(graph, waiting, frontier):
+    """The nodes of _kahn's frontiers, frontier by frontier, and their bounds."""
+    parts = [f for f, _, _ in _kahn(graph, waiting, frontier)]
+    if not parts:
+        return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    return np.concatenate(parts), _offsets(np.array([p.size for p in parts]))
+
+
+def _split(count, a, b):
+    """The smallest member of each node's strongly-connected component.
+
+    Nodes 0..count - 1 have the edges a[i] -> b[i], a ascending, no
+    self-loops.  Each round first trims the nodes with no in-edge or no
+    out-edge left (_peel from the sources, then from the sinks): they are
+    components of their own.  Then it colours every node with the
+    largest node that reaches it (_spread); the largest node of a colour
+    is its root.  Spreading back over edges within a colour finds the
+    nodes that reach their root: they make up the root's component.
+    This is forward-backward with one pivot per colour (Fleischer,
+    Hendrickson & Pinar 2000), with trimming (McLendon et al. 2005) and
+    colouring (Orzan 2004).  A component never spans two colours, so
+    the next round keeps only the edges within a colour, and it runs the
+    other way round: the colour is the largest node reached, and the
+    second spread runs forward.  Every round finds the component of
+    each colour's root.
+    """
+    ids = np.arange(count, dtype=np.int64)
+    rep = ids.copy()
+    alive = np.ones(count, dtype=bool)
+    stamp = np.zeros(count, dtype=np.int64)
+    # The first round colours forward when most edges lead to larger
+    # nodes, so that most nodes are the largest that reaches them.
+    forward = 2 * np.count_nonzero(a < b) >= a.size
+    while a.size:
+        fwd, bwd = _both_ways(count, a, b)
+        waiting = np.bincount(b, minlength=count)
+        alive[_peel(fwd, waiting, np.flatnonzero(alive & (waiting == 0)))[0]] = False
+        waiting = np.bincount(a, minlength=count)
+        waiting[~alive] = -1
+        alive[_peel(bwd, waiting, np.flatnonzero(alive & (waiting == 0)))[0]] = False
+        keep = alive[a] & alive[b]
+        if not keep.all():
+            a, b = a[keep], b[keep]
+            if not a.size:
+                break
+            fwd, bwd = _both_ways(count, a, b)
+        if not forward:
+            fwd, bwd = bwd, fwd
+        colour = np.where(alive, ids, -1)
+        _spread(fwd, colour, np.flatnonzero(alive), stamp)
+        # A node alone in its colour is its root, and a component of its
+        # own; the others spread back within their colour.
+        shared = np.bincount(colour[alive], minlength=count)[colour] > 1
+        shared &= alive
+        reach = np.where(shared, ids, -1)
+        _spread(bwd, reach, np.flatnonzero(shared), stamp, within=colour)
+        found = alive & ((reach == colour) | ~shared)
+        rep[found] = colour[found]
+        alive &= ~found
+        keep = alive[a] & alive[b] & (colour[a] == colour[b])
+        a, b = a[keep], b[keep]
+        forward = not forward
+    smallest = np.full(count, count, dtype=np.int64)
+    np.minimum.at(smallest, rep, ids)
+    return smallest[rep]
+
+
+def _both_ways(count, a, b):
+    """Successor and predecessor lists of the edges a -> b, a ascending."""
+    shift = max(count - 1, 1).bit_length()
+    by_b = np.sort((b << shift) | a)
+    return (
+        (_offsets(np.bincount(a, minlength=count)), b),
+        (_offsets(np.bincount(b, minlength=count)), by_b & ((1 << shift) - 1)),
+    )
+
+
+def _spread(graph, value, frontier, stamp, within=None):
+    """Give each node the largest value among the nodes that reach it.
+
+    graph is (ptr, succ), and the spread starts from frontier.  value[x]
+    starts as x itself, or -1 for a node that passes nothing on, and
+    stays the id of a node that reaches x; with within, only along edges
+    between nodes of equal within.  So the value of x's value reaches x
+    too, and each changed node also takes that (pointer jumping): a
+    value crosses a path of length L in O(log L) steps, not L.
+    """
+    while frontier.size:
+        nxt, lens = _out_edges(graph, frontier)
+        theirs = np.repeat(value[frontier], lens)
+        if within is not None:
+            same = within[nxt] == np.repeat(within[frontier], lens)
+            nxt, theirs = nxt[same], theirs[same]
+        before = value[nxt]
+        np.maximum.at(value, nxt, theirs)
+        raised = nxt[value[nxt] > before]
+        # Keep one copy of each raised node: one matches the stamp that landed.
+        rank = np.arange(raised.size, dtype=np.int64)
+        stamp[raised] = rank
+        frontier = raised[stamp[raised] == rank]
+        value[frontier] = value[value[frontier]]
+
+
+def _out_edges(graph, frontier):
+    """The successors of frontier's nodes in graph = (ptr, succ), and their counts."""
+    ptr, succ = graph
+    starts = ptr[frontier]
+    lens = ptr[frontier + 1] - starts
+    return succ[gather_ranges(starts, lens)], lens
 
 
 def _entry_sources(model):
@@ -207,25 +418,25 @@ def counting_potential(chain):
 
     chain is a MarkovChain or an Mdp's Support.
 
-    Components are visited in Kahn frontiers of the condensation, sinks
-    first: a component joins the frontier once all its successors are
-    done, and the frontier index is its height.  Each component's reach
-    set is one row of a uint64 bitset matrix (components x ceil(n / 64)
-    words, one bit per state; about 51 MB for the 20,301 states of
-    liquidation at q_max=100).  A frontier's rows are built at once: the
-    component's own members, OR the row of its tallest successor, OR the
-    rows of the other successors whose representative state is not yet
-    in that union.  A skipped successor's representative is reached through the
-    tallest successor, so its whole set is already contained, and the
-    result is exact.  Taking the tallest successor first leaves few rows
-    to OR on chains with long paths.
+    Components are visited by Kahn height (_heights), sinks first, so
+    every successor of a component is done before it.  Each component's
+    reach set is one row of a uint64 bitset matrix (components x
+    ceil(n / 64) words, one bit per state; about 51 MB for the 20,301
+    states of liquidation at q_max=100).  A height's rows are built at
+    once: the component's own members, OR the row of its tallest
+    successor, OR the rows of the other successors whose representative
+    state is not yet in that union.  A skipped successor's
+    representative is reached through the tallest successor, so its
+    whole set is already contained, and the result is exact.  Taking the
+    tallest successor first leaves few rows to OR on chains with long
+    paths.
     """
     cond = _condensation(chain)
     n_comp = cond.is_open.size
     out_degree = np.diff(cond.succ_ptr)
     owner = np.repeat(np.arange(n_comp, dtype=np.int64), out_degree)
     height = _heights(cond)
-    # A component's tallest successors sit exactly one frontier below it;
+    # A component's tallest successors sit exactly one height below it;
     # any one of them will do.
     tall = height[cond.succ] == height[owner] - 1
     tallest = np.zeros(n_comp, dtype=np.int64)
@@ -270,43 +481,54 @@ def counting_potential(chain):
 
 
 def _heights(cond):
-    """Kahn frontier index of every component, sinks at 0 (_frontier_heights)."""
-    return _frontier_heights(cond.succ_ptr, cond.succ)
+    """Kahn height of every component, sinks at 0, computed once per condensation.
+
+    A component's height is one more than its tallest successor's: one
+    pass back through the condensation's frontiers (_back_heights), with
+    every frontier's edges gathered at once.
+    """
+    if cond.height is None:
+        order, bounds = cond.frontiers, cond.frontier_ptr.tolist()
+        lens = cond.succ_ptr[order + 1] - cond.succ_ptr[order]
+        owner = np.repeat(order, lens)
+        dst = cond.succ[gather_ranges(cond.succ_ptr[order], lens)]
+        cut = _offsets(lens)[bounds].tolist()
+        steps = zip(cut[-2::-1], cut[:0:-1])
+        height = _back_heights(lens.size, ((owner[a:b], dst[a:b]) for a, b in steps))
+        height.setflags(write=False)
+        cond.height = height
+    return cond.height
 
 
 def _frontier_heights(succ_ptr, succ):
-    """Kahn frontier index of every node of a DAG, sinks at 0.
+    """Kahn height of every node of a DAG, sinks at 0.
 
     succ[succ_ptr[x]:succ_ptr[x + 1]] are the targets of x's edges, a
-    repeated edge counted as often as it is listed.  A node joins the
-    next frontier once all its successors are in earlier ones, so its
-    height is one more than its tallest successor's.  The predecessor
-    lists come from scipy's CSR to CSC conversion, a counting sort, and
-    each frontier lowers the waiting counts of its predecessors' edges
-    only, so the whole is linear in the graph's size.
+    repeated edge counted as often as it is listed.  A node's height is
+    one more than its tallest successor's.  The DAG is walked in Kahn
+    frontiers from its sources (_kahn), keeping each frontier's edges,
+    then the heights are taken in one pass back through the frontiers
+    (_back_heights).  Neither needs predecessor lists, and the whole is
+    linear in the graph's size.
     """
     n = succ_ptr.size - 1
-    ones = np.ones(succ.size, dtype=np.int8)
-    by_target = csr_matrix((ones, succ, succ_ptr), shape=(n, n)).tocsc()
-    pred_ptr = by_target.indptr.astype(np.int64)
-    pred = by_target.indices.astype(np.int64)
-    pred_len = np.diff(pred_ptr)
-    waiting = np.diff(succ_ptr)
-    height = np.zeros(n, dtype=np.int64)
-    stamp = np.zeros(n, dtype=np.int64)
-    frontier = (waiting == 0).nonzero()[0]
-    h = 0
-    while frontier.size:
-        height[frontier] = h
-        preds = pred[gather_ranges(pred_ptr[frontier], pred_len[frontier])]
-        np.subtract.at(waiting, preds, 1)
-        ready = preds[waiting[preds] == 0]
-        # Keep one copy of each ready node: whichever of its writes lands,
-        # exactly one of its copies matches it.
-        rank = np.arange(ready.size)
-        stamp[ready] = rank
-        frontier = ready[stamp[ready] == rank]
-        h += 1
+    waiting = np.bincount(succ, minlength=n)
+    walk = _kahn((succ_ptr, succ), waiting, np.flatnonzero(waiting == 0))
+    steps = [(np.repeat(f, lens), nxt) for f, lens, nxt in walk]
+    return _back_heights(n, reversed(steps))
+
+
+def _back_heights(count, steps):
+    """Heights of count nodes from the edges of Kahn frontiers, last frontier first.
+
+    steps yields each frontier's edges as (sources, targets), and every
+    edge runs to a later frontier, so a node's successors are done before
+    it is.  Sinks stay at 0.
+    """
+    height = np.zeros(count, dtype=np.int64)
+    for owner, dst in steps:
+        if dst.size:
+            np.maximum.at(height, owner, height[dst] + 1)
     return height
 
 

@@ -9,6 +9,7 @@ hard-edge model files call the CLI's main() in-process instead.
 import contextlib
 import io
 import json
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -166,6 +167,18 @@ def test_verify_model_file_roundtrip(cli, tmp_path):
     ]
 
 
+def test_import_loads_no_scipy():
+    """The package and its CLI need numpy alone: importing them loads no scipy."""
+    code = (
+        "import rmdp, rmdp.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_verify_condenses_each_chain_once(tmp_path, monkeypatch):
     """Every structure query shares one SCC pass, on the model's support."""
     mdp, _, _ = build_spiral()
@@ -179,14 +192,14 @@ def test_verify_condenses_each_chain_once(tmp_path, monkeypatch):
         return chains[-1]
 
     scc_calls = []
-    scc = rmdp.reachability.connected_components
+    scc = rmdp.reachability._strong_components
 
     def counting_scc(*args, **kwargs):
         scc_calls.append(args)
         return scc(*args, **kwargs)
 
     monkeypatch.setattr(Mdp, "union_chain", recording_union_chain)
-    monkeypatch.setattr(rmdp.reachability, "connected_components", counting_scc)
+    monkeypatch.setattr(rmdp.reachability, "_strong_components", counting_scc)
     out = tmp_path / "verify.json"
     assert rmdp.cli.main(["verify", "--model", model, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["reductive"] is True
@@ -214,14 +227,14 @@ def test_command_builds_one_union_chain(tmp_path, monkeypatch, command):
         return chains[-1]
 
     scc_calls = []
-    scc = rmdp.reachability.connected_components
+    scc = rmdp.reachability._strong_components
 
     def counting_scc(*args, **kwargs):
         scc_calls.append(args)
         return scc(*args, **kwargs)
 
     monkeypatch.setattr(Mdp, "union_chain", recording_union_chain)
-    monkeypatch.setattr(rmdp.reachability, "connected_components", counting_scc)
+    monkeypatch.setattr(rmdp.reachability, "_strong_components", counting_scc)
     out = tmp_path / "out.json"
     assert rmdp.cli.main([command, "--model", model, "--out", str(out)]) == 0
     assert len(chains) == {"verify": 0, "solve": 1}[command]

@@ -30,7 +30,7 @@ from rmdp import (
     verify_reductive,
     verify_reductive_mdp,
 )
-from rmdp.mdp import gather_ranges
+from rmdp.mdp import Support, gather_ranges
 from rmdp.reachability import _condensation, _heights
 
 # Annotated reachable-set sizes of the spiral walk, row 0 first.
@@ -721,6 +721,176 @@ def test_linear_heights_match_argsort_heights_on_supports(mdp):
     cond = _condensation(mdp.support())
     expected = heights_by_argsort(cond)
     assert _heights(cond).tolist() == expected.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the condensation against scipy's strong components and a brute-force closure
+
+
+@st.composite
+def block_graphs(draw):
+    """Successor sets of graphs built from blocks, ids shuffled.
+
+    Closed blocks: a lone state (with or without a self-loop, often with
+    no predecessor) or a ring of 2-5 states with chords, and in a third
+    of the graphs a two-way path of 101-120 states (diameter 100 or
+    more).  Transient blocks: a ring of 2-5 states with chords, or a lone
+    state.  Each transient block leads into earlier blocks, so every
+    state reaches a closed class; some states carry a self-loop.
+    """
+    closed = draw(st.lists(st.sampled_from(["lone", "ring"]), min_size=1, max_size=3))
+    if draw(st.integers(0, 2)) == 0:
+        closed.append("path")
+    transient = draw(st.lists(st.sampled_from(["lone", "ring"]), max_size=12))
+    kinds = closed + transient
+    sizes = [
+        1 if kind == "lone" else
+        draw(st.integers(2, 5)) if kind == "ring" else
+        draw(st.integers(101, 120))
+        for kind in kinds
+    ]
+    starts = np.cumsum([0] + sizes).tolist()
+    n = starts[-1]
+    succ = [set() for _ in range(n)]
+    for i, kind in enumerate(kinds):
+        members = list(range(starts[i], starts[i + 1]))
+        if kind == "path":
+            for x in members[:-1]:
+                succ[x].add(x + 1)
+                succ[x + 1].add(x)
+        elif kind == "ring":
+            for j, x in enumerate(members):
+                succ[x].add(members[(j + 1) % len(members)])
+            for _ in range(draw(st.integers(0, len(members)))):
+                succ[draw(st.sampled_from(members))].add(draw(st.sampled_from(members)))
+        if i >= len(closed):
+            for _ in range(draw(st.integers(1, 3))):
+                x = draw(st.sampled_from(members))
+                succ[x].add(draw(st.integers(0, starts[i] - 1)))
+    for x in draw(st.lists(st.integers(0, n - 1), max_size=5)):
+        succ[x].add(x)
+    labels = draw(st.permutations(range(n)))
+    out = [set() for _ in range(n)]
+    for x in range(n):
+        out[labels[x]] = {labels[s] for s in succ[x]}
+    return out
+
+
+def closure_structure(succ):
+    """Components, heights and reach sets by brute force.
+
+    Returns each state's smallest fellow member, the sorted members and
+    the sorted successor components (by smallest member) of each
+    component, each component's height, and each state's reach set.
+    """
+    n = len(succ)
+    rows = {(x, 0): [(s, 1.0, 0.0) for s in succ[x]] for x in range(n)}
+    reach = union_reach(n, rows)[1]
+    first = [min(y for y in reach[x] if x in reach[y]) for x in range(n)]
+    groups = {}
+    for x in range(n):
+        groups.setdefault(first[x], []).append(x)
+    out = {
+        c: sorted({first[s] for x in g for s in succ[x]} - {c})
+        for c, g in groups.items()
+    }
+    height = {}
+    for c in sorted(groups, key=lambda c: len(reach[c])):
+        height[c] = max((height[d] + 1 for d in out[c]), default=0)
+    return first, groups, out, height, reach
+
+
+def assert_condensation_matches_closure(model, succ):
+    first, groups, out, height, reach = closure_structure(succ)
+    n = len(succ)
+    cond = _condensation(model)
+    rep = cond.members[cond.member_ptr[:-1]]
+    # Components are numbered by their smallest member.
+    assert rep.tolist() == sorted(groups)
+    assert component_of(cond).tolist() == first
+    for c, r in enumerate(rep.tolist()):
+        members = cond.members[cond.member_ptr[c] : cond.member_ptr[c + 1]]
+        assert members.tolist() == groups[r]
+        targets = cond.succ[cond.succ_ptr[c] : cond.succ_ptr[c + 1]]
+        assert rep[targets].tolist() == out[r]
+        assert bool(cond.is_open[c]) == bool(out[r])
+    # Every edge runs from an earlier frontier to a later one.
+    assert sorted(cond.frontiers.tolist()) == list(range(rep.size))
+    place = np.empty(rep.size, dtype=np.int64)
+    place[cond.frontiers] = np.repeat(
+        np.arange(cond.frontier_ptr.size - 1), np.diff(cond.frontier_ptr)
+    )
+    owner = np.repeat(np.arange(rep.size), np.diff(cond.succ_ptr))
+    assert np.all(place[owner] < place[cond.succ])
+    assert _heights(cond)[cond.labels].tolist() == [height[first[x]] for x in range(n)]
+    assert counting_potential(model).phi.tolist() == [len(r) for r in reach]
+
+    d = absorbing_decomposition(model)
+    closed = [x for x in range(n) if not out[first[x]]]
+    assert d.absorbing.tolist() == closed
+    assert d.transient.tolist() == sorted(set(range(n)) - set(closed))
+    assert [g.tolist() for g in d.classes] == [
+        groups[c] for c in sorted(groups) if not out[c]
+    ]
+
+
+def scipy_components(succ):
+    """Each state's smallest fellow member, from scipy's strong components."""
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sparse = pytest.importorskip("scipy.sparse")
+    n = len(succ)
+    # scipy gets distinct successors: it has been seen never to return on
+    # some rows that repeat one.
+    cols = [sorted(s) for s in succ]
+    row_ptr = np.cumsum([0] + [len(c) for c in cols])
+    col = np.array([s for c in cols for s in c], dtype=np.int64)
+    mat = sparse.csr_matrix((np.ones(col.size), col, row_ptr), shape=(n, n))
+    labels = csgraph.connected_components(mat, directed=True, connection="strong")[1]
+    smallest = {}
+    for x in range(n):
+        smallest.setdefault(labels[x], x)
+    return [smallest[labels[x]] for x in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_graphs())
+def test_condensation_matches_scipy_and_closure(succ):
+    n = len(succ)
+    chain = edge_chain(n, [(x, s) for x in range(n) for s in succ[x]])
+    assert_condensation_matches_closure(chain, succ)
+    # edge_chain gives a state with no listed successor a certain self-loop.
+    succ = [s or {x} for x, s in enumerate(succ)]
+    assert component_of(_condensation(chain)).tolist() == scipy_components(succ)
+
+    spec = {
+        "states": n, "actions": 1, "discount": 0.9, "mask": [[0]] * n,
+        "transitions": [
+            {"x": x, "u": 0, "xp": s, "p": 1.0 / len(succ[x]), "r": 0.0}
+            for x in range(n) for s in sorted(succ[x])
+        ],
+    }
+    mdp = build_mdp(spec)
+    assert_condensation_matches_closure(mdp.support(), succ)
+    expected = brute_force_violations(spec)
+    assert verify_reductive_mdp(mdp).violations == expected
+    assert verify_reductive(chain).violations == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(block_graphs(), st.data())
+def test_condensation_of_rows_that_repeat_a_successor(succ, data):
+    """A row may list a successor twice; the structure stays the same."""
+    n = len(succ)
+    succ = [s or {x} for x, s in enumerate(succ)]
+    rows = []
+    for x in range(n):
+        row = sorted(succ[x])
+        twice = data.draw(st.lists(st.sampled_from(row), max_size=2))
+        rows.append(sorted(row + twice))
+    row_ptr = np.cumsum([0] + [len(r) for r in rows]).astype(np.int64)
+    col = np.array([s for r in rows for s in r], dtype=np.int64)
+    support = Support(n, row_ptr, col, np.zeros(n, dtype=bool))
+    assert_condensation_matches_closure(support, succ)
 
 
 # ---------------------------------------------------------------------------
