@@ -18,8 +18,8 @@ two-copy buffer [v_new | v_old]: the new copy when the successor is
 placed before the entry's state in the sweep order.  A level reads only
 the new values of earlier levels, so the results are bit-identical to
 the one-state-at-a-time loop (level scheduling of a triangular solve).
-A plan for one fixed order (_order_plan) is gathered once in that
-order, levelled by the order's own Kahn waves (permuted into wave order
+A plan for one fixed order (_order_plan) is gathered in that order,
+levelled by the order's own Kahn waves (gathered again in wave order
 when the waves do not already ascend) and indexed once.  A plan for
 sweeps in any order (_level_plan) is levelled by the height of each
 state's component in the condensation, a valid level for every order;
@@ -302,10 +302,10 @@ def _waves(reader, read, count):
 def _order_plan(order, state_ptr, pair_ptr, col, prob, rew, gamma):
     """Gather the distinct states of order into a LevelPlan for sweeps in it.
 
-    The states are gathered once, in order.  The levels are the order's
-    own waves: a state waits for its successors placed before it in
-    order.  The gather is permuted into wave order unless the waves
-    already ascend along order, and its entries are indexed once.
+    The states are gathered in order.  The levels are the order's own
+    waves: a state waits for its successors placed before it in order.
+    The states are gathered again in wave order unless the waves
+    already ascend along order, and the entries are indexed once.
     Raises DivergentSelfLoop naming the first state of order with a pair
     that stays forever at a gain.
     """
@@ -320,7 +320,7 @@ def _order_plan(order, state_ptr, pair_ptr, col, prob, rew, gamma):
     if np.any(wave[1:] < wave[:-1]):
         lay = np.argsort(wave, kind="stable")
         dest, key = order[lay], wave[lay]
-        gathered = _permuted(gathered, lay)
+        gathered = _gather(dest, state_ptr, pair_ptr, col, prob, rew)
     plan, _, _ = _layout(dest, key, gathered, state_ptr.size - 1, gamma)
     if plan.gains.size:
         raise _divergent(order[pos[plan.gains].min()])
@@ -339,20 +339,6 @@ def _order_waves(pos, pair_off, entry_off, ecol):
     own = np.repeat(np.arange(m, dtype=pos.dtype), np.diff(entry_off[pair_off]))
     waits = succ < own
     return _waves(own[waits], succ[waits], m)
-
-
-def _permuted(gathered, perm):
-    """A _gather of some states, redone for the same states in perm's order."""
-    pairs, pair_off, entry_off, ecol, eprob, erew = gathered
-    p_lens, pperm, e_lens, eperm = _slot_perm(perm, pair_off, entry_off)
-    return (
-        pairs[pperm],
-        _offsets(p_lens),
-        _offsets(e_lens),
-        ecol[eperm],
-        eprob[eperm],
-        erew[eperm],
-    )
 
 
 def _slot_perm(perm, pair_off, entry_off):

@@ -24,17 +24,17 @@ of an Mdp (Mdp.support()): the distinct successors of each state over
 all its actions, which is all the structure of the Mdp's union chain, so
 an Mdp is certified and ordered without building that chain.
 
-The components come from one numpy pass over the model's successor
-lists, self-loops aside.  It peels the graph in Kahn frontiers from its
-sources; a peeled state lies on no cycle, and in a reductive model the
-peel takes every transient state.  Only what is left, the closed
-classes and in a non-reductive model the transient cycles and what they
-reach, is split by trimming and forward-backward search.  The peel's
-frontiers are kept on the condensation, so the Kahn heights of the
-components (one more than the tallest successor's, sinks at 0) take one
-pass back through them.  The potential visits the components by height
-and builds a whole height's reach sets at once as rows of a bitset
-matrix.
+The components come from the model's successor lists, self-loops
+aside.  A numpy pass peels the graph in Kahn frontiers from its sources;
+a peeled state lies on no cycle, and in a reductive model the peel
+takes every transient state.  Only what is left, the closed classes and
+in a non-reductive model the transient cycles and what they reach, is
+split by Tarjan's depth-first search, in time linear in its size.  The
+peel's frontiers are kept on the condensation, so the Kahn heights of
+the components (one more than the tallest successor's, sinks at 0) take
+one pass back through them.  The potential visits the components by
+height and builds a whole height's reach sets at once as rows of a
+bitset matrix.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ def _strong_components(row_ptr, col):
     Kahn frontiers from its sources (_peel).  A peeled node lies on no
     cycle, so it is a component of its own; in a reductive model that is
     every transient state.  The nodes left over only reach one another
-    and are split by _split.  Returns each node's representative (the
+    and are split by _tarjan.  Returns each node's representative (the
     smallest member of its component), the peeled nodes frontier by
     frontier, and the frontiers' bounds.
     """
@@ -241,10 +241,11 @@ def _strong_components(row_ptr, col):
         lens = deg[rest]
         local = np.zeros(n, dtype=np.int64)
         local[rest] = np.arange(rest.size, dtype=np.int64)
-        a = np.repeat(np.arange(rest.size, dtype=np.int64), lens)
-        b = local[col[gather_ranges(row_ptr[rest], lens)]]
-        loop = a == b
-        rep[rest] = rest[_split(rest.size, a[~loop], b[~loop])]
+        succ = local[col[gather_ranges(row_ptr[rest], lens)]]
+        comp = np.array(_tarjan(_offsets(lens).tolist(), succ.tolist()))
+        smallest = np.full(rest.size, rest.size, dtype=np.int64)
+        np.minimum.at(smallest, comp, np.arange(rest.size, dtype=np.int64))
+        rep[rest] = rest[smallest[comp]]
     return rep, peeled, peel_ptr
 
 
@@ -278,99 +279,57 @@ def _peel(graph, waiting, frontier):
     return np.concatenate(parts), _offsets(np.array([p.size for p in parts]))
 
 
-def _split(count, a, b):
-    """The smallest member of each node's strongly-connected component.
+def _tarjan(ptr, succ):
+    """Component of each node, by Tarjan's depth-first search without recursion.
 
-    Nodes 0..count - 1 have the edges a[i] -> b[i], a ascending, no
-    self-loops.  Each round first trims the nodes with no in-edge or no
-    out-edge left (_peel from the sources, then from the sinks): they are
-    components of their own.  Then it colours every node with the
-    largest node that reaches it (_spread); the largest node of a colour
-    is its root.  Spreading back over edges within a colour finds the
-    nodes that reach their root: they make up the root's component.
-    This is forward-backward with one pivot per colour (Fleischer,
-    Hendrickson & Pinar 2000), with trimming (McLendon et al. 2005) and
-    colouring (Orzan 2004).  A component never spans two colours, so
-    the next round keeps only the edges within a colour, and it runs the
-    other way round: the colour is the largest node reached, and the
-    second spread runs forward.  Every round finds the component of
-    each colour's root.
+    ptr and succ are lists: node x has the successors succ[ptr[x]:ptr[x +
+    1]].  Components are numbered in the order they finish.  Each edge is
+    looked at once, so the time is linear in the graph's size; being a
+    Python loop, it only sees what the numpy peel leaves.
     """
-    ids = np.arange(count, dtype=np.int64)
-    rep = ids.copy()
-    alive = np.ones(count, dtype=bool)
-    stamp = np.zeros(count, dtype=np.int64)
-    # The first round colours forward when most edges lead to larger
-    # nodes, so that most nodes are the largest that reaches them.
-    forward = 2 * np.count_nonzero(a < b) >= a.size
-    while a.size:
-        fwd, bwd = _both_ways(count, a, b)
-        waiting = np.bincount(b, minlength=count)
-        alive[_peel(fwd, waiting, np.flatnonzero(alive & (waiting == 0)))[0]] = False
-        waiting = np.bincount(a, minlength=count)
-        waiting[~alive] = -1
-        alive[_peel(bwd, waiting, np.flatnonzero(alive & (waiting == 0)))[0]] = False
-        keep = alive[a] & alive[b]
-        if not keep.all():
-            a, b = a[keep], b[keep]
-            if not a.size:
-                break
-            fwd, bwd = _both_ways(count, a, b)
-        if not forward:
-            fwd, bwd = bwd, fwd
-        colour = np.where(alive, ids, -1)
-        _spread(fwd, colour, np.flatnonzero(alive), stamp)
-        # A node alone in its colour is its root, and a component of its
-        # own; the others spread back within their colour.
-        shared = np.bincount(colour[alive], minlength=count)[colour] > 1
-        shared &= alive
-        reach = np.where(shared, ids, -1)
-        _spread(bwd, reach, np.flatnonzero(shared), stamp, within=colour)
-        found = alive & ((reach == colour) | ~shared)
-        rep[found] = colour[found]
-        alive &= ~found
-        keep = alive[a] & alive[b] & (colour[a] == colour[b])
-        a, b = a[keep], b[keep]
-        forward = not forward
-    smallest = np.full(count, count, dtype=np.int64)
-    np.minimum.at(smallest, rep, ids)
-    return smallest[rep]
-
-
-def _both_ways(count, a, b):
-    """Successor and predecessor lists of the edges a -> b, a ascending."""
-    shift = max(count - 1, 1).bit_length()
-    by_b = np.sort((b << shift) | a)
-    return (
-        (_offsets(np.bincount(a, minlength=count)), b),
-        (_offsets(np.bincount(b, minlength=count)), by_b & ((1 << shift) - 1)),
-    )
-
-
-def _spread(graph, value, frontier, stamp, within=None):
-    """Give each node the largest value among the nodes that reach it.
-
-    graph is (ptr, succ), and the spread starts from frontier.  value[x]
-    starts as x itself, or -1 for a node that passes nothing on, and
-    stays the id of a node that reaches x; with within, only along edges
-    between nodes of equal within.  So the value of x's value reaches x
-    too, and each changed node also takes that (pointer jumping): a
-    value crosses a path of length L in O(log L) steps, not L.
-    """
-    while frontier.size:
-        nxt, lens = _out_edges(graph, frontier)
-        theirs = np.repeat(value[frontier], lens)
-        if within is not None:
-            same = within[nxt] == np.repeat(within[frontier], lens)
-            nxt, theirs = nxt[same], theirs[same]
-        before = value[nxt]
-        np.maximum.at(value, nxt, theirs)
-        raised = nxt[value[nxt] > before]
-        # Keep one copy of each raised node: one matches the stamp that landed.
-        rank = np.arange(raised.size, dtype=np.int64)
-        stamp[raised] = rank
-        frontier = raised[stamp[raised] == rank]
-        value[frontier] = value[value[frontier]]
+    count = len(ptr) - 1
+    index = [-1] * count
+    low = [0] * count
+    comp = [-1] * count
+    stack = []
+    seen = found = 0
+    for root in range(count):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = seen
+        seen += 1
+        stack.append(root)
+        work = [(root, ptr[root])]
+        while work:
+            v, i = work[-1]
+            end = ptr[v + 1]
+            while i < end:
+                w = succ[i]
+                i += 1
+                if index[w] < 0:
+                    # Descend into w, resuming v's edges after it later.
+                    work[-1] = (v, i)
+                    index[w] = low[w] = seen
+                    seen += 1
+                    stack.append(w)
+                    work.append((w, ptr[w]))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = found
+                        if w == v:
+                            break
+                    found += 1
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+    return comp
 
 
 def _out_edges(graph, frontier):

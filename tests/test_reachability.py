@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -874,6 +876,34 @@ def test_condensation_matches_scipy_and_closure(succ):
     expected = brute_force_violations(spec)
     assert verify_reductive_mdp(mdp).violations == expected
     assert verify_reductive(chain).violations == expected
+
+
+def test_condensation_of_a_long_chain_of_transient_cycles():
+    """2,000 transient 2-cycles in a chain, ids falling then rising along it.
+
+    No state of a cycle lacks an in-edge or an out-edge within its
+    cycle, and a split that finds one cycle from each end of the chain
+    per round would take a round per cycle.  The structure must come in
+    time linear in the chain's length.
+    """
+    k = 2000
+    ranks = list(range(k - 1, -1, -2)) + list(range(k % 2, k, 2))
+    succ = [set() for _ in range(2 * k + 1)]
+    for j, r in enumerate(ranks):
+        succ[2 * r].add(2 * r + 1)
+        succ[2 * r + 1].add(2 * r)
+        succ[2 * r + 1].add(2 * ranks[j + 1] if j + 1 < k else 2 * k)
+    succ[2 * k].add(2 * k)
+    n = len(succ)
+    chain = edge_chain(n, [(x, s) for x in range(n) for s in succ[x]])
+    start = time.perf_counter()
+    cond = _condensation(chain)
+    height = _heights(cond)
+    assert time.perf_counter() - start < 2.0
+    assert component_of(cond).tolist() == scipy_components(succ)
+    first = 2 * np.array(ranks)
+    assert height[cond.labels[first]].tolist() == list(range(k, 0, -1))
+    assert not cond.is_open[cond.labels[2 * k]]
 
 
 @settings(max_examples=50, deadline=None)
