@@ -41,7 +41,6 @@ from .reachability import (
     verify_reductive_mdp,
 )
 from .solvers import (
-    NATURAL,
     RANDOM_PER_SWEEP,
     REVERSED_LEVEL_SETS,
     SolverConfig,
@@ -170,11 +169,10 @@ def _liq_params(res, **overrides):
     return LiquidationParams(**kwargs)
 
 
-def _solver_config(res, ordering=NATURAL):
+def _solver_config(res):
     return SolverConfig(
         epsilon=float(res.get("epsilon", 1e-10)),
         max_sweeps=int(res.get("max_sweeps", 100_000)),
-        ordering=ordering,
         seed=int(res.get("seed", 0)),
     )
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidParams
-from .mdp import MarkovChain, Mdp, gather_ranges
+from .mdp import MarkovChain, Mdp, _offsets, gather_ranges
 from .reachability import (
     AbsorbingDecomposition,
     LevelSetSchedule,
@@ -108,8 +108,8 @@ def liquidation_reward(params, q, z, u):
     return p.w0 * u * (z - p.z0) - p.w1 * u * u - p.w2 * q * q
 
 
-def _price_rows(params):
-    """Reflected trinomial rows per price index: (targets, probs) arrays.
+def _price_walk(params):
+    """The reflected trinomial walk over price indices, as a chain.
 
     Mass that would leave the grid folds onto the boundary state; exact
     zero probabilities are dropped so the stored support stays strict.
@@ -124,18 +124,8 @@ def _price_rows(params):
                 continue
             t = min(max(zi + dz, 0), Z - 1)
             acc[t] = acc.get(t, 0.0) + p
-        targets = np.array(sorted(acc), dtype=np.int64)
-        rows.append((targets, np.array([acc[t] for t in sorted(acc)])))
-    return rows
-
-
-def _price_slice_chain(params):
-    rows = _price_rows(params)
-    row_ptr = np.zeros(params.z_count + 1, dtype=np.int64)
-    np.cumsum([t.size for t, _ in rows], out=row_ptr[1:])
-    col = np.concatenate([t for t, _ in rows])
-    prob = np.concatenate([p for _, p in rows])
-    return MarkovChain(params.z_count, row_ptr, col, prob)
+        rows.append(sorted(acc.items()))
+    return MarkovChain.from_rows(rows)
 
 
 def build_liquidation(params):
@@ -151,74 +141,50 @@ def build_liquidation(params):
     """
     p = params
     Z = p.z_count
-    zs = np.arange(p.z_min, p.z_max + 1, dtype=np.int64)
-    price = _price_rows(p)
-    pr_len = np.array([t.size for t, _ in price], dtype=np.int64)
-    pr_ptr = np.zeros(Z + 1, dtype=np.int64)
-    np.cumsum(pr_len, out=pr_ptr[1:])
-    pr_zi = np.concatenate([t for t, _ in price])
-    pr_p = np.concatenate([pb for _, pb in price])
+    n = p.state_count
+    walk = _price_walk(p)
 
-    mask_sizes = [np.ones(Z, dtype=np.int64)]
-    pair_actions = [np.zeros(Z, dtype=np.int64)]
-    entry_lens = [pr_len]
-    cols = [pr_zi]
-    probs = [pr_p]
-    rews = [np.zeros(pr_zi.size, dtype=np.float64)]
-
-    for q in range(1, p.q_max + 1):
-        idx_zi = np.repeat(np.arange(Z, dtype=np.int64), q)
-        us = np.tile(np.arange(1, q + 1, dtype=np.int64), Z)
-        pair_len = pr_len[idx_zi]
-        eidx = gather_ranges(pr_ptr[idx_zi], pair_len)
-        entry_pair = np.repeat(np.arange(idx_zi.size, dtype=np.int64), pair_len)
-        cols.append((q - us)[entry_pair] * Z + pr_zi[eidx])
-        probs.append(pr_p[eidx])
-        rw = (
-            p.w0 * us * (zs[idx_zi] - p.z0)
-            - p.w1 * us.astype(np.float64) ** 2
-            - p.w2 * float(q * q)
-        )
-        rews.append(rw[entry_pair])
-        mask_sizes.append(np.full(Z, q, dtype=np.int64))
-        pair_actions.append(us)
-        entry_lens.append(pair_len)
-
-    state_ptr = np.zeros(p.state_count + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(mask_sizes), out=state_ptr[1:])
-    pair_action = np.concatenate(pair_actions)
-    pair_ptr = np.zeros(pair_action.size + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(entry_lens), out=pair_ptr[1:])
+    q_of = np.arange(n, dtype=np.int64) // Z
+    sizes = np.maximum(q_of, 1)
+    state_ptr = _offsets(sizes)
+    pair_state = np.repeat(np.arange(n, dtype=np.int64), sizes)
+    qs = q_of[pair_state]
+    zi = pair_state - qs * Z
+    # A pair's rank within its state, plus one above q = 0.
+    us = np.arange(pair_state.size, dtype=np.int64) - state_ptr[pair_state]
+    us += qs > 0
+    pair_len = np.diff(walk.row_ptr)[zi]
+    entries = gather_ranges(walk.row_ptr[zi], pair_len)
+    rw = (
+        p.w0 * us * (zi + (p.z_min - p.z0))
+        - p.w1 * us.astype(np.float64) ** 2
+        - p.w2 * (qs * qs).astype(np.float64)
+    )
+    # The q = 0 pairs come first; below z0 the formula gives them -0.0.
+    rw[:Z] = 0.0
     mdp = Mdp(
-        state_count=p.state_count,
+        state_count=n,
         action_count=p.q_max + 1,
         discount=p.discount,
         state_ptr=state_ptr,
-        pair_action=pair_action,
-        pair_ptr=pair_ptr,
-        col=np.concatenate(cols),
-        prob=np.concatenate(probs),
-        rew=np.concatenate(rews),
+        pair_action=us,
+        pair_ptr=_offsets(pair_len),
+        col=np.repeat((qs - us) * Z, pair_len) + walk.col[entries],
+        prob=walk.prob[entries],
+        rew=np.repeat(rw, pair_len),
     )
 
-    slice_chain = _price_slice_chain(p)
-    slice_decomp = absorbing_decomposition(slice_chain)
-    slice_pt = counting_potential(slice_chain)
-    slice_schedule = level_set_schedule(slice_pt, slice_decomp)
-
-    transient = np.concatenate(
-        [slice_decomp.transient, np.arange(Z, p.state_count, dtype=np.int64)]
-    )
-    absorbing = slice_decomp.absorbing.copy()
-    classes = tuple(g.copy() for g in slice_decomp.classes)
+    slice_decomp = absorbing_decomposition(walk)
+    slice_schedule = level_set_schedule(counting_potential(walk), slice_decomp)
     decomp = AbsorbingDecomposition(
-        transient=np.sort(transient), absorbing=absorbing, classes=classes
+        transient=np.concatenate(
+            [slice_decomp.transient, np.arange(Z, n, dtype=np.int64)]
+        ),
+        absorbing=slice_decomp.absorbing,
+        classes=slice_decomp.classes,
     )
-
-    levels = [lv.copy() for lv in slice_schedule.levels]
-    for q in range(1, p.q_max + 1):
-        levels.append(np.arange(q * Z, (q + 1) * Z, dtype=np.int64))
-    schedule = LevelSetSchedule(levels=tuple(levels))
+    inventories = tuple(np.arange(Z, n, dtype=np.int64).reshape(-1, Z))
+    schedule = LevelSetSchedule(levels=slice_schedule.levels + inventories)
     return mdp, schedule, decomp
 
 
@@ -379,7 +345,7 @@ def build_fig2(variant, loop_prob=0.5):
 
 MULTIPLICATIVE = "Multiplicative"
 DELTA_INTERVAL = "DeltaInterval"
-# Uniforms held at once by DeltaInterval's blocked simulation.
+# Uniforms held at once by the blocked simulation.
 _SHRINK_BLOCK_DRAWS = 1 << 20
 
 
@@ -412,38 +378,33 @@ def shrink_simulate(params):
     """Sample the shrinking-intervals process from X_0 = 1.
 
     Multiplicative mode multiplies by an independent Uniform[0,1) each
-    step; DeltaInterval draws uniformly from [0, max(X - delta, 0)].
-    Trials use spawned per-trial seeds, so results are reproducible and
-    independent of any execution partitioning.  Monotonicity is checked
-    on the sampled paths, not assumed.
+    step; DeltaInterval draws uniformly from [0, max(X - delta, 0)].  Both
+    run one loop: Multiplicative is delta = 0, for which
+    U * max(X - 0, 0) equals X * U bit for bit.  Trials use spawned
+    per-trial seeds, so results are reproducible and independent of any
+    execution partitioning.  Monotonicity is checked on the sampled
+    paths, not assumed.
     """
+    delta = params.delta if params.mode == DELTA_INTERVAL else 0.0
     children = np.random.SeedSequence(params.seed).spawn(params.trials)
     finals = np.empty(params.trials, dtype=np.float64)
     all_monotone = True
-    if params.mode == MULTIPLICATIVE:
-        for t in range(params.trials):
+    # Step a block of trials together; row k of u holds each trial's
+    # k-th uniform, drawn from that trial's own stream.
+    block = max(1, _SHRINK_BLOCK_DRAWS // params.steps)
+    for lo in range(0, params.trials, block):
+        hi = min(lo + block, params.trials)
+        u = np.empty((params.steps, hi - lo), dtype=np.float64)
+        for t in range(lo, hi):
             rng = np.random.Generator(np.random.PCG64(children[t]))
-            path = np.cumprod(rng.random(params.steps))
-            if path[0] > 1.0 or np.any(np.diff(path) > 0.0):
+            u[:, t - lo] = rng.random(params.steps)
+        x = np.ones(hi - lo, dtype=np.float64)
+        for k in range(params.steps):
+            nxt = u[k] * np.maximum(x - delta, 0.0)
+            if np.any(nxt > x):
                 all_monotone = False
-            finals[t] = path[-1]
-    else:
-        # Step a block of trials together; row k of u holds each trial's
-        # k-th uniform, drawn from that trial's own stream.
-        block = max(1, _SHRINK_BLOCK_DRAWS // params.steps)
-        for lo in range(0, params.trials, block):
-            hi = min(lo + block, params.trials)
-            u = np.empty((params.steps, hi - lo), dtype=np.float64)
-            for t in range(lo, hi):
-                rng = np.random.Generator(np.random.PCG64(children[t]))
-                u[:, t - lo] = rng.random(params.steps)
-            x = np.ones(hi - lo, dtype=np.float64)
-            for k in range(params.steps):
-                nxt = u[k] * np.maximum(x - params.delta, 0.0)
-                if np.any(nxt > x):
-                    all_monotone = False
-                x = nxt
-            finals[lo:hi] = x
+            x = nxt
+        finals[lo:hi] = x
     final_abs = np.abs(finals)
     return ShrinkResult(
         final_abs=final_abs,

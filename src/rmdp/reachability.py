@@ -346,6 +346,17 @@ def _entry_sources(model):
     )
 
 
+def _predecessor_lists(src, col, n):
+    """Distinct predecessors of each of n states, from edges src -> col.
+
+    Returns (rev_ptr, rev_src): the sources of the edges into y are
+    rev_src[rev_ptr[y]:rev_ptr[y + 1]], ascending.
+    """
+    keys = _unique_sorted(col * np.int64(n) + src)
+    rev_ptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return rev_ptr, keys % n
+
+
 def reachable_set(chain, x):
     """Smallest successor-closed set of states containing x."""
     return set(np.flatnonzero(_reachable_mask(chain.row_ptr, chain.col, x)).tolist())
@@ -688,12 +699,8 @@ def predecessors(chain, target, n):
         if not 0 <= s < chain.state_count:
             raise ModelError(f"state {s} out of range")
         in_target[s] = True
-    order = np.argsort(chain.col, kind="stable")
-    src_sorted = _entry_sources(chain)[order]
-    col_sorted = chain.col[order]
-    rev_ptr = np.zeros(chain.state_count + 1, dtype=np.int64)
-    np.cumsum(
-        np.bincount(chain.col, minlength=chain.state_count), out=rev_ptr[1:]
+    rev_ptr, rev_src = _predecessor_lists(
+        _entry_sources(chain), chain.col, chain.state_count
     )
 
     seen = in_target.copy()
@@ -704,7 +711,7 @@ def predecessors(chain, target, n):
             break
         starts = rev_ptr[frontier]
         lengths = rev_ptr[frontier + 1] - starts
-        preds = src_sorted[gather_ranges(starts, lengths)]
+        preds = rev_src[gather_ranges(starts, lengths)]
         preds = _unique_sorted(preds[~seen[preds]])
         seen[preds] = True
         found.append(preds)

@@ -31,8 +31,13 @@ from .errors import (
     NotReductive,
     ScheduleMismatch,
 )
-from .mdp import Policy, ValueTable, _unique_sorted, gather_ranges, induced_chain
-from .reachability import _condensation, _heights, absorbing_decomposition
+from .mdp import Policy, ValueTable, gather_ranges, induced_chain
+from .reachability import (
+    _condensation,
+    _heights,
+    _predecessor_lists,
+    absorbing_decomposition,
+)
 
 NATURAL = "Natural"
 RANDOM_PER_SWEEP = "RandomPerSweep"
@@ -125,11 +130,9 @@ def q_update(mdp, values, x, u):
 
 
 def _absorbing_rewards_nonzero(mdp, states):
-    for x in states:
-        a, b = mdp.state_ptr[x], mdp.state_ptr[x + 1]
-        if np.any(mdp.rew[mdp.pair_ptr[a] : mdp.pair_ptr[b]] != 0.0):
-            return True
-    return False
+    starts = mdp.pair_ptr[mdp.state_ptr[states]]
+    lens = mdp.pair_ptr[mdp.state_ptr[states + 1]] - starts
+    return bool(np.any(mdp.rew[gather_ranges(starts, lens)] != 0.0))
 
 
 def _lowest_actions(mdp, states, pol):
@@ -396,25 +399,6 @@ def qvi_solve(mdp, cfg, schedule=None, v0=None):
     return SolveResult(values=ValueTable(v=v, q=q), policy=Policy(pol), stats=stats)
 
 
-def _raw_reverse_graph(mdp):
-    """Deduplicated predecessor lists over every action's support.
-
-    Unlike the n-step predecessor map this keeps self-edges, so a state
-    whose value moved re-enqueues itself when it has a self-loop and keeps
-    iterating it to convergence.
-    """
-    n = mdp.state_count
-    sizes = mdp.mask_sizes()
-    state_of_pair = np.repeat(np.arange(n, dtype=np.int64), sizes)
-    src = np.repeat(state_of_pair, np.diff(mdp.pair_ptr))
-    keys = _unique_sorted(mdp.col * np.int64(n) + src)
-    rev_dst = keys // n
-    rev_src = keys % n
-    rev_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rev_dst, minlength=n), out=rev_ptr[1:])
-    return rev_ptr, rev_src
-
-
 def bvi_solve(mdp, decomp, cfg):
     """Queue-based backward value iteration from the absorbing boundary.
 
@@ -437,7 +421,12 @@ def bvi_solve(mdp, decomp, cfg):
     _lowest_actions(mdp, np.arange(n, dtype=np.int64), pol)
     _solve_absorbing(mdp, decomp, cfg, v, q, pol)
 
-    rev_ptr, rev_src = _raw_reverse_graph(mdp)
+    # Predecessor lists over every action's support, self-edges kept: a
+    # state whose value moved re-enqueues itself when it has a self-loop
+    # and keeps iterating it to convergence.
+    per_state = np.diff(mdp.pair_ptr[mdp.state_ptr])
+    src = np.repeat(np.arange(n, dtype=np.int64), per_state)
+    rev_ptr, rev_src = _predecessor_lists(src, mdp.col, n)
     is_abs = np.zeros(n, dtype=bool)
     is_abs[decomp.absorbing] = True
     is_transient = (~is_abs).astype(np.uint8)

@@ -169,6 +169,79 @@ def test_liquidation_inventory_levels_ascend():
         assert level.tolist() == list(range(i * Z, (i + 1) * Z))
 
 
+def reference_liquidation(p):
+    """Per-inventory reference: the pairs of inventory q, price by price.
+
+    Returns the Mdp arrays as a dict.  Walk mass that would leave the
+    grid folds onto the boundary, added in move order; zero-probability
+    moves are dropped.  The q = 0 pairs pay exactly +0.0.
+    """
+    Z = p.z_count
+    moves = ((-1, p.p_down), (0, p.p_stay), (1, p.p_up))
+    walk = []
+    for zi in range(Z):
+        acc = {}
+        for dz, pr in moves:
+            if pr > 0.0:
+                t = min(max(zi + dz, 0), Z - 1)
+                acc[t] = acc.get(t, 0.0) + pr
+        walk.append(sorted(acc.items()))
+    sizes, actions, lens, cols, probs, rews = [], [], [], [], [], []
+    for q in range(p.q_max + 1):
+        us = range(1, q + 1) if q else [0]
+        for zi, row in enumerate(walk):
+            sizes.append(len(us))
+            for u in us:
+                z = p.z_min + zi
+                r = 0.0
+                if q:
+                    r = p.w0 * u * (z - p.z0) - p.w1 * float(u * u)
+                    r -= p.w2 * float(q * q)
+                actions.append(u)
+                lens.append(len(row))
+                cols.extend((q - u) * Z + t for t, _ in row)
+                probs.extend(pr for _, pr in row)
+                rews.extend(r for _ in row)
+    return {
+        "state_ptr": np.cumsum([0] + sizes, dtype=np.int64),
+        "pair_action": np.array(actions, dtype=np.int64),
+        "pair_ptr": np.cumsum([0] + lens, dtype=np.int64),
+        "col": np.array(cols, dtype=np.int64),
+        "prob": np.array(probs, dtype=np.float64),
+        "rew": np.array(rews, dtype=np.float64),
+    }
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"z_min": 100, "z_max": 110, "z0": 105, "discount": 0.95},
+        {"p_down": 0.7, "p_stay": 0.3, "p_up": 0.0},
+        {"p_down": 0.0, "p_stay": 0.5, "p_up": 0.5},
+        {"p_down": 0.5, "p_stay": 0.0, "p_up": 0.5, "z0": 60},
+        # zero weights: the formula's -0.0 rewards at q >= 1 stay signed
+        {"w0": 0.0, "w1": 0.0, "w2": 0.0, "z0": 250},
+    ],
+)
+def test_liquidation_matches_per_inventory_reference(overrides):
+    p = LiquidationParams(**{"q_max": 7, **overrides})
+    mdp, schedule, decomp = build_liquidation(p)
+    ref = reference_liquidation(p)
+    for name, want in ref.items():
+        got = getattr(mdp, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    assert (mdp.state_count, mdp.action_count) == (p.state_count, p.q_max + 1)
+    assert mdp.discount == p.discount
+    Z = p.z_count
+    inventories = schedule.levels[len(schedule.levels) - p.q_max :]
+    for q, level in enumerate(inventories, start=1):
+        assert level.tolist() == list(range(q * Z, (q + 1) * Z))
+    assert decomp.transient[-1] == p.state_count - 1
+    assert np.all(decomp.absorbing < Z)
+
+
 def test_liquidation_solves_single_unit_policy():
     p = LiquidationParams(q_max=2, z_min=148, z_max=152, z0=150)
     mdp, schedule, decomp = build_liquidation(p)
@@ -352,7 +425,16 @@ def scalar_delta_interval(trials, steps, seed, delta):
 
 @pytest.mark.parametrize(
     "seed,delta,trials,steps",
-    [(0, 0.25, 300, 20), (3, 0.01, 200, 4), (8, 0.05, 150, 2), (5, 0.001, 100, 9)],
+    [
+        (0, 0.25, 300, 20),
+        (3, 0.01, 200, 4),
+        (8, 0.05, 150, 2),
+        (5, 0.001, 100, 9),
+        # delta None runs Multiplicative, whose reference is delta 0
+        (0, None, 300, 20),
+        (7, None, 200, 1),
+        (1, None, 100, 9),
+    ],
 )
 @pytest.mark.parametrize("block_draws", [None, 10])
 def test_shrink_delta_interval_matches_scalar_loop(
@@ -362,13 +444,11 @@ def test_shrink_delta_interval_matches_scalar_loop(
     # when steps exceeds 5
     if block_draws is not None:
         monkeypatch.setattr(rmdp.domains, "_SHRINK_BLOCK_DRAWS", block_draws)
+    mode = rmdp.MULTIPLICATIVE if delta is None else rmdp.DELTA_INTERVAL
     out = shrink_simulate(
-        ShrinkParams(
-            trials=trials, steps=steps, seed=seed, mode=rmdp.DELTA_INTERVAL,
-            delta=delta,
-        )
+        ShrinkParams(trials=trials, steps=steps, seed=seed, mode=mode, delta=delta)
     )
-    finals, monotone = scalar_delta_interval(trials, steps, seed, delta)
+    finals, monotone = scalar_delta_interval(trials, steps, seed, delta or 0.0)
     ref_abs = np.abs(finals)
     assert out.final_abs.tobytes() == ref_abs.tobytes()
     assert out.max_final == float(ref_abs.max())
