@@ -177,6 +177,19 @@ def _solver_config(res):
     )
 
 
+def _read_json(path):
+    """The JSON value in the file at path.
+
+    json.load reads nested arrays and objects by recursion, so a file
+    nested deeper than the interpreter's recursion limit is bad input.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ModelError(f"{path}: JSON nested too deeply to read") from None
+
+
 def _resolve_model(res):
     """Build (mdp, schedule, decomp); schedule/decomp may be None."""
     model = res.get("model")
@@ -184,9 +197,7 @@ def _resolve_model(res):
     if (model is None) == (domain is None):
         raise InvalidParams("give exactly one of --model and --domain")
     if model is not None:
-        with open(model, encoding="utf-8") as fh:
-            spec = json.load(fh)
-        return build_mdp(spec), None, None
+        return build_mdp(_read_json(model)), None, None
     if domain == "liquidation":
         return build_liquidation(_liq_params(res))
     if domain == "spiral":
@@ -512,8 +523,7 @@ def main(argv=None):
     try:
         config = {}
         if args.config is not None:
-            with open(args.config, encoding="utf-8") as fh:
-                config = json.load(fh)
+            config = _read_json(args.config)
             if not isinstance(config, dict):
                 raise InvalidParams("config file must hold a JSON object")
         res = _Resolver(vars(args), config)

@@ -106,6 +106,21 @@ def _unique_sorted(keys):
     return ranked[first]
 
 
+def _same_row(row_ptr, size):
+    """Flags of entries 1..size - 1: is entry e + 1 in the same row as entry e.
+
+    Entries count from row_ptr[0]; row_ptr spans size of them and does
+    not decrease.  One boolean per entry, where a row id per entry would
+    take eight bytes.
+    """
+    # A row that starts at entry c clears flag c - 1.  Only empty rows
+    # start at entry 0 or at the end; their flags -1 and size - 1 fall on
+    # the two spare flags past the returned ones.
+    same = np.ones(size + 1, dtype=bool)
+    same[row_ptr[1:-1] - (row_ptr[0] + 1)] = False
+    return same[: max(size - 1, 0)]
+
+
 def _check_rows(row_ptr, col, prob, rew, state_count, what):
     """Shared row validation.
 
@@ -126,17 +141,16 @@ def _check_rows(row_ptr, col, prob, rew, state_count, what):
                 f"{what}: non-positive probability {float(prob[e])!r} at entry {e}"
             )
     counts = np.diff(row_ptr)
-    if np.any(counts == 0):
-        r = int(np.where(counts == 0)[0][0])
-        raise NonStochasticRow(f"{what}: row {r} has no entries (sum 0)")
-    row_of_entry = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    same_row = row_of_entry[1:] == row_of_entry[:-1]
-    dup = same_row & (col[1:] == col[:-1])
-    if np.any(dup):
+    if (counts <= 0).any():
+        if (counts == 0).any():
+            r = int(np.where(counts == 0)[0][0])
+            raise NonStochasticRow(f"{what}: row {r} has no entries (sum 0)")
+        raise ModelError(f"{what}: row pointers must not decrease")
+    dup = _same_row(row_ptr, col.size) & (col[1:] == col[:-1])
+    if dup.any():
         e = int(np.where(dup)[0][0])
-        raise DuplicateSuccessor(
-            f"{what}: duplicate successor {col[e]} in row {row_of_entry[e]}"
-        )
+        r = int(np.searchsorted(row_ptr, row_ptr[0] + e, side="right")) - 1
+        raise DuplicateSuccessor(f"{what}: duplicate successor {col[e]} in row {r}")
     sums = np.add.reduceat(prob, row_ptr[:-1])
     off = np.abs(sums - 1.0) > ROW_SUM_TOL
     if np.any(off):
@@ -173,20 +187,21 @@ class MarkovChain:
         self.rew = None if rew is None else np.asarray(rew, dtype=np.float64)
         if self.row_ptr.size != self.state_count + 1:
             raise ModelError("row_ptr length mismatch")
-        row_of_entry = np.repeat(
-            np.arange(self.state_count, dtype=np.int64), np.diff(self.row_ptr)
-        )
-        if row_of_entry.size != self.col.size:
+        if (self.row_ptr[1:] < self.row_ptr[:-1]).any():
+            raise ModelError("chain: row pointers must not decrease")
+        if self.row_ptr[-1] - self.row_ptr[0] != self.col.size:
             raise ModelError("row_ptr does not match the entry count")
         # Callers such as Mdp.union_chain already emit (row, successor)
         # order; the stable sort would return the arrays unchanged.
-        descending = (row_of_entry[1:] == row_of_entry[:-1]) & (
-            self.col[1:] < self.col[:-1]
-        )
-        if np.any(descending):
+        same_row = _same_row(self.row_ptr, self.col.size)
+        if (same_row & (self.col[1:] < self.col[:-1])).any():
+            row_of_entry = np.repeat(
+                np.arange(self.state_count, dtype=np.int64), np.diff(self.row_ptr)
+            )
             self.col, self.prob, self.rew = _sort_entries(
                 row_of_entry, self.col, self.prob, self.rew
             )
+        del same_row  # _check_rows builds its own
         _check_rows(
             self.row_ptr, self.col, self.prob, self.rew, self.state_count, "chain"
         )
@@ -356,11 +371,12 @@ class Mdp:
         if n_pairs:
             if self.pair_action.min() < 0 or self.pair_action.max() >= self.action_count:
                 raise ModelError("action id out of range")
-        state_of_pair = np.repeat(
-            np.arange(self.state_count, dtype=np.int64), pair_counts
-        )
-        same_state = state_of_pair[1:] == state_of_pair[:-1]
-        if np.any(same_state & (self.pair_action[1:] <= self.pair_action[:-1])):
+        if self.state_ptr[-1] - self.state_ptr[0] != n_pairs:
+            raise ModelError("state_ptr does not match the pair count")
+        if self.pair_ptr[-1] - self.pair_ptr[0] != self.col.size:
+            raise ModelError("pair_ptr does not match the entry count")
+        same_state = _same_row(self.state_ptr, n_pairs)
+        if (same_state & (self.pair_action[1:] <= self.pair_action[:-1])).any():
             raise ModelError("mask actions must be strictly ascending per state")
         _check_rows(
             self.pair_ptr, self.col, self.prob, self.rew, self.state_count, "mdp"
@@ -417,20 +433,32 @@ class Mdp:
 
         Probabilities are the uniform mixture over the state's admissible
         actions, so the support equals the union of the action supports.
+        Each entry's share is its probability over the state's action
+        count, and a (state, successor) pair's mass is the sum of its
+        shares in model order: by action, as the Mdp stores its entries.
+        The stable sort of the keys keeps that order within each key, and
+        bincount adds in input order, so the sums, down to the last bit,
+        depend on it.
         """
         n = self.state_count
         per_state = np.diff(self.pair_ptr[self.state_ptr])
-        src = np.repeat(np.arange(n, dtype=np.int64), per_state)
-        share = self.prob / np.repeat(self.mask_sizes(), per_state)
-        keys = src * np.int64(n) + self.col
+        keys = np.repeat(np.arange(n, dtype=np.int64) * n, per_state)
+        keys += self.col
         order = np.argsort(keys, kind="stable")
+        # Sorting keeps every state's entries in its own range, so the
+        # action counts repeat over the sorted shares as over the model's.
+        share = self.prob[order]
+        share /= np.repeat(self.mask_sizes(), per_state)
         keys = keys[order]
+        del order
         first = np.ones(keys.size, dtype=bool)
         first[1:] = keys[1:] != keys[:-1]
-        inverse = np.empty(keys.size, dtype=np.int64)
-        inverse[order] = np.cumsum(first) - 1
+        slot = np.cumsum(first)
+        slot -= 1
         keys = keys[first]
-        mass = np.bincount(inverse, weights=share, minlength=keys.size)
+        del first
+        mass = np.bincount(slot, weights=share, minlength=keys.size)
+        del slot, share
         row_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // n, minlength=n), out=row_ptr[1:])
         return MarkovChain(n, row_ptr, keys % n, mass)

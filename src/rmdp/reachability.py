@@ -34,7 +34,9 @@ peel's frontiers are kept on the condensation, so the Kahn heights of
 the components (one more than the tallest successor's, sinks at 0) take
 one pass back through them.  The potential visits the components by
 height and builds a whole height's reach sets at once as rows of a
-bitset matrix.
+bitset matrix.  Its rows and bits are numbered by height, lowest first,
+so the states below a height have their bits in the first width words
+of a row, and the height's ORs and probes read and write those alone.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ from .mdp import _offsets, _unique_sorted, gather_ranges
 NO_ABSORBING_SET = "NoAbsorbingSet"
 NON_DECREASING_TRANSIENT = "NonDecreasingTransient"
 CERTAIN_SELF_LOOP_MARKED_TRANSIENT = "CertainSelfLoopMarkedTransient"
+
+# Words popcounted at once when phi is read off the bitset.
+_POPCOUNT_WORDS = 1 << 16
+# Up to this many words, a height's rows OR their reads by reduceat.
+_REDUCEAT_WORDS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -390,64 +397,120 @@ def counting_potential(chain):
 
     Components are visited by Kahn height (_heights), sinks first, so
     every successor of a component is done before it.  Each component's
-    reach set is one row of a uint64 bitset matrix (components x
-    ceil(n / 64) words, one bit per state; about 51 MB for the 20,301
-    states of liquidation at q_max=100).  A height's rows are built at
-    once: the component's own members, OR the row of its tallest
-    successor, OR the rows of the other successors whose representative
-    state is not yet in that union.  A skipped successor's
-    representative is reached through the tallest successor, so its
-    whole set is already contained, and the result is exact.  Taking the
-    tallest successor first leaves few rows to OR on chains with long
-    paths.
+    reach set is one row of a uint64 bitset matrix, components x
+    ceil(n / 64) words (about 51 MB for the 20,301 states of liquidation
+    at q_max=100).  Rows and bits are both numbered by height, lowest
+    first: row r is the r-th component by height, and the bits of its
+    members follow those of the rows before it.  So the states of height
+    below h have their bits in a row's first width[h - 1] words, and a
+    component of height h reaches no others than these and its own
+    members: every OR and probe at height h acts on those words alone.
+    phi is a popcount, so it is exact under any numbering of the bits.
+
+    A height's rows are built at once: the component's own members, OR
+    the row of its tallest successor, OR the rows of the other
+    successors whose first member is not yet in that union.  A skipped
+    successor's first member is reached through the tallest successor,
+    so its whole set is already contained, and the result is exact.
+    Taking the tallest successor first leaves few rows to OR on chains
+    with long paths.
     """
     cond = _condensation(chain)
-    n_comp = cond.is_open.size
-    out_degree = np.diff(cond.succ_ptr)
-    owner = np.repeat(np.arange(n_comp, dtype=np.int64), out_degree)
+    n, n_comp = chain.state_count, cond.is_open.size
     height = _heights(cond)
-    # A component's tallest successors sit exactly one height below it;
-    # any one of them will do.
-    tall = height[cond.succ] == height[owner] - 1
-    tallest = np.zeros(n_comp, dtype=np.int64)
-    tallest[owner[tall]] = cond.succ[tall]
-    del owner, tall
+    rows = np.argsort(height, kind="stable")
+    row_ptr = np.searchsorted(height[rows], np.arange(height[rows[-1]] + 2))
+    rank = np.empty(n_comp, dtype=np.int64)
+    rank[rows] = np.arange(n_comp, dtype=np.int64)
+    # Row r's members hold the bits bit_ptr[r]:bit_ptr[r + 1].
+    sizes = np.diff(cond.member_ptr)[rows]
+    bit_ptr = _offsets(sizes)
+    width = (bit_ptr[row_ptr[1:]] + 63) // 64
+    words = int(width[-1])
 
-    # Components by height, and their edges in the same order.
-    comps = np.argsort(height, kind="stable")
-    comp_ptr = np.searchsorted(height[comps], np.arange(height[comps[-1]] + 2))
-    edge_ptr = np.zeros(n_comp + 1, dtype=np.int64)
-    np.cumsum(out_degree[comps], out=edge_ptr[1:])
-    edge_ptr = edge_ptr[comp_ptr]
-    succ = cond.succ[gather_ranges(cond.succ_ptr[comps], out_degree[comps])]
-    # Each edge's probe: the bit of its successor's representative state,
-    # at its flat position in the row of the edge's own component.
-    words = (chain.state_count + 63) // 64
-    rep = cond.members[cond.member_ptr[:-1]]
-    probe = np.repeat(comps * words, out_degree[comps]) + (rep >> 6)[succ]
-    probe_bit = _bit(rep)[succ]
-    tallest = tallest[comps]
+    # The edges in row order, their targets as rows.  An edge's probe is
+    # the flat position, in its source's row, of the word that holds its
+    # target's first bit.
+    out_degree = np.diff(cond.succ_ptr)[rows]
+    edge_ptr = _offsets(out_degree)
+    succ = cond.succ[gather_ranges(cond.succ_ptr[rows], out_degree)]
+    small = np.int32 if (n_comp + 1) * words < 2**31 else np.int64
+    reads = rank.astype(small)[succ]
+    del succ
+    first = bit_ptr[:-1]  # each row's first bit
+    probe = (first >> 6).astype(small)[reads]
+    probe += np.arange(0, n_comp * words, words, dtype=small).repeat(out_degree)
+    probe_bit = _bit(first)[reads]
+    # Rows ascend by height, so a component's last successor row is a
+    # tallest successor, one height below it.
+    tall = row_ptr[1]
+    tallest = np.zeros(n_comp, dtype=small)
+    if tall < n_comp:
+        tallest[tall:] = np.maximum.reduceat(reads, edge_ptr[tall:-1])
 
-    states = np.arange(chain.state_count, dtype=np.int64)
-    bits = np.zeros((n_comp, words), dtype=np.uint64)
-    np.bitwise_or.at(bits, (cond.labels, states >> 6), _bit(states))
+    # One more row than components: _or_rows pads with it, and it stays 0.
+    bits = np.zeros((n_comp + 1, words), dtype=np.uint64)
     flat = bits.reshape(-1)
-    for h in range(1, comp_ptr.size - 1):
-        a, b = comp_ptr[h], comp_ptr[h + 1]
-        bits[comps[a:b]] |= bits[tallest[a:b]]
-        lo, hi = edge_ptr[h], edge_ptr[h + 1]
-        open_ = (flat[probe[lo:hi]] & probe_bit[lo:hi]) == 0
-        if open_.any():
-            rows, reads = probe[lo:hi][open_] // words, succ[lo:hi][open_]
-            new_row = np.ones(rows.size, dtype=bool)
-            new_row[1:] = rows[1:] != rows[:-1]
-            starts = new_row.nonzero()[0]
-            bits[rows[starts]] |= np.bitwise_or.reduceat(bits[reads], starts, axis=0)
-
-    phi_comp = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
-    return PotentialTable(
-        phi=phi_comp[cond.labels], self_loops=frozenset(self_loop_states(chain))
+    # The members' own bits.  Bit i lies in word i >> 6 of its row; the
+    # keys of those words ascend, and one reduceat ORs each word's bits.
+    key = np.arange(0, n_comp * words, words).repeat(sizes)
+    key += np.arange(n, dtype=np.int64) >> 6
+    new_word = np.ones(n, dtype=bool)
+    new_word[1:] = key[1:] != key[:-1]
+    flat[key[new_word]] = np.bitwise_or.reduceat(
+        _bit(np.arange(n, dtype=np.int64)), new_word.nonzero()[0]
     )
+    del key, new_word
+    edge_ptr = edge_ptr[row_ptr]
+    steps = zip(width[:-1], row_ptr[1:-1], row_ptr[2:], edge_ptr[1:-1], edge_ptr[2:])
+    for w, a, b, lo, hi in steps:
+        sub = bits[:, :w]
+        np.bitwise_or(sub[a:b], sub[tallest[a:b]], out=sub[a:b])
+        open_ = ((flat.take(probe[lo:hi]) & probe_bit[lo:hi]) == 0).nonzero()[0]
+        if open_.size:
+            open_ += lo
+            _or_rows(sub, probe.take(open_) // words, reads.take(open_))
+
+    phi = np.empty(n_comp, dtype=np.int64)
+    step = max(_POPCOUNT_WORDS // words, 1)
+    for a in range(0, n_comp, step):
+        b = min(a + step, n_comp)
+        w = (bit_ptr[b] + 63) // 64
+        phi[a:b] = np.bitwise_count(bits[a:b, :w]).sum(axis=1, dtype=np.int64)
+    return PotentialTable(
+        phi=phi[rank[cond.labels]], self_loops=frozenset(self_loop_states(chain))
+    )
+
+
+def _or_rows(sub, dst, src):
+    """sub[dst[i]] |= sub[src[i]] for every i.
+
+    sub is a column slice of the bitset, whose last row is all zero.
+    dst ascends, and no src row is a dst row.  The reads of each dst row
+    are ORed together first.  A reduceat over their segments loops
+    column by column, so it serves narrow rows.  Wide rows pad each dst
+    row's reads to the largest count with the zero row and reduce them
+    at once, as long as the padding at most doubles the reads: one row
+    with many reads beside many rows with few keeps the reduceat, whose
+    temporary grows with the reads alone.
+    """
+    new_row = np.ones(dst.size, dtype=bool)
+    new_row[1:] = dst[1:] != dst[:-1]
+    starts = new_row.nonzero()[0]
+    # The largest read count, found only for wide rows: narrow ones,
+    # count 0, never pad.
+    count = 0
+    if starts.size * sub.shape[1] > _REDUCEAT_WORDS:
+        count = int(np.diff(starts, append=dst.size).max())
+    if 0 < starts.size * count <= 2 * dst.size:
+        seg = new_row.cumsum() - 1
+        padded = np.full(starts.size * count, sub.shape[0] - 1)
+        padded[seg * count + np.arange(dst.size) - starts[seg]] = src
+        acc = sub[padded].reshape(starts.size, count, -1)
+        acc = np.bitwise_or.reduce(acc, axis=1)
+    else:
+        acc = np.bitwise_or.reduceat(sub[src], starts, axis=0)
+    sub[dst.take(starts)] |= acc
 
 
 def _heights(cond):

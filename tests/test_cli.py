@@ -377,6 +377,17 @@ def test_broken_models_exit_2(cli, tmp_path):
             assert proc.returncode == 2, (field, cmd, proc.stderr)
             assert "non-finite" in proc.stderr
 
+    # json.load recurses per nesting level: a file nested deeper than the
+    # recursion limit, given as the model or as the config, is bad input.
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    for args in (("--model", nested), ("--domain", "spiral", "--config", nested)):
+        proc = cli("verify", *args)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert proc.stderr.splitlines() == [
+            f"rmdp: {nested}: JSON nested too deeply to read"
+        ]
+
 
 def certain_loop_spec(k):
     """State 0 has k actions, each staying with p = 1.0 beside a 5e-13 exit."""

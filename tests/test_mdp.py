@@ -238,6 +238,127 @@ def test_union_chain_merges_action_supports():
     assert abs(probs.sum() - 1.0) < 1e-12
 
 
+def union_chain_reference(mdp):
+    """The union chain's row_ptr, col and prob by scattering an inverse.
+
+    Each entry's share is summed into its (state, successor) slot by a
+    bincount over the entries in model order, through an entry-sized
+    inverse of the sort of the keys.
+    """
+    n = mdp.state_count
+    per_state = np.diff(mdp.pair_ptr[mdp.state_ptr])
+    src = np.repeat(np.arange(n, dtype=np.int64), per_state)
+    share = mdp.prob / np.repeat(mdp.mask_sizes(), per_state)
+    keys = src * np.int64(n) + mdp.col
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    inverse = np.empty(keys.size, dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    keys = keys[first]
+    mass = np.bincount(inverse, weights=share, minlength=keys.size)
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=row_ptr[1:])
+    return row_ptr, keys % n, mass
+
+
+# Action rows whose sums round: 0.1 + 0.7 + 0.2 is not 1.0 in doubles,
+# and a successor's shares over several actions round in turn.
+ROUNDING_ROWS = (
+    (1.0,),
+    (0.5, 0.5),
+    (0.1, 0.7, 0.2),
+    (0.7, 0.2, 0.1),
+    (0.3, 0.3, 0.4),
+    (0.1, 0.2, 0.3, 0.4),
+    (0.2, 0.2, 0.2, 0.2, 0.2),
+)
+
+
+@st.composite
+def shared_successor_mdps(draw):
+    """Mdps whose actions share successors.
+
+    Every action of a state draws its successors from one small pool,
+    so a successor can appear under each of the state's actions.
+    """
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 5))
+    mask, transitions = [], []
+    for x in range(n):
+        actions = draw(st.lists(st.integers(0, k - 1), min_size=1, unique=True))
+        mask.append(actions)
+        pool = draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=5, unique=True)
+        )
+        rows = [r for r in ROUNDING_ROWS if len(r) <= len(pool)]
+        for u in actions:
+            probs = draw(st.sampled_from(rows))
+            succ = draw(st.permutations(pool))
+            transitions += [
+                {"x": x, "u": u, "xp": xp, "p": p, "r": 0.0}
+                for xp, p in zip(succ, probs)
+            ]
+    spec = {
+        "states": n,
+        "actions": k,
+        "discount": 0.9,
+        "mask": mask,
+        "transitions": transitions,
+    }
+    return build_mdp(spec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_successor_mdps())
+def test_union_chain_sums_shares_in_model_order(mdp):
+    union = mdp.union_chain()
+    for name, want in zip(("row_ptr", "col", "prob"), union_chain_reference(mdp)):
+        assert getattr(union, name).tobytes() == want.tobytes(), name
+
+
+def test_duplicate_successor_names_its_row():
+    rows = [[(0, 1.0)], [(1, 1.0)], [(0, 0.5), (1, 0.25), (1, 0.25)]]
+    message = "^chain: duplicate successor 1 in row 2$"
+    with pytest.raises(DuplicateSuccessor, match=message):
+        MarkovChain.from_rows(rows)
+    # An Mdp's rows are its (state, action) pairs.
+    message = "^mdp: duplicate successor 0 in row 2$"
+    with pytest.raises(DuplicateSuccessor, match=message):
+        Mdp(
+            state_count=2,
+            action_count=2,
+            discount=0.9,
+            state_ptr=[0, 2, 3],
+            pair_action=[0, 1, 0],
+            pair_ptr=[0, 1, 2, 4],
+            col=[0, 1, 0, 0],
+            prob=[1.0, 1.0, 0.5, 0.5],
+            rew=[0.0] * 4,
+        )
+
+
+def test_row_pointers_must_cover_the_entries_in_order():
+    with pytest.raises(ModelError, match="^chain: row pointers must not decrease$"):
+        MarkovChain(2, [0, 2, 1], [0], [1.0])
+    spec = dict(
+        state_count=1,
+        action_count=1,
+        discount=0.9,
+        state_ptr=[0, 1],
+        pair_action=[0],
+        pair_ptr=[0, 2],
+        col=[0],
+        prob=[1.0],
+        rew=[0.0],
+    )
+    with pytest.raises(ModelError, match="^pair_ptr does not match the entry count$"):
+        Mdp(**spec)
+    with pytest.raises(ModelError, match="^state_ptr does not match the pair count$"):
+        Mdp(**dict(spec, state_count=2, state_ptr=[0, 1, 2]))
+
+
 def test_induced_chain_and_policy_validation():
     mdp = build_mdp(two_state_spec())
     pol = Policy(choice=np.array([1, 0], dtype=np.int64))

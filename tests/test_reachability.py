@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,115 @@ def test_potential_diamond_lattice():
         for j in range(side):
             assert phi[sid(i, j)] == (side - i) * (side - j)
     assert_potential_counts_reach(chain, states=[0, sid(3, 20), sid(side - 1, 0)])
+
+
+def layered_chain(sizes, ids, fan=2, seed=0):
+    """Chain whose k-th layer holds sizes[k] states of height k.
+
+    Layer 0 are sinks.  Every later state moves to one state of the
+    layer below and to up to fan random lower states, so its height is
+    its layer.  ids names the state ids in layer order: "forward" keeps
+    them, "reverse" runs them against the heights and "shuffled" draws
+    them at random.
+    """
+    rng = np.random.default_rng(seed)
+    starts = np.cumsum([0, *sizes]).tolist()
+    n = starts[-1]
+    edges = []
+    for k in range(1, len(sizes)):
+        for x in range(starts[k], starts[k + 1]):
+            edges.append((x, int(rng.integers(starts[k - 1], starts[k]))))
+            edges += [(x, int(y)) for y in rng.integers(0, starts[k], size=fan)]
+    label = {
+        "forward": np.arange(n),
+        "reverse": np.arange(n)[::-1],
+        "shuffled": rng.permutation(n),
+    }[ids]
+    return edge_chain(n, [(int(label[x]), int(label[y])) for x, y in edges])
+
+
+@pytest.mark.parametrize("ids", ["forward", "reverse", "shuffled"])
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        (64, 64, 64),  # every height ends exactly on a word boundary
+        (1, 63, 64, 1),
+        (65, 63, 1, 127, 2),  # some end on a boundary, some inside a word
+        (3, 61, 1, 63, 64, 128, 5),
+    ],
+)
+def test_potential_with_heights_ending_at_and_inside_words(sizes, ids):
+    # The bits are numbered by height, so a height's rows are ORed over
+    # the words up to where the states below it end.
+    assert_potential_counts_reach(layered_chain(sizes, ids, seed=len(sizes)))
+
+
+def test_potential_of_a_deep_chain_numbered_against_its_heights():
+    # State x moves to x + 1 and to one random state above it, and the
+    # last state is a sink: state 0 is the tallest.
+    n = 500
+    rng = np.random.default_rng(5)
+    edges = [(x, x + 1) for x in range(n - 1)]
+    edges += [(x, int(rng.integers(x + 1, n))) for x in range(n - 2)]
+    chain = edge_chain(n, edges)
+    assert counting_potential(chain).phi.tolist() == list(range(n, 0, -1))
+    assert_potential_counts_reach(chain, states=range(0, n, 7))
+
+
+@pytest.mark.parametrize("fan", [1, 3])
+def test_potential_of_wide_rows_with_many_reads(fan):
+    # 1,000 sinks take 16 words, and each of 200 states reads the
+    # rows of several sinks: with fan=3 most rows OR more than one read
+    # at once, with fan=1 at most one.
+    chain = layered_chain((1000, 200, 40), "shuffled", fan=fan, seed=fan)
+    assert_potential_counts_reach(chain)
+
+
+def test_potential_of_a_hub_beside_rows_with_one_read():
+    # State 0 moves to all 2,000 sinks and 200 states move to two sinks
+    # each, so one height ORs 2,198 reads into 201 rows of 32 words.
+    # Padding every row to the hub's 1,999 reads would take about 100 MB;
+    # the reads themselves take 0.6 MB and the bitset 0.6 MB.
+    sinks, k = 2000, 200
+    n = 1 + sinks + k
+    rng = np.random.default_rng(3)
+    edges = [(0, 1 + s) for s in range(sinks)]
+    for x in range(1 + sinks, n):
+        edges += [(x, 1 + int(s)) for s in rng.choice(sinks, size=2, replace=False)]
+    chain = edge_chain(n, edges)
+    _heights(_condensation(chain))
+    tracemalloc.start()
+    try:
+        phi = counting_potential(chain).phi
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert phi[0] == 1 + sinks and phi[1 + sinks :].tolist() == [3] * k
+    bitset = (n + 1) * ((n + 63) // 64) * 8
+    assert peak <= 4 * bitset, (peak, bitset)
+
+
+def test_potential_holds_no_second_bitset():
+    # A deep chain of n states: the bitset has n rows of ceil(n / 64)
+    # words.  Everything else counting_potential keeps is a few arrays
+    # per state and per edge, well within 256 bytes a state here; a
+    # popcount of the whole bitset at once would add a byte per word.
+    n = 20_000
+    rng = np.random.default_rng(11)
+    rows = [[(0, 1.0)], [(0, 1.0)]]
+    for x in range(2, n):
+        rows.append([(int(rng.integers(0, x - 1)), 0.5), (x - 1, 0.5)])
+    chain = MarkovChain.from_rows(rows)
+    _heights(_condensation(chain))
+    tracemalloc.start()
+    try:
+        phi = counting_potential(chain).phi
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert phi[:3].tolist() == [1, 2, 3] and phi[-1] == n
+    bitset = n * ((n + 63) // 64) * 8
+    assert peak <= bitset + 256 * n, (peak, bitset)
 
 
 def test_fig2_potentials():
