@@ -714,14 +714,15 @@ def bvi_run(
             pol[x] = pair_action[a + best]
             # A zero delta must not cut off upstream propagation: predecessors
             # that have never been backed up still need their first visit.
-            for y in rev_src[rev_ptr[x] : rev_ptr[x + 1]]:
-                if (
-                    is_transient[y]
-                    and not in_q[y]
-                    and (delta > epsilon or not visited[y])
-                ):
-                    in_q[y] = 1
-                    queue.append(int(y))
+            # The predecessors are distinct, so they are queued in one step
+            # and in ascending order, as one at a time.
+            ys = rev_src[rev_ptr[x] : rev_ptr[x + 1]]
+            go = (is_transient[ys] != 0) & (in_q[ys] == 0)
+            if not delta > epsilon:
+                go &= visited[ys] == 0
+            ys = ys[go]
+            in_q[ys] = 1
+            queue.extend(ys.tolist())
     return dequeues, backups
 
 

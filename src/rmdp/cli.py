@@ -5,7 +5,7 @@ come either from a JSON file (--model) or a built-in domain (--domain);
 a JSON --config file can supply any flag value, with explicit flags
 winning.  CSV output is byte-deterministic given config and seed, except
 for the measured wall_nanos column.  Exit codes: 0 ok, 2 bad input,
-3 not reductive, 4 solver failure.
+3 not reductive, 4 solver failure or out of memory.
 """
 
 from __future__ import annotations
@@ -533,6 +533,9 @@ def main(argv=None):
         return EXIT_NOT_REDUCTIVE
     except SolverError as exc:
         print(f"rmdp: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError:
+        print("rmdp: out of memory", file=sys.stderr)
         return EXIT_SOLVER
     except (ModelError, OSError, ValueError, TypeError) as exc:
         print(f"rmdp: {exc}", file=sys.stderr)

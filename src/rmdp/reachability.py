@@ -133,8 +133,9 @@ class _Condensation:
     into, ascending; is_open[c] says that there is at least one.
     frontiers[frontier_ptr[k]:frontier_ptr[k + 1]] are the components of
     the k-th Kahn frontier from the sources: every edge runs from an
-    earlier frontier to a later one.  The arrays are read-only; _heights
-    computes the components' heights once and keeps them here.
+    earlier frontier to a later one.  has_loop[x] says that state x has an
+    entry to itself.  The arrays are read-only; _heights computes the
+    components' heights once and keeps them here.
     """
 
     __slots__ = (
@@ -146,6 +147,7 @@ class _Condensation:
         "is_open",
         "frontiers",
         "frontier_ptr",
+        "has_loop",
         "height",
     )
 
@@ -171,7 +173,7 @@ def _condensation(model):
     if model._condensation is not None:
         return model._condensation
     n = model.state_count
-    rep, peeled, peel_ptr = _strong_components(model.row_ptr, model.col)
+    rep, peeled, peel_ptr, has_loop = _strong_components(model.row_ptr, model.col)
     is_rep = rep == np.arange(n, dtype=np.int64)
     labels = (np.cumsum(is_rep) - 1)[rep]
     n_comp = int(np.count_nonzero(is_rep))
@@ -218,6 +220,7 @@ def _condensation(model):
         is_open=out_degree > 0,
         frontiers=np.concatenate((labels[peeled], order)),
         frontier_ptr=np.concatenate((peel_ptr, peel_ptr[-1] + order_ptr[1:])),
+        has_loop=has_loop,
     )
     model._condensation = cond
     return cond
@@ -233,14 +236,16 @@ def _strong_components(row_ptr, col):
     every transient state.  The nodes left over only reach one another
     and are split by _tarjan.  Returns each node's representative (the
     smallest member of its component), the peeled nodes frontier by
-    frontier, and the frontiers' bounds.
+    frontier, the frontiers' bounds, and the flags of the nodes with a
+    self-loop.
     """
     n = row_ptr.size - 1
     deg = np.diff(row_ptr)
     src = np.repeat(np.arange(n, dtype=np.int64), deg)
-    waiting = np.bincount(col, minlength=n)
-    waiting -= np.bincount(src[src == col], minlength=n)
+    loops = np.bincount(src[src == col], minlength=n)
     del src
+    waiting = np.bincount(col, minlength=n)
+    waiting -= loops
     peeled, peel_ptr = _peel((row_ptr, col), waiting, (waiting == 0).nonzero()[0])
     rep = np.arange(n, dtype=np.int64)
     rest = np.flatnonzero(waiting > 0)
@@ -253,7 +258,7 @@ def _strong_components(row_ptr, col):
         smallest = np.full(rest.size, rest.size, dtype=np.int64)
         np.minimum.at(smallest, comp, np.arange(rest.size, dtype=np.int64))
         rep[rest] = rest[smallest[comp]]
-    return rep, peeled, peel_ptr
+    return rep, peeled, peel_ptr, loops > 0
 
 
 def _kahn(graph, waiting, frontier):
@@ -516,18 +521,11 @@ def _or_rows(sub, dst, src):
 def _heights(cond):
     """Kahn height of every component, sinks at 0, computed once per condensation.
 
-    A component's height is one more than its tallest successor's: one
-    pass back through the condensation's frontiers (_back_heights), with
-    every frontier's edges gathered at once.
+    One pass back through the condensation's frontiers (_back_heights).
     """
     if cond.height is None:
-        order, bounds = cond.frontiers, cond.frontier_ptr.tolist()
-        lens = cond.succ_ptr[order + 1] - cond.succ_ptr[order]
-        owner = np.repeat(order, lens)
-        dst = cond.succ[gather_ranges(cond.succ_ptr[order], lens)]
-        cut = _offsets(lens)[bounds].tolist()
-        steps = zip(cut[-2::-1], cut[:0:-1])
-        height = _back_heights(lens.size, ((owner[a:b], dst[a:b]) for a, b in steps))
+        graph = (cond.succ_ptr, cond.succ)
+        height = _back_heights(graph, cond.frontiers, cond.frontier_ptr)
         height.setflags(write=False)
         cond.height = height
     return cond.height
@@ -537,31 +535,33 @@ def _frontier_heights(succ_ptr, succ):
     """Kahn height of every node of a DAG, sinks at 0.
 
     succ[succ_ptr[x]:succ_ptr[x + 1]] are the targets of x's edges, a
-    repeated edge counted as often as it is listed.  A node's height is
-    one more than its tallest successor's.  The DAG is walked in Kahn
-    frontiers from its sources (_kahn), keeping each frontier's edges,
-    then the heights are taken in one pass back through the frontiers
-    (_back_heights).  Neither needs predecessor lists, and the whole is
-    linear in the graph's size.
+    repeated edge counted as often as it is listed.  The DAG is walked in
+    Kahn frontiers from its sources (_peel), then the heights are taken
+    in one pass back through the frontiers (_back_heights).  Neither
+    needs predecessor lists, and the whole is linear in the graph's size.
     """
-    n = succ_ptr.size - 1
-    waiting = np.bincount(succ, minlength=n)
-    walk = _kahn((succ_ptr, succ), waiting, np.flatnonzero(waiting == 0))
-    steps = [(np.repeat(f, lens), nxt) for f, lens, nxt in walk]
-    return _back_heights(n, reversed(steps))
+    graph = (succ_ptr, succ)
+    waiting = np.bincount(succ, minlength=succ_ptr.size - 1)
+    order, bounds = _peel(graph, waiting, np.flatnonzero(waiting == 0))
+    return _back_heights(graph, order, bounds)
 
 
-def _back_heights(count, steps):
-    """Heights of count nodes from the edges of Kahn frontiers, last frontier first.
+def _back_heights(graph, order, bounds):
+    """Height of every node of graph = (ptr, succ), sinks at 0.
 
-    steps yields each frontier's edges as (sources, targets), and every
-    edge runs to a later frontier, so a node's successors are done before
-    it is.  Sinks stay at 0.
+    order lists the nodes by Kahn frontier, frontier k being
+    order[bounds[k]:bounds[k + 1]], and every edge runs from an earlier
+    frontier to a later one.  A node's height is one more than its
+    tallest successor's.  The frontiers' edges are gathered at once, then
+    taken last frontier first, so a node's successors are done before it.
     """
-    height = np.zeros(count, dtype=np.int64)
-    for owner, dst in steps:
-        if dst.size:
-            np.maximum.at(height, owner, height[dst] + 1)
+    height = np.zeros(graph[0].size - 1, dtype=np.int64)
+    dst, lens = _out_edges(graph, order)
+    owner = np.repeat(order, lens)
+    cut = _offsets(lens)[bounds].tolist()
+    for a, b in zip(cut[-2::-1], cut[:0:-1]):
+        if b > a:
+            np.maximum.at(height, owner[a:b], height[dst[a:b]] + 1)
     return height
 
 
@@ -575,21 +575,16 @@ def potential_difference(pt, x, xp):
     return int(pt.phi[xp] - pt.phi[x])
 
 
-def self_loop_states(model, subset=None):
+def self_loop_states(model):
     """States with a fractional self-loop.
 
     For a chain that is 0 < p(x, x) < 1.  For an Mdp's Support it is the
     same rule on the union of the actions: some action has a self-loop,
-    and not every action has p(x, x) >= 1.  Intersected with subset when
-    one is given.
+    and not every action has p(x, x) >= 1.  The self-loops are read off
+    the model's condensation.
     """
-    src = _entry_sources(model)
-    has_loop = np.zeros(model.state_count, dtype=bool)
-    has_loop[src[src == model.col]] = True
-    loops = set(np.flatnonzero(has_loop & ~model.certain_self_loops()).tolist())
-    if subset is not None:
-        loops &= {int(s) for s in subset}
-    return loops
+    fractional = _condensation(model).has_loop & ~model.certain_self_loops()
+    return set(np.flatnonzero(fractional).tolist())
 
 
 def absorbing_decomposition(chain):

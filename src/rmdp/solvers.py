@@ -6,16 +6,19 @@ after the absorbing part has been solved.  qvi_solve is classical
 Gauss-Seidel value iteration with a configurable state ordering.
 bvi_solve drives plain Bellman backups through a FIFO queue seeded at the
 absorbing boundary.  All three return the same SolveResult shape with
-instrumentation counters.  Their inner loops are the numpy kernels of
-rmdp.backends, which raise ScheduleMismatch, DivergentSelfLoop and
-MaxSweepsExceeded themselves.  A value that overflows raises
-NonFiniteValue naming the first such state: the iterative solvers check
-each sweep's residual, rvi_solve and bvi_solve their values once at the
-end.
+instrumentation counters (_result).  qvi_solve's sweeps and those of the
+absorbing solve that rvi_solve and bvi_solve start with run one
+Gauss-Seidel loop (_gauss_seidel), which raises MaxSweepsExceeded.  The
+inner loops are the numpy kernels of rmdp.backends, which raise
+ScheduleMismatch, DivergentSelfLoop and bvi_run's MaxSweepsExceeded
+themselves.  A value that overflows raises NonFiniteValue naming the
+first such state: the sweeps check each sweep's residual, rvi_solve and
+bvi_solve their values once at the end.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -31,7 +34,7 @@ from .errors import (
     NotReductive,
     ScheduleMismatch,
 )
-from .mdp import Policy, ValueTable, gather_ranges, induced_chain
+from .mdp import Policy, ValueTable, _offsets, gather_ranges, induced_chain
 from .reachability import (
     _condensation,
     _heights,
@@ -135,8 +138,23 @@ def _absorbing_rewards_nonzero(mdp, states):
     return bool(np.any(mdp.rew[gather_ranges(starts, lens)] != 0.0))
 
 
-def _lowest_actions(mdp, states, pol):
-    pol[states] = mdp.pair_action[mdp.state_ptr[states]]
+def _tables(mdp):
+    """Zero values and action values, and each state's lowest action as policy."""
+    v = np.zeros(mdp.state_count, dtype=np.float64)
+    q = np.zeros(mdp.pair_count, dtype=np.float64)
+    return v, q, mdp.pair_action[mdp.state_ptr[:-1]]
+
+
+def _result(t0, v, q, pol, q_updates, sweeps, residual):
+    """The SolveResult of a solve that started at perf_counter_ns() t0."""
+    stats = SolveStats(
+        q_updates=int(q_updates),
+        sweeps=int(sweeps),
+        wall_nanos=time.perf_counter_ns() - t0,
+        converged=True,
+        residual=float(residual),
+    )
+    return SolveResult(values=ValueTable(v=v, q=q), policy=Policy(pol), stats=stats)
 
 
 def _require_finite(v):
@@ -178,19 +196,32 @@ def _level_plan(mdp, order=None):
     return backends._level_plan(*_components(mdp), *model)
 
 
-def _sweep(mdp, order, plan, v, q, pol):
-    """One Gauss-Seidel sweep over order with its plan; returns the max delta."""
-    return backends.gs_sweep(
-        order,
-        mdp.state_ptr,
-        mdp.pair_action,
-        mdp.pair_ptr,
-        plan,
-        mdp.discount,
-        v,
-        q,
-        pol,
-    )
+def _gauss_seidel(mdp, plan, orders, cfg, v, q, pol, what=""):
+    """Gauss-Seidel sweeps over plan, one per order drawn from orders.
+
+    Sweeps until the largest value change drops below cfg.epsilon and
+    returns (residual, sweeps).  Raises NonFiniteValue on a sweep whose
+    residual is not finite and a value is not, and MaxSweepsExceeded,
+    its message starting with what, after cfg.max_sweeps sweeps.
+    """
+    for sweeps, order in enumerate(orders, 1):
+        residual = backends.gs_sweep(
+            order,
+            mdp.state_ptr,
+            mdp.pair_action,
+            mdp.pair_ptr,
+            plan,
+            mdp.discount,
+            v,
+            q,
+            pol,
+        )
+        if not np.isfinite(residual):
+            _require_finite(v)
+        if residual < cfg.epsilon:
+            return residual, sweeps
+        if sweeps >= cfg.max_sweeps:
+            raise MaxSweepsExceeded(f"{what}residual {residual} after {sweeps} sweeps")
 
 
 def _solve_absorbing(mdp, decomp, cfg, v, q, pol):
@@ -202,7 +233,7 @@ def _solve_absorbing(mdp, decomp, cfg, v, q, pol):
         # All absorbing rewards are exactly zero: the fixed point is
         # v = 0 with q = 0, no iteration needed.
         v[absorbing] = 0.0
-        _lowest_actions(mdp, absorbing, pol)
+        pol[absorbing] = mdp.pair_action[mdp.state_ptr[absorbing]]
         return 0.0, 0
     if mdp.discount >= 1.0:
         for block in decomp.classes:
@@ -213,45 +244,29 @@ def _solve_absorbing(mdp, decomp, cfg, v, q, pol):
                 )
     order = np.sort(absorbing).astype(np.int64)
     plan = _level_plan(mdp, order)
-    residual = np.inf
-    sweeps = 0
-    while True:
-        residual = _sweep(mdp, order, plan, v, q, pol)
-        sweeps += 1
-        if not np.isfinite(residual):
-            _require_finite(v)
-        if residual < cfg.epsilon:
-            return float(residual), sweeps
-        if sweeps >= cfg.max_sweeps:
-            raise MaxSweepsExceeded(
-                f"absorbing solve: residual {residual} after {sweeps} sweeps"
-            )
+    return _gauss_seidel(
+        mdp, plan, itertools.repeat(order), cfg, v, q, pol, "absorbing solve: "
+    )
 
 
 def solve_absorbing_subspace(mdp, decomp, cfg):
     """Values on the absorbing part only; transient entries are left 0."""
-    v = np.zeros(mdp.state_count, dtype=np.float64)
-    q = np.zeros(mdp.pair_count, dtype=np.float64)
-    pol = np.zeros(mdp.state_count, dtype=np.int64)
-    _lowest_actions(mdp, np.arange(mdp.state_count, dtype=np.int64), pol)
+    v, q, pol = _tables(mdp)
     _solve_absorbing(mdp, decomp, cfg, v, q, pol)
     return ValueTable(v=v, q=q)
 
 
 def _check_schedule(mdp, schedule, decomp):
+    """The schedule's level bounds and its states level by level, once checked."""
     if decomp.transient.size + decomp.absorbing.size != mdp.state_count:
         raise ScheduleMismatch("decomposition does not cover the state space")
     if decomp.transient.size and decomp.absorbing.size == 0:
         raise NotReductive("transient states with an empty absorbing part")
-    levels = list(schedule.levels)
-    total = (
-        np.concatenate(levels).astype(np.int64)
-        if levels
-        else np.empty(0, dtype=np.int64)
-    )
+    levels = schedule.levels
+    total = np.concatenate([np.empty(0, dtype=np.int64), *levels]).astype(np.int64)
     if not np.array_equal(np.sort(total), np.sort(decomp.transient)):
         raise ScheduleMismatch("schedule does not enumerate the transient set")
-    return levels, total
+    return _offsets(np.array([lv.size for lv in levels], dtype=np.int64)), total
 
 
 def rvi_solve(mdp, schedule, decomp, cfg=None):
@@ -273,19 +288,12 @@ def rvi_solve(mdp, schedule, decomp, cfg=None):
     """
     cfg = cfg if cfg is not None else SolverConfig()
     t0 = time.perf_counter_ns()
-    levels, level_cat = _check_schedule(mdp, schedule, decomp)
-
-    v = np.zeros(mdp.state_count, dtype=np.float64)
-    q = np.zeros(mdp.pair_count, dtype=np.float64)
-    pol = np.zeros(mdp.state_count, dtype=np.int64)
+    level_ptr, level_states = _check_schedule(mdp, schedule, decomp)
+    v, q, pol = _tables(mdp)
     residual, _ = _solve_absorbing(mdp, decomp, cfg, v, q, pol)
 
     solved = np.zeros(mdp.state_count, dtype=np.uint8)
     solved[decomp.absorbing] = 1
-    level_states = level_cat.astype(np.int64)
-
-    sizes = np.asarray([lv.size for lv in levels], dtype=np.int64)
-    level_ptr = np.concatenate(([0], np.cumsum(sizes)))
     backends.rvi_pass(
         level_ptr,
         level_states,
@@ -302,17 +310,8 @@ def rvi_solve(mdp, schedule, decomp, cfg=None):
         pol,
     )
     _require_finite(v)
-
-    sizes = mdp.mask_sizes()
-    q_updates = int(sizes[level_states].sum()) if level_states.size else 0
-    stats = SolveStats(
-        q_updates=q_updates,
-        sweeps=1,
-        wall_nanos=time.perf_counter_ns() - t0,
-        converged=True,
-        residual=float(residual),
-    )
-    return SolveResult(values=ValueTable(v=v, q=q), policy=Policy(pol), stats=stats)
+    q_updates = mdp.mask_sizes()[level_states].sum()
+    return _result(t0, v, q, pol, q_updates, 1, residual)
 
 
 def _reversed_order(mdp, schedule):
@@ -353,50 +352,25 @@ def qvi_solve(mdp, cfg, schedule=None, v0=None):
     """
     t0 = time.perf_counter_ns()
     n = mdp.state_count
-    rng = order = None
+    order = None
     if cfg.ordering == REVERSED_LEVEL_SETS:
         order = _reversed_order(mdp, schedule)
     elif cfg.ordering == NATURAL:
         order = np.arange(n, dtype=np.int64)
-    else:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     plan = _level_plan(mdp, order)
+    if order is None:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+        orders = (rng.permutation(n) for _ in itertools.count())
+    else:
+        orders = itertools.repeat(order)
 
-    v = (
-        np.array(v0, dtype=np.float64, copy=True)
-        if v0 is not None
-        else np.zeros(n, dtype=np.float64)
-    )
-    if v.size != n:
-        raise InvalidParams("v0 length does not match state count")
-    q = np.zeros(mdp.pair_count, dtype=np.float64)
-    pol = np.zeros(n, dtype=np.int64)
-
-    per_sweep = mdp.pair_count
-    sweeps = 0
-    q_updates = 0
-    while True:
-        if rng is not None:
-            order = rng.permutation(n).astype(np.int64)
-        residual = _sweep(mdp, order, plan, v, q, pol)
-        sweeps += 1
-        if not np.isfinite(residual):
-            _require_finite(v)
-        q_updates += per_sweep
-        if residual < cfg.epsilon:
-            break
-        if sweeps >= cfg.max_sweeps:
-            raise MaxSweepsExceeded(
-                f"residual {residual} after {sweeps} sweeps"
-            )
-    stats = SolveStats(
-        q_updates=q_updates,
-        sweeps=sweeps,
-        wall_nanos=time.perf_counter_ns() - t0,
-        converged=True,
-        residual=float(residual),
-    )
-    return SolveResult(values=ValueTable(v=v, q=q), policy=Policy(pol), stats=stats)
+    v, q, pol = _tables(mdp)
+    if v0 is not None:
+        v = np.array(v0, dtype=np.float64, copy=True)
+        if v.size != n:
+            raise InvalidParams("v0 length does not match state count")
+    residual, sweeps = _gauss_seidel(mdp, plan, orders, cfg, v, q, pol)
+    return _result(t0, v, q, pol, sweeps * mdp.pair_count, sweeps, residual)
 
 
 def bvi_solve(mdp, decomp, cfg):
@@ -415,10 +389,7 @@ def bvi_solve(mdp, decomp, cfg):
     if decomp.absorbing.size == 0:
         raise NotReductive("BVI needs a nonempty absorbing part")
     n = mdp.state_count
-    v = np.zeros(n, dtype=np.float64)
-    q = np.zeros(mdp.pair_count, dtype=np.float64)
-    pol = np.zeros(n, dtype=np.int64)
-    _lowest_actions(mdp, np.arange(n, dtype=np.int64), pol)
+    v, q, pol = _tables(mdp)
     _solve_absorbing(mdp, decomp, cfg, v, q, pol)
 
     # Predecessor lists over every action's support, self-edges kept: a
@@ -457,14 +428,7 @@ def bvi_solve(mdp, decomp, cfg):
         pol,
     )
     _require_finite(v)
-    stats = SolveStats(
-        q_updates=int(backups),
-        sweeps=int(dequeues),
-        wall_nanos=time.perf_counter_ns() - t0,
-        converged=True,
-        residual=bellman_residual(mdp, v),
-    )
-    return SolveResult(values=ValueTable(v=v, q=q), policy=Policy(pol), stats=stats)
+    return _result(t0, v, q, pol, backups, dequeues, bellman_residual(mdp, v))
 
 
 def bellman_residual(mdp, v):

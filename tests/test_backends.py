@@ -6,8 +6,9 @@ waves and reused for every sweep, and a plan for sweeps in changing
 orders, levelled by component height and re-indexed per sweep.  Every
 plan gives each swept state one slot and lets a state read the new value
 only of states in earlier steps.  bellman_residual_pass must match the
-largest change of one-state backups of an unchanged value table.  The
-checks run on random small MDPs and on a liquidation instance.  The
+largest change of one-state backups of an unchanged value table, and
+bvi_run a queue that looks at one predecessor at a time.  The checks run
+on random small MDPs and on a liquidation instance.  The
 references pick a state's best pair with np.argmax, so a NaN counts as
 the largest, and a NaN change is the largest change.
 """
@@ -17,6 +18,7 @@ import inspect
 import io
 import re
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -31,14 +33,16 @@ from rmdp import (
     InvalidParams,
     LevelSetSchedule,
     LiquidationParams,
+    MaxSweepsExceeded,
     Mdp,
     SolverConfig,
     backends,
     build_liquidation,
     solvers,
 )
-from rmdp.backends import bellman_residual_pass, gs_sweep, rvi_pass
+from rmdp.backends import bellman_residual_pass, bvi_run, gs_sweep, rvi_pass
 from rmdp.mdp import gather_ranges
+from rmdp.reachability import _predecessor_lists
 
 # The benchmark package sits at the root of the checkout.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -532,3 +536,121 @@ def test_random_order_solve_gathers_the_model_once(monkeypatch):
     result = solvers.qvi_solve(mdp, cfg)
     assert result.stats.sweeps > 1
     assert gathered == [mdp.state_count]
+
+
+# ---------------------------------------------------------------------------
+# bvi_run against a queue that takes one predecessor at a time
+
+
+def serial_bvi_run(
+    seeds, is_transient, rev_ptr, rev_src, state_ptr, pair_action, pair_ptr,
+    col, prob, rew, gamma, epsilon, max_dequeues, v, q, pol, seen=None,
+):
+    """Reference for bvi_run: each predecessor of a dequeued state is
+    looked at on its own, in ascending order.  seen, when given, collects
+    "nan" for a NaN change that queued an unvisited predecessor, "zero"
+    for a zero change that did, and "loop" for a state that queued itself.
+    """
+    model = (state_ptr, pair_ptr, col, prob, rew, gamma)
+    for x in range(v.size):
+        # Raises DivergentSelfLoop for the first state with a gain.
+        stay_forever(x, *model, serial_backup(x, *model, v)[0])
+    in_q = np.zeros(v.size, dtype=bool)
+    in_q[seeds] = True
+    visited = np.zeros(v.size, dtype=bool)
+    queue = deque(seeds.tolist())
+    dequeues = backups = 0
+    while queue:
+        if dequeues >= max_dequeues:
+            raise MaxSweepsExceeded(f"BVI hit the dequeue cap ({max_dequeues})")
+        x = queue.popleft()
+        in_q[x] = False
+        visited[x] = True
+        dequeues += 1
+        qvals, _ = serial_backup(x, *model, v)
+        best = stay_forever(x, *model, qvals)
+        a = state_ptr[x]
+        q[a : a + qvals.size] = qvals
+        backups += qvals.size
+        with np.errstate(invalid="ignore"):
+            delta = abs(qvals[best] - v[x])
+        v[x] = qvals[best]
+        pol[x] = pair_action[a + best]
+        for y in rev_src[rev_ptr[x] : rev_ptr[x + 1]].tolist():
+            if is_transient[y] and not in_q[y] and (delta > epsilon or not visited[y]):
+                in_q[y] = True
+                queue.append(y)
+                if seen is not None:
+                    if y == x:
+                        seen.add("loop")
+                    if np.isnan(delta):
+                        seen.add("nan")
+                    elif delta == 0.0:
+                        seen.add("zero")
+    return dequeues, backups
+
+
+def assert_bvi_matches_serial(mdp, is_transient, seeds, v0, cap, seen=None):
+    """bvi_run and serial_bvi_run give the same counts, values, action
+    values and policy, or raise the same error."""
+    n = mdp.state_count
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(mdp.pair_ptr[mdp.state_ptr]))
+    rev_ptr, rev_src = _predecessor_lists(src, mdp.col, n)
+    flags = np.asarray(is_transient, dtype=np.uint8)
+    seeds = np.asarray(seeds, dtype=np.int64)
+    model = (
+        seeds, flags, rev_ptr, rev_src, mdp.state_ptr, mdp.pair_action,
+        mdp.pair_ptr, mdp.col, mdp.prob, mdp.rew, mdp.discount, 1e-10, cap,
+    )
+    runs = []
+    for kernel, extra in ((serial_bvi_run, {"seen": seen}), (bvi_run, {})):
+        tables = [v0.copy(), np.zeros(mdp.pair_count), np.zeros(n, dtype=np.int64)]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = kernel(*model, *tables, **extra)
+        except (DivergentSelfLoop, MaxSweepsExceeded) as exc:
+            out = (type(exc), str(exc))
+        runs.append((out, tables))
+    (ref, ref_tables), (got, got_tables) = runs
+    assert got == ref
+    for a, b in zip(got_tables, ref_tables):
+        assert same_bits(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_cases(), st.data())
+def test_bvi_run_matches_one_predecessor_at_a_time(case, data):
+    """Random small MDPs, with self-loops, zero rewards (zero changes) and
+    values of +-1e308 whose backups overflow to NaN changes, random
+    transient flags and seeds."""
+    mdp, _, v0 = case
+    n = mdp.state_count
+    is_transient = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    transient = [x for x in range(n) if is_transient[x]]
+    seeds = sorted(data.draw(st.sets(st.sampled_from(transient))) if transient else [])
+    assert_bvi_matches_serial(mdp, is_transient, seeds, v0, cap=30 * n)
+
+
+def test_bvi_run_queues_past_nan_and_zero_changes_and_self_loops():
+    """A NaN change and a zero change each queue only unvisited
+    predecessors, and a moving state with a self-loop queues itself.
+    State 9's NaN change comes after its predecessor 6 was backed up, so
+    6 is not queued again."""
+    rows = [
+        [([0], [0.0])],  # absorbing, value 1e308
+        [([1], [0.0])],  # absorbing, value -1e308
+        [([0, 1], [BIG, -BIG])],  # inf + -inf: a NaN change
+        [([2], [0.0])],
+        [([4], [0.0])],  # absorbing, value 0
+        [([4], [0.0])],  # a zero change
+        [([5], [0.0]), ([9], [0.0])],
+        [([4, 7], [1.0, 1.0])],  # a self-loop, moving
+        [([7], [0.0])],
+        [([3], [0.0])],
+    ]
+    mdp = mdp_from_rows(rows, 0.9)
+    is_transient = [False, False, True, True, False, True, True, True, True, True]
+    v0 = np.array([BIG, -BIG] + [0.0] * 8)
+    seen = set()
+    assert_bvi_matches_serial(mdp, is_transient, [2, 5, 7], v0, cap=1000, seen=seen)
+    assert seen == {"nan", "zero", "loop"}

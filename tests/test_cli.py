@@ -241,6 +241,20 @@ def test_command_builds_one_union_chain(tmp_path, monkeypatch, command):
     assert len(scc_calls) == 1
 
 
+def test_out_of_memory_exits_4(monkeypatch, capsys):
+    """A model too large for memory is a solver failure: exit 4 with one
+    stderr line, not a traceback."""
+
+    def no_memory(chain):
+        raise MemoryError
+
+    monkeypatch.setattr(rmdp.cli, "counting_potential", no_memory)
+    assert rmdp.cli.main(["verify", "--domain", "spiral"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "rmdp: out of memory\n"
+
+
 @pytest.mark.parametrize("solver", ["rvi", "bvi"])
 def test_solve_model_takes_no_potential(tmp_path, monkeypatch, solver):
     """rvi schedules by Kahn height and bvi needs only the decomposition.

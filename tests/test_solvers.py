@@ -328,6 +328,23 @@ def test_qvi_max_sweeps_exceeded():
         rmdp.qvi_solve(mdp, SolverConfig(max_sweeps=2))
 
 
+def test_max_sweeps_messages_name_the_sweeping_solve():
+    """qvi's sweeps and the absorbing solve that rvi starts with share one
+    Gauss-Seidel loop; the absorbing solve's message says that it is one."""
+    mdp = single_loop_mdp(alpha=0.9, gamma=1.0, reward=1.0)
+    with pytest.raises(MaxSweepsExceeded, match=r"^residual .* after 1 sweeps$"):
+        rmdp.qvi_solve(mdp, SolverConfig(max_sweeps=1))
+    # A transient state into a closed 2-cycle with reward 1 every step.
+    ch = MarkovChain.from_rows(
+        [[(1, 1.0)], [(2, 1.0)], [(1, 1.0)]], rewards=[[0.0], [1.0], [1.0]]
+    )
+    mdp = mdp_from_chain(ch, discount=0.5)
+    sched, decomp = schedule_of(mdp)
+    message = r"^absorbing solve: residual .* after 1 sweeps$"
+    with pytest.raises(MaxSweepsExceeded, match=message):
+        rmdp.rvi_solve(mdp, sched, decomp, SolverConfig(max_sweeps=1))
+
+
 def test_qvi_random_ordering_is_seed_deterministic():
     mdp = reward_mdp()
     a = rmdp.qvi_solve(mdp, SolverConfig(ordering=rmdp.RANDOM_PER_SWEEP, seed=9))
