@@ -24,10 +24,11 @@ when the waves do not already ascend) and indexed once.  A plan for
 sweeps in any order (_level_plan) is levelled by the height of each
 state's component in the condensation, a valid level for every order;
 each sweep re-indexes it and lays the multi-state components out in the
-waves its order needs (_level_steps).  rvi_pass gathers the levels in blocks of at most
-_BLOCK_ENTRIES (2^16) entries, computes a block's value-free terms and
-schedule checks at once, and cuts the block's levels into greedy maximal
-runs that read none of their own states (_cut_runs).
+waves its order needs (_level_steps).  rvi_pass gathers the levels in
+blocks of at most mdp._BLOCK_ENTRIES (2^16) entries, computes a block's
+value-free terms and schedule checks at once, and cuts the block's
+levels into greedy maximal runs that read none of their own states
+(_cut_runs).
 
 A pair with gamma * p(x|x,u) >= 1 stays at x forever: every kernel
 gives it the value 0 without reward and -inf at a cost, and raises
@@ -47,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DivergentSelfLoop, MaxSweepsExceeded, ScheduleMismatch
-from .mdp import _offsets, gather_ranges
+from .mdp import _block_cuts, _offsets, gather_ranges
 from .reachability import _frontier_heights
 
 
@@ -478,27 +479,6 @@ def _level_steps(plan, order, state_ptr, pair_ptr, v):
     plan.buf[:n] = v
     plan.buf[n:] = v
     return steps, stay, stay_q
-
-
-# Entries that rvi_pass gathers at once: enough to spread a block's fixed
-# cost over many runs of levels, few enough that its temporaries stay
-# small next to the model.
-_BLOCK_ENTRIES = 1 << 16
-
-
-def _block_cuts(cum):
-    """Cut states into blocks of at most _BLOCK_ENTRIES entries.
-
-    cum[i] is the number of entries of the states before the i-th, the
-    total last.  Returns the cut positions, 0 and the end included.  A
-    state with more entries than the bound is a block of its own.
-    """
-    cuts = [0]
-    while cuts[-1] < cum.size - 1:
-        a = cuts[-1]
-        b = int(np.searchsorted(cum, cum[a] + _BLOCK_ENTRIES, side="right")) - 1
-        cuts.append(max(b, a + 1))
-    return cuts
 
 
 def _block_terms(xs, state_ptr, pair_ptr, col, prob, rew, gamma, pos):

@@ -128,6 +128,46 @@ def _price_walk(params):
     return MarkovChain.from_rows(rows)
 
 
+def _liquidation_arrays(p, walk):
+    """The liquidation MDP's state_ptr, pair_action, pair_ptr, col, prob, rew.
+
+    State (q, z) has max(q, 1) pairs: action 0 at q = 0, actions 1..q
+    above it.  Each entry-sized array is made once, and each index array
+    is dropped before the next array is made; the pair-sized temporaries
+    die on return, before the Mdp checks the arrays.
+    """
+    Z = p.z_count
+    q_of = np.arange(p.state_count, dtype=np.int64) // Z
+    sizes = np.maximum(q_of, 1)
+    state_ptr = _offsets(sizes)
+    pair_state = np.repeat(np.arange(p.state_count, dtype=np.int64), sizes)
+    qs, zi = np.divmod(pair_state, Z)
+    # A pair's rank within its state, plus one above q = 0.
+    us = np.arange(pair_state.size, dtype=np.int64) - state_ptr[pair_state]
+    us += qs > 0
+    del pair_state
+    pair_len = np.diff(walk.row_ptr)[zi]
+    rw = (
+        p.w0 * us * (zi + (p.z_min - p.z0))
+        - p.w1 * us.astype(np.float64) ** 2
+        - p.w2 * (qs * qs).astype(np.float64)
+    )
+    # The q = 0 pairs come first; below z0 the formula gives them -0.0.
+    rw[:Z] = 0.0
+    rew = np.repeat(rw, pair_len)
+    del rw
+    entries = gather_ranges(walk.row_ptr[zi], pair_len)
+    del zi
+    prob = walk.prob[entries]
+    col = walk.col[entries]
+    del entries
+    # The successors' inventory q - u, as the first state of its slice.
+    qs -= us
+    qs *= Z
+    col += np.repeat(qs, pair_len)
+    return state_ptr, us, _offsets(pair_len), col, prob, rew
+
+
 def build_liquidation(params):
     """Construct the liquidation MDP, its solve schedule and decomposition.
 
@@ -143,36 +183,7 @@ def build_liquidation(params):
     Z = p.z_count
     n = p.state_count
     walk = _price_walk(p)
-
-    q_of = np.arange(n, dtype=np.int64) // Z
-    sizes = np.maximum(q_of, 1)
-    state_ptr = _offsets(sizes)
-    pair_state = np.repeat(np.arange(n, dtype=np.int64), sizes)
-    qs = q_of[pair_state]
-    zi = pair_state - qs * Z
-    # A pair's rank within its state, plus one above q = 0.
-    us = np.arange(pair_state.size, dtype=np.int64) - state_ptr[pair_state]
-    us += qs > 0
-    pair_len = np.diff(walk.row_ptr)[zi]
-    entries = gather_ranges(walk.row_ptr[zi], pair_len)
-    rw = (
-        p.w0 * us * (zi + (p.z_min - p.z0))
-        - p.w1 * us.astype(np.float64) ** 2
-        - p.w2 * (qs * qs).astype(np.float64)
-    )
-    # The q = 0 pairs come first; below z0 the formula gives them -0.0.
-    rw[:Z] = 0.0
-    mdp = Mdp(
-        state_count=n,
-        action_count=p.q_max + 1,
-        discount=p.discount,
-        state_ptr=state_ptr,
-        pair_action=us,
-        pair_ptr=_offsets(pair_len),
-        col=np.repeat((qs - us) * Z, pair_len) + walk.col[entries],
-        prob=walk.prob[entries],
-        rew=np.repeat(rw, pair_len),
-    )
+    mdp = Mdp(n, p.q_max + 1, p.discount, *_liquidation_arrays(p, walk))
 
     slice_decomp = absorbing_decomposition(walk)
     slice_schedule = level_set_schedule(counting_potential(walk), slice_decomp)

@@ -87,6 +87,50 @@ def gather_ranges(starts, lengths):
     return out
 
 
+# Entries that a blocked pass gathers at once: enough to spread a block's
+# fixed cost over many rows, few enough that its temporaries stay small
+# next to the model.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _block_cuts(cum):
+    """Cut rows into blocks of at most _BLOCK_ENTRIES entries.
+
+    cum[i] is the number of entries of the rows before the i-th, the
+    total last.  Returns the cut positions, 0 and the end included.  A
+    row with more entries than the bound is a block of its own, so a
+    model within the bound takes one block, found without a search.
+    """
+    cuts, a, end = [0], 0, cum.size - 1
+    while a < end:
+        if cum[end] - cum[a] <= _BLOCK_ENTRIES:
+            a = end
+        else:
+            b = int(np.searchsorted(cum, cum[a] + _BLOCK_ENTRIES, side="right")) - 1
+            a = max(b, a + 1)
+        cuts.append(a)
+    return cuts
+
+
+def _compact(arr, keep):
+    """arr[keep], moved to the start of arr itself, which shrinks to it.
+
+    Block by block: a block's kept entries never land past its start, so
+    they overwrite only entries already read, and no second array of
+    arr's size is made.  arr must own its memory, and no view of it may
+    be in use.
+    """
+    if np.count_nonzero(keep) == keep.size:
+        return arr
+    size = 0
+    for lo in range(0, arr.size, _BLOCK_ENTRIES):
+        part = arr[lo : lo + _BLOCK_ENTRIES][keep[lo : lo + _BLOCK_ENTRIES]]
+        arr[size : size + part.size] = part
+        size += part.size
+    arr.resize(size, refcheck=False)
+    return arr
+
+
 def _offsets(lengths):
     """Start offsets of consecutive segments of the given lengths, plus the end."""
     out = np.zeros(lengths.size + 1, dtype=np.int64)
@@ -267,24 +311,28 @@ class Support:
       row_ptr: int64[state_count + 1], entry range per state.
       col: int64[nnz] successor ids, ascending and distinct within each row.
       prob: float64[nnz] of ones.  A support has no probabilities; these
-        are the weights of its adjacency matrix.
+        are the weights of its adjacency matrix, made on each read as a
+        read-only broadcast view of one float, which takes no memory.
     The self-loop rules need the Mdp's own entries, so they come from it:
     certain_self_loops() returns the flags that Mdp.certain_self_loops
     computed.  _condensation caches the reachability module's SCC
     condensation.
     """
 
-    __slots__ = ("state_count", "row_ptr", "col", "prob", "_certain", "_condensation")
+    __slots__ = ("state_count", "row_ptr", "col", "_certain", "_condensation")
 
     def __init__(self, state_count, row_ptr, col, certain):
         self.state_count = state_count
         self.row_ptr = row_ptr
         self.col = col
-        self.prob = np.ones(col.size, dtype=np.float64)
         self._certain = certain
-        for arr in (row_ptr, col, self.prob, certain):
+        for arr in (row_ptr, col, certain):
             arr.setflags(write=False)
         self._condensation = None
+
+    @property
+    def prob(self):
+        return np.broadcast_to(np.float64(1.0), self.col.shape)
 
     def certain_self_loops(self):
         return self._certain
@@ -418,15 +466,21 @@ class Mdp:
 
         One sort of the entries' (state, successor) keys; no probabilities
         are mixed and no rows are checked, so this is the cheap way to
-        certify and order the MDP (see Support).
+        certify and order the MDP (see Support).  The keys are sorted,
+        rid of their repeats and turned into the successors in place.
         """
         n = self.state_count
-        src = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(self.pair_ptr[self.state_ptr])
-        )
-        keys = _unique_sorted(src * np.int64(n) + self.col)
+        per_state = np.diff(self.pair_ptr[self.state_ptr])
+        keys = np.repeat(np.arange(n, dtype=np.int64) * n, per_state)
+        keys += self.col
+        keys.sort()
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = _compact(keys, first)
+        del first
         row_ptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-        return Support(n, row_ptr, keys % n, self.certain_self_loops())
+        keys %= n
+        return Support(n, row_ptr, keys, self.certain_self_loops())
 
     def union_chain(self):
         """Chain whose rows are the unions of all admissible action supports.

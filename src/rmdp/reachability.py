@@ -37,6 +37,11 @@ height and builds a whole height's reach sets at once as rows of a
 bitset matrix.  Its rows and bits are numbered by height, lowest first,
 so the states below a height have their bits in the first width words
 of a row, and the height's ORs and probes read and write those alone.
+
+The passes over the edges (self-loops, condensation keys, heights, the
+potential's reads) take them in blocks of whole rows, frontiers or
+heights with at most mdp._BLOCK_ENTRIES edges (mdp._block_cuts), so
+their temporaries stay small next to the model.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, NotReductive
-from .mdp import _offsets, _unique_sorted, gather_ranges
+from .mdp import _block_cuts, _compact, _offsets, _unique_sorted, gather_ranges
 
 # Violation kinds reported in a ReductivityVerdict.
 NO_ABSORBING_SET = "NoAbsorbingSet"
@@ -163,12 +168,13 @@ def _condensation(model):
 
     The components come from one pass over the model's support
     (_strong_components).  The edge keys are (source << shift) | target
-    of the cross-component entries.  They are sorted only when the
-    entries do not already come in that order, which they do when the
-    numbering by smallest member keeps the order of the states and no
-    multi-state component has edges out of it from two of its states:
-    for example when every multi-state component is a closed class of
-    consecutive states.
+    of the cross-component entries, made in blocks of rows (_block_cuts),
+    and their repeats are dropped in place (_compact).  The keys are
+    sorted only when the entries do not already come in that order, which
+    they do when the numbering by smallest member keeps the order of the
+    states and no multi-state component has edges out of it from two of
+    its states: for example when every multi-state component is a closed
+    class of consecutive states.
     """
     if model._condensation is not None:
         return model._condensation
@@ -179,27 +185,33 @@ def _condensation(model):
     n_comp = int(np.count_nonzero(is_rep))
     member_ptr = _offsets(np.bincount(labels, minlength=n_comp))
 
-    # The edge keys are built in place: they are the largest temporaries
-    # of a structure query.  Keys within a component drop out with the
-    # repeats.
+    # The edge keys are the largest temporaries of a structure query, so
+    # they are made in one array, each block's kept keys after the last
+    # block's, and shrunk in place.
     shift = max(n_comp - 1, 1).bit_length()
-    low = (1 << shift) - 1
-    keys = np.repeat(labels, np.diff(model.row_ptr))
-    dst = labels[model.col]
-    keep = keys != dst
-    keys <<= shift
-    keys |= dst
-    del dst
+    row_ptr, col = model.row_ptr, model.col
+    keys = np.empty(col.size, dtype=np.int64)
+    size = 0
+    cuts = _block_cuts(row_ptr)
+    for a, b in zip(cuts, cuts[1:]):
+        src = labels[a:b].repeat(row_ptr[a + 1 : b + 1] - row_ptr[a:b])
+        dst = labels[col[row_ptr[a] : row_ptr[b]]]
+        keep = src != dst
+        src <<= shift
+        src |= dst
+        part = src[keep]
+        keys[size : size + part.size] = part
+        size += part.size
+    keys.resize(size, refcheck=False)
     if np.any(keys[1:] < keys[:-1]):
         keys.sort()
-        keep = (keys >> shift) != (keys & low)
-    keep[1:] &= keys[1:] != keys[:-1]
-    keys = keys[keep]
-    del keep
-    succ_ptr = np.searchsorted(keys, np.arange(n_comp + 1, dtype=np.int64) << shift)
-    out_degree = np.diff(succ_ptr)
-    succ = keys & low
-    del keys
+    first = np.ones(size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    succ = _compact(keys, first)
+    del keys, first
+    succ_ptr = np.searchsorted(succ, np.arange(n_comp + 1, dtype=np.int64) << shift)
+    out_degree = succ_ptr[1:] - succ_ptr[:-1]
+    succ &= (1 << shift) - 1  # the keys become their targets in place
 
     # The peeled states are components of their own, in the peel's
     # frontiers.  The other components only reach one another; they
@@ -240,10 +252,8 @@ def _strong_components(row_ptr, col):
     self-loop.
     """
     n = row_ptr.size - 1
-    deg = np.diff(row_ptr)
-    src = np.repeat(np.arange(n, dtype=np.int64), deg)
-    loops = np.bincount(src[src == col], minlength=n)
-    del src
+    deg = row_ptr[1:] - row_ptr[:-1]
+    loops = _self_loops(row_ptr, col)
     waiting = np.bincount(col, minlength=n)
     waiting -= loops
     peeled, peel_ptr = _peel((row_ptr, col), waiting, (waiting == 0).nonzero()[0])
@@ -259,6 +269,22 @@ def _strong_components(row_ptr, col):
         np.minimum.at(smallest, comp, np.arange(rest.size, dtype=np.int64))
         rep[rest] = rest[smallest[comp]]
     return rep, peeled, peel_ptr, loops > 0
+
+
+def _self_loops(row_ptr, col):
+    """How many of each row's entries lead back to the row itself.
+
+    Row x has the entries col[row_ptr[x]:row_ptr[x + 1]].  The rows are
+    taken in blocks (_block_cuts), so no entry-sized array of sources is
+    made.
+    """
+    hits = [np.empty(0, dtype=np.int64)]
+    cuts = _block_cuts(row_ptr)
+    for a, b in zip(cuts, cuts[1:]):
+        lens = row_ptr[a + 1 : b + 1] - row_ptr[a:b]
+        src = np.arange(a, b, dtype=np.int64).repeat(lens)
+        hits.append(src[src == col[row_ptr[a] : row_ptr[b]]])
+    return np.bincount(np.concatenate(hits), minlength=row_ptr.size - 1)
 
 
 def _kahn(graph, waiting, frontier):
@@ -411,6 +437,8 @@ def counting_potential(chain):
     component of height h reaches no others than these and its own
     members: every OR and probe at height h acts on those words alone.
     phi is a popcount, so it is exact under any numbering of the bits.
+    The edges are gathered in blocks of whole heights, so beside the
+    bitset no array grows with the edge count.
 
     A height's rows are built at once: the component's own members, OR
     the row of its tallest successor, OR the rows of the other
@@ -433,26 +461,6 @@ def counting_potential(chain):
     width = (bit_ptr[row_ptr[1:]] + 63) // 64
     words = int(width[-1])
 
-    # The edges in row order, their targets as rows.  An edge's probe is
-    # the flat position, in its source's row, of the word that holds its
-    # target's first bit.
-    out_degree = np.diff(cond.succ_ptr)[rows]
-    edge_ptr = _offsets(out_degree)
-    succ = cond.succ[gather_ranges(cond.succ_ptr[rows], out_degree)]
-    small = np.int32 if (n_comp + 1) * words < 2**31 else np.int64
-    reads = rank.astype(small)[succ]
-    del succ
-    first = bit_ptr[:-1]  # each row's first bit
-    probe = (first >> 6).astype(small)[reads]
-    probe += np.arange(0, n_comp * words, words, dtype=small).repeat(out_degree)
-    probe_bit = _bit(first)[reads]
-    # Rows ascend by height, so a component's last successor row is a
-    # tallest successor, one height below it.
-    tall = row_ptr[1]
-    tallest = np.zeros(n_comp, dtype=small)
-    if tall < n_comp:
-        tallest[tall:] = np.maximum.reduceat(reads, edge_ptr[tall:-1])
-
     # One more row than components: _or_rows pads with it, and it stays 0.
     bits = np.zeros((n_comp + 1, words), dtype=np.uint64)
     flat = bits.reshape(-1)
@@ -466,15 +474,49 @@ def counting_potential(chain):
         _bit(np.arange(n, dtype=np.int64)), new_word.nonzero()[0]
     )
     del key, new_word
-    edge_ptr = edge_ptr[row_ptr]
-    steps = zip(width[:-1], row_ptr[1:-1], row_ptr[2:], edge_ptr[1:-1], edge_ptr[2:])
-    for w, a, b, lo, hi in steps:
-        sub = bits[:, :w]
-        np.bitwise_or(sub[a:b], sub[tallest[a:b]], out=sub[a:b])
-        open_ = ((flat.take(probe[lo:hi]) & probe_bit[lo:hi]) == 0).nonzero()[0]
-        if open_.size:
-            open_ += lo
-            _or_rows(sub, probe.take(open_) // words, reads.take(open_))
+
+    # The heights are taken in blocks of whole heights (_block_cuts).  A
+    # block gathers its edges in row order, their targets as rows (reads);
+    # an edge's probe is the flat position, in its source's row, of the
+    # word that holds its target's first bit, and probe_bit is that bit.
+    first = bit_ptr[:-1]  # each row's first bit
+    word_of, first_bit = first >> 6, _bit(first)
+    out_degree = np.diff(cond.succ_ptr)[rows]
+    edge_ptr = _offsets(out_degree)
+    height_ptr = edge_ptr[row_ptr]
+    tall = row_ptr[1]  # the first row above height 0
+    cuts = _block_cuts(height_ptr)
+    for f, g in zip(cuts, cuts[1:]):
+        a, b, base = row_ptr[f], row_ptr[g], height_ptr[f]
+        starts = cond.succ_ptr[rows[a:b]]
+        reads = rank[cond.succ[gather_ranges(starts, out_degree[a:b])]]
+        probe = word_of[reads]
+        probe += np.arange(a * words, b * words, words).repeat(out_degree[a:b])
+        probe_bit = first_bit[reads]
+        # Rows ascend by height, so a component's last successor row is a
+        # tallest successor, one height below it.
+        t = max(a, tall)
+        if t < b:
+            tallest = np.maximum.reduceat(reads, edge_ptr[t:b] - base)
+        # Height h: its rows ra:rb, their tallest successors tallest[ta:tb]
+        # and their edges lo:hi in the block.
+        h = max(f, 1)
+        steps = zip(
+            width[h - 1 : g - 1],
+            row_ptr[h:g],
+            row_ptr[h + 1 : g + 1],
+            row_ptr[h:g] - t,
+            row_ptr[h + 1 : g + 1] - t,
+            height_ptr[h:g] - base,
+            height_ptr[h + 1 : g + 1] - base,
+        )
+        for w, ra, rb, ta, tb, lo, hi in steps:
+            sub = bits[:, :w]
+            np.bitwise_or(sub[ra:rb], sub[tallest[ta:tb]], out=sub[ra:rb])
+            open_ = ((flat.take(probe[lo:hi]) & probe_bit[lo:hi]) == 0).nonzero()[0]
+            if open_.size:
+                open_ += lo
+                _or_rows(sub, probe.take(open_) // words, reads.take(open_))
 
     phi = np.empty(n_comp, dtype=np.int64)
     step = max(_POPCOUNT_WORDS // words, 1)
@@ -552,16 +594,24 @@ def _back_heights(graph, order, bounds):
     order lists the nodes by Kahn frontier, frontier k being
     order[bounds[k]:bounds[k + 1]], and every edge runs from an earlier
     frontier to a later one.  A node's height is one more than its
-    tallest successor's.  The frontiers' edges are gathered at once, then
-    taken last frontier first, so a node's successors are done before it.
+    tallest successor's.  The frontiers' edges are gathered in blocks of
+    whole frontiers (_block_cuts), then taken last frontier first, so a
+    node's successors are done before it.
     """
-    height = np.zeros(graph[0].size - 1, dtype=np.int64)
-    dst, lens = _out_edges(graph, order)
-    owner = np.repeat(order, lens)
-    cut = _offsets(lens)[bounds].tolist()
-    for a, b in zip(cut[-2::-1], cut[:0:-1]):
-        if b > a:
-            np.maximum.at(height, owner[a:b], height[dst[a:b]] + 1)
+    ptr, succ = graph
+    height = np.zeros(ptr.size - 1, dtype=np.int64)
+    starts = ptr[order]
+    lens = ptr[order + 1] - starts
+    cut = _offsets(lens)[bounds]
+    blocks = _block_cuts(cut)
+    for f, g in zip(blocks[-2::-1], blocks[:0:-1]):
+        a, b = bounds[f], bounds[g]
+        dst = succ[gather_ranges(starts[a:b], lens[a:b])]
+        owner = order[a:b].repeat(lens[a:b])
+        edges = (cut[f : g + 1] - cut[f]).tolist()
+        for lo, hi in zip(edges[-2::-1], edges[:0:-1]):
+            if hi > lo:
+                np.maximum.at(height, owner[lo:hi], height[dst[lo:hi]] + 1)
     return height
 
 
@@ -581,9 +631,15 @@ def self_loop_states(model):
     For a chain that is 0 < p(x, x) < 1.  For an Mdp's Support it is the
     same rule on the union of the actions: some action has a self-loop,
     and not every action has p(x, x) >= 1.  The self-loops are read off
-    the model's condensation.
+    the model's condensation when it has one, else off its entries, so no
+    condensation is computed.
     """
-    fractional = _condensation(model).has_loop & ~model.certain_self_loops()
+    cond = model._condensation
+    if cond is None:
+        has_loop = _self_loops(model.row_ptr, model.col) > 0
+    else:
+        has_loop = cond.has_loop
+    fractional = has_loop & ~model.certain_self_loops()
     return set(np.flatnonzero(fractional).tolist())
 
 

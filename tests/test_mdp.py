@@ -238,6 +238,17 @@ def test_union_chain_merges_action_supports():
     assert abs(probs.sum() - 1.0) < 1e-12
 
 
+def test_support_prob_is_a_read_only_view_of_ones():
+    mdp = build_mdp(two_state_spec())
+    support = mdp.support()
+    assert support.prob.dtype == np.float64
+    assert support.prob.shape == support.col.shape
+    assert not support.prob.flags.writeable
+    assert np.all(support.prob == 1.0)
+    assert support.prob.strides == (0,)
+    assert support.col.tolist() == mdp.union_chain().col.tolist()
+
+
 def union_chain_reference(mdp):
     """The union chain's row_ptr, col and prob by scattering an inverse.
 

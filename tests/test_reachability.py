@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from rmdp import (
     verify_reductive,
     verify_reductive_mdp,
 )
+from rmdp import mdp as mdp_module
+from rmdp.domains import LiquidationParams, build_liquidation
 from rmdp.mdp import Support, gather_ranges
 from rmdp.reachability import _condensation, _heights
 
@@ -1142,3 +1145,96 @@ def test_verify_mdp_matches_brute_force_union_check(spec):
     assert verdict.reductive == (not expected)
     if verdict.reductive:
         assert_rvi_matches_qvi(mdp)
+
+
+# ---------------------------------------------------------------------------
+# blocked passes against one gather
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_mdps())
+def test_self_loop_states_computes_no_condensation(mdp):
+    fresh = mdp.support()
+    loops = self_loop_states(fresh)
+    assert fresh._condensation is None
+    cached = mdp.support()
+    _condensation(cached)
+    assert loops == self_loop_states(cached)
+
+
+# Block budgets, in entries, that cut rows and frontiers across blocks.
+SMALL_BUDGETS = (1, 2, 3, 17)
+
+
+def structure(model):
+    """Every array a structure query on model derives, by name."""
+    cond = _condensation(model)
+    return {
+        "labels": cond.labels,
+        "succ_ptr": cond.succ_ptr,
+        "succ": cond.succ,
+        "frontiers": cond.frontiers,
+        "frontier_ptr": cond.frontier_ptr,
+        "has_loop": cond.has_loop,
+        "height": _heights(cond),
+        "phi": counting_potential(model).phi,
+    }
+
+
+def mdp_structure(mdp):
+    """structure() of mdp's support, the support's arrays, and rvi_solve's
+    values and policy on the height schedule when mdp is reductive."""
+    support = mdp.support()
+    out = structure(support)
+    out.update(row_ptr=support.row_ptr, col=support.col)
+    out["loops"] = np.array(sorted(self_loop_states(mdp.support())))
+    if verify_reductive_mdp(mdp, support).reductive:
+        decomp = absorbing_decomposition(support)
+        res = rvi_solve(mdp, height_schedule(support, decomp), decomp)
+        out.update(v=res.values.v, q=res.values.q, policy=res.policy.choice)
+    return out
+
+
+def assert_blocks_match_one_gather(derive, budgets):
+    """derive() gives the same arrays, bit for bit, under every block budget
+    as with one block for everything."""
+    with mock.patch.object(mdp_module, "_BLOCK_ENTRIES", 1 << 62):
+        expected = derive()
+    for budget in budgets:
+        with mock.patch.object(mdp_module, "_BLOCK_ENTRIES", budget):
+            got = derive()
+        assert got.keys() == expected.keys()
+        for name, arr in expected.items():
+            assert got[name].dtype == arr.dtype, (name, budget)
+            assert got[name].tobytes() == arr.tobytes(), (name, budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_mdps())
+def test_blocked_structure_matches_one_gather_on_mdps(mdp):
+    assert_blocks_match_one_gather(lambda: mdp_structure(mdp), SMALL_BUDGETS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_graphs())
+def test_blocked_structure_matches_one_gather_on_graphs(succ):
+    n = len(succ)
+    edges = [(x, s) for x in range(n) for s in succ[x]]
+    assert_blocks_match_one_gather(
+        lambda: structure(edge_chain(n, edges)), SMALL_BUDGETS
+    )
+
+
+def test_blocked_structure_matches_one_gather_on_liquidation():
+    # q_max=10: 2,211 states and 33,656 entries, one block at the default
+    # budget; a state has up to 30 entries, so a budget of 16 cuts some
+    # rows into blocks of their own.
+    mdp, schedule, decomp = build_liquidation(LiquidationParams(q_max=10))
+
+    def derive():
+        out = mdp_structure(mdp)
+        res = rvi_solve(mdp, schedule, decomp)
+        out.update(domain_v=res.values.v, domain_policy=res.policy.choice)
+        return out
+
+    assert_blocks_match_one_gather(derive, (16, 1000))

@@ -23,7 +23,7 @@ from rmdp import (
     build_mdp,
     mdp_from_chain,
 )
-from rmdp import backends, solvers
+from rmdp import backends, mdp as mdp_module, solvers
 from rmdp.domains import SPIRAL_EDGES
 from rmdp.reachability import AbsorbingDecomposition
 
@@ -640,8 +640,8 @@ def assert_rvi_matches_level_by_level(mdp, schedule, decomp, bounds=()):
     """
     error, v, q, pol, q_updates = rvi_level_by_level(mdp, schedule, decomp)
     bad = np.flatnonzero(~np.isfinite(v))
-    for bound in (backends._BLOCK_ENTRIES, *bounds):
-        with mock.patch.object(backends, "_BLOCK_ENTRIES", bound):
+    for bound in (mdp_module._BLOCK_ENTRIES, *bounds):
+        with mock.patch.object(mdp_module, "_BLOCK_ENTRIES", bound):
             if error is not None:
                 with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
                     rmdp.rvi_solve(mdp, schedule, decomp)
@@ -673,7 +673,7 @@ def kernel_groups(mdp, schedule, decomp):
             return rvi_pass(*args)
 
     cut_runs, rvi_pass = backends._cut_runs, backends.rvi_pass
-    with mock.patch.object(backends, "_BLOCK_ENTRIES", mdp.col.size), \
+    with mock.patch.object(mdp_module, "_BLOCK_ENTRIES", mdp.col.size), \
             mock.patch.object(backends, "rvi_pass", recording_pass):
         rmdp.rvi_solve(mdp, schedule, decomp)
     return np.asarray(groups + [decomp.transient.size])
