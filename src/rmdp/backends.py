@@ -290,16 +290,6 @@ def _point_reads(reads, ecol, pos, dest, state_ptr, pair_ptr):
         np.add(ecol[lo:hi], later * n, out=reads[lo:hi])
 
 
-def _waves(reader, read, count):
-    """The Kahn wave of each of count nodes (_frontier_heights).
-
-    Node reader[i] waits for node read[i], reader ascending.  A node's
-    wave is one more than the latest wave it waits for, 0 when it waits
-    for none.
-    """
-    return _frontier_heights(_offsets(np.bincount(reader, minlength=count)), read)
-
-
 def _order_plan(order, state_ptr, pair_ptr, col, prob, rew, gamma):
     """Gather the distinct states of order into a LevelPlan for sweeps in it.
 
@@ -339,7 +329,7 @@ def _order_waves(pos, pair_off, entry_off, ecol):
     succ = pos[ecol]
     own = np.repeat(np.arange(m, dtype=pos.dtype), np.diff(entry_off[pair_off]))
     waits = succ < own
-    return _waves(own[waits], succ[waits], m)
+    return _frontier_heights(own[waits], succ[waits], m)
 
 
 def _slot_perm(perm, pair_off, entry_off):
@@ -419,14 +409,15 @@ def _class_waves(plan, pos):
     """Lay the multi-state components out in this sweep's waves.
 
     A state waits for the states of its component placed before it in the
-    sweep (_waves).  Rewrites the component slots of the plan in (height,
-    wave, id) order and returns the steps and the stay pairs and values
-    with the waves' steps and stay pairs merged in.
+    sweep, and its wave is its Kahn height over those waits
+    (_frontier_heights).  Rewrites the component slots of the plan in
+    (height, wave, id) order and returns the steps and the stay pairs and
+    values with the waves' steps and stay pairs merged in.
     """
     c = plan.part
     cpos = pos[c.states]
     waits = cpos[c.src] > cpos[c.dst]
-    key = c.base + _waves(c.src[waits], c.dst[waits], c.states.size)
+    key = c.base + _frontier_heights(c.src[waits], c.dst[waits], c.states.size)
     perm = np.argsort(key, kind="stable")
     p_lens, pperm, e_lens, eperm = _slot_perm(perm, c.pair_off, c.entry_off)
     starts, pair_in, entry_in = _run_slices(

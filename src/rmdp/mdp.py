@@ -487,35 +487,38 @@ class Mdp:
 
         Probabilities are the uniform mixture over the state's admissible
         actions, so the support equals the union of the action supports.
-        Each entry's share is its probability over the state's action
-        count, and a (state, successor) pair's mass is the sum of its
-        shares in model order: by action, as the Mdp stores its entries.
-        The stable sort of the keys keeps that order within each key, and
-        bincount adds in input order, so the sums, down to the last bit,
+        The rows are the support's (Mdp.support()), and only the masses
+        are added.  Each entry's share is its probability over the state's
+        action count, and a (state, successor) pair's mass is the sum of
+        its shares in model order: by action, as the Mdp stores its
+        entries.  The states are taken in blocks of whole states
+        (_block_cuts).  In a block, a searchsorted of each entry's
+        state * n + successor key among the support's keys finds the
+        slot of its mass, and one bincount adds the shares in input
+        order, which is the model's, so the sums, down to the last bit,
         depend on it.
         """
+        support = self.support()
         n = self.state_count
-        per_state = np.diff(self.pair_ptr[self.state_ptr])
-        keys = np.repeat(np.arange(n, dtype=np.int64) * n, per_state)
-        keys += self.col
-        order = np.argsort(keys, kind="stable")
-        # Sorting keeps every state's entries in its own range, so the
-        # action counts repeat over the sorted shares as over the model's.
-        share = self.prob[order]
-        share /= np.repeat(self.mask_sizes(), per_state)
-        keys = keys[order]
-        del order
-        first = np.ones(keys.size, dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        slot = np.cumsum(first)
-        slot -= 1
-        keys = keys[first]
-        del first
-        mass = np.bincount(slot, weights=share, minlength=keys.size)
-        del slot, share
-        row_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=row_ptr[1:])
-        return MarkovChain(n, row_ptr, keys % n, mass)
+        row_ptr, col = support.row_ptr, support.col
+        entry_ptr = self.pair_ptr[self.state_ptr]
+        actions = self.mask_sizes()
+        mass = np.empty(col.size, dtype=np.float64)
+        cuts = _block_cuts(entry_ptr)
+        for a, b in zip(cuts, cuts[1:]):
+            lo, hi, ra, rb = entry_ptr[a], entry_ptr[b], row_ptr[a], row_ptr[b]
+            base = np.arange(a * n, b * n, n, dtype=np.int64)
+            per_state = entry_ptr[a + 1 : b + 1] - entry_ptr[a:b]
+            keys = base.repeat(per_state)
+            keys += self.col[lo:hi]
+            row_keys = base.repeat(row_ptr[a + 1 : b + 1] - row_ptr[a:b])
+            row_keys += col[ra:rb]
+            slot = np.searchsorted(row_keys, keys)
+            del keys, row_keys
+            share = self.prob[lo:hi] / actions[a:b].repeat(per_state)
+            mass[ra:rb] = np.bincount(slot, weights=share, minlength=rb - ra)
+            del slot, share
+        return MarkovChain(n, row_ptr, col, mass)
 
 
 @dataclass(frozen=True)

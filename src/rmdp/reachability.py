@@ -46,6 +46,7 @@ their temporaries stay small next to the model.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,6 @@ NO_ABSORBING_SET = "NoAbsorbingSet"
 NON_DECREASING_TRANSIENT = "NonDecreasingTransient"
 CERTAIN_SELF_LOOP_MARKED_TRANSIENT = "CertainSelfLoopMarkedTransient"
 
-# Words popcounted at once when phi is read off the bitset.
-_POPCOUNT_WORDS = 1 << 16
 # Up to this many words, a height's rows OR their reads by reduceat.
 _REDUCEAT_WORDS = 1 << 11
 
@@ -378,19 +377,31 @@ def _out_edges(graph, frontier):
     return succ[gather_ranges(starts, lens)], lens
 
 
-def _entry_sources(model):
-    return np.repeat(
-        np.arange(model.state_count, dtype=np.int64), np.diff(model.row_ptr)
-    )
+def _walk(graph, seen, frontier):
+    """Breadth-first steps through graph = (ptr, succ) from frontier.
 
-
-def _predecessor_lists(src, col, n):
-    """Distinct predecessors of each of n states, from edges src -> col.
-
-    Returns (rev_ptr, rev_src): the sources of the edges into y are
-    rev_src[rev_ptr[y]:rev_ptr[y + 1]], ascending.
+    Yields each step's distinct successors of the last step's nodes that
+    are not yet seen, ascending, and flags them in seen (in place).  The
+    walk ends after the first empty step.
     """
-    keys = _unique_sorted(col * np.int64(n) + src)
+    while frontier.size:
+        nxt, _ = _out_edges(graph, frontier)
+        frontier = _unique_sorted(nxt[~seen[nxt]])
+        seen[frontier] = True
+        yield frontier
+
+
+def _predecessor_lists(row_ptr, col):
+    """The graph's edges reversed, each state's sources distinct.
+
+    State x has the successors col[row_ptr[x]:row_ptr[x + 1]], repeats
+    allowed.  Returns (rev_ptr, rev_src): the states with an edge into y
+    are rev_src[rev_ptr[y]:rev_ptr[y + 1]], ascending.
+    """
+    n = row_ptr.size - 1
+    keys = col * np.int64(n)
+    keys += np.arange(n, dtype=np.int64).repeat(np.diff(row_ptr))
+    keys = _unique_sorted(keys)
     rev_ptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     return rev_ptr, keys % n
 
@@ -412,12 +423,8 @@ def _reachable_mask(row_ptr, col, x):
         raise ModelError(f"state {x} out of range")
     seen = np.zeros(n, dtype=bool)
     seen[x] = True
-    frontier = np.array([x], dtype=np.int64)
-    while frontier.size:
-        starts = row_ptr[frontier]
-        succ = col[gather_ranges(starts, row_ptr[frontier + 1] - starts)]
-        frontier = _unique_sorted(succ[~seen[succ]])
-        seen[frontier] = True
+    for _ in _walk((row_ptr, col), seen, np.array([x], dtype=np.int64)):
+        pass
     return seen
 
 
@@ -519,9 +526,8 @@ def counting_potential(chain):
                 _or_rows(sub, probe.take(open_) // words, reads.take(open_))
 
     phi = np.empty(n_comp, dtype=np.int64)
-    step = max(_POPCOUNT_WORDS // words, 1)
-    for a in range(0, n_comp, step):
-        b = min(a + step, n_comp)
+    cuts = _block_cuts(np.arange(0, (n_comp + 1) * words, words))
+    for a, b in zip(cuts, cuts[1:]):
         w = (bit_ptr[b] + 63) // 64
         phi[a:b] = np.bitwise_count(bits[a:b, :w]).sum(axis=1, dtype=np.int64)
     return PotentialTable(
@@ -573,17 +579,19 @@ def _heights(cond):
     return cond.height
 
 
-def _frontier_heights(succ_ptr, succ):
-    """Kahn height of every node of a DAG, sinks at 0.
+def _frontier_heights(reader, read, count):
+    """Kahn height of each of count nodes of a DAG, sinks at 0.
 
-    succ[succ_ptr[x]:succ_ptr[x + 1]] are the targets of x's edges, a
-    repeated edge counted as often as it is listed.  The DAG is walked in
-    Kahn frontiers from its sources (_peel), then the heights are taken
-    in one pass back through the frontiers (_back_heights).  Neither
-    needs predecessor lists, and the whole is linear in the graph's size.
+    Node reader[i] has an edge to node read[i], reader ascending, and a
+    repeated edge counts as often as it is listed.  A node's height is
+    one more than the tallest it reads, 0 when it reads none.  The DAG is
+    walked in Kahn frontiers from its sources (_peel), then the heights
+    are taken in one pass back through the frontiers (_back_heights).
+    Neither needs predecessor lists, and the whole is linear in the
+    graph's size.
     """
-    graph = (succ_ptr, succ)
-    waiting = np.bincount(succ, minlength=succ_ptr.size - 1)
+    graph = (_offsets(np.bincount(reader, minlength=count)), read)
+    waiting = np.bincount(read, minlength=count)
     order, bounds = _peel(graph, waiting, np.flatnonzero(waiting == 0))
     return _back_heights(graph, order, bounds)
 
@@ -687,7 +695,9 @@ def _drift_violations(model, cond):
     bad_comp = _transient_cycles(cond)
     if bad_comp.any():
         labels = cond.labels
-        src = _entry_sources(model)
+        src = np.repeat(
+            np.arange(model.state_count, dtype=np.int64), np.diff(model.row_ptr)
+        )
         mask = bad_comp[labels[src]] & (labels[src] == labels[model.col]) & (
             src != model.col
         )
@@ -813,23 +823,12 @@ def predecessors(chain, target, n):
         if not 0 <= s < chain.state_count:
             raise ModelError(f"state {s} out of range")
         in_target[s] = True
-    rev_ptr, rev_src = _predecessor_lists(
-        _entry_sources(chain), chain.col, chain.state_count
-    )
-
     seen = in_target.copy()
-    frontier = np.where(in_target)[0]
-    found = []
-    for _ in range(n):
-        if frontier.size == 0:
-            break
-        starts = rev_ptr[frontier]
-        lengths = rev_ptr[frontier + 1] - starts
-        preds = rev_src[gather_ranges(starts, lengths)]
-        preds = _unique_sorted(preds[~seen[preds]])
-        seen[preds] = True
-        found.append(preds)
-        frontier = preds
-    if not found:
-        return set()
-    return set(np.concatenate(found).tolist())
+    walk = _walk(
+        _predecessor_lists(chain.row_ptr, chain.col), seen, np.flatnonzero(in_target)
+    )
+    # No walk takes more steps than there are states; islice takes no
+    # count beyond sys.maxsize.
+    for _ in itertools.islice(walk, min(n, chain.state_count)):
+        pass
+    return set(np.flatnonzero(seen & ~in_target).tolist())

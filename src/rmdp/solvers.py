@@ -29,6 +29,7 @@ from .errors import (
     DivergentSelfLoop,
     InvalidParams,
     MaxSweepsExceeded,
+    ModelError,
     NonContractive,
     NonFiniteValue,
     NotReductive,
@@ -39,6 +40,7 @@ from .reachability import (
     _condensation,
     _heights,
     _predecessor_lists,
+    _walk,
     absorbing_decomposition,
 )
 
@@ -395,18 +397,11 @@ def bvi_solve(mdp, decomp, cfg):
     # Predecessor lists over every action's support, self-edges kept: a
     # state whose value moved re-enqueues itself when it has a self-loop
     # and keeps iterating it to convergence.
-    per_state = np.diff(mdp.pair_ptr[mdp.state_ptr])
-    src = np.repeat(np.arange(n, dtype=np.int64), per_state)
-    rev_ptr, rev_src = _predecessor_lists(src, mdp.col, n)
+    rev_ptr, rev_src = _predecessor_lists(mdp.pair_ptr[mdp.state_ptr], mdp.col)
     is_abs = np.zeros(n, dtype=bool)
     is_abs[decomp.absorbing] = True
     is_transient = (~is_abs).astype(np.uint8)
-    starts = rev_ptr[decomp.absorbing]
-    preds = gather_ranges(starts, rev_ptr[decomp.absorbing + 1] - starts)
-    seed_mask = np.zeros(n, dtype=bool)
-    seed_mask[rev_src[preds]] = True
-    seed_mask[decomp.absorbing] = False
-    seeds = np.where(seed_mask)[0].astype(np.int64)
+    seeds = next(_walk((rev_ptr, rev_src), is_abs, decomp.absorbing))
 
     cap = int(cfg.max_sweeps) * n * mdp.action_count
     dequeues, backups = backends.bvi_run(
@@ -471,6 +466,8 @@ def simulate_policy(mdp, policy, start, horizon, trials, seed):
     """
     if horizon < 1 or trials < 1:
         raise InvalidParams("horizon and trials must be at least 1")
+    if not 0 <= start < mdp.state_count:
+        raise ModelError(f"state {start} out of range")
     chain = induced_chain(mdp, policy)
     decomp = absorbing_decomposition(chain)
     is_abs = np.zeros(chain.state_count, dtype=bool)

@@ -594,8 +594,7 @@ def assert_bvi_matches_serial(mdp, is_transient, seeds, v0, cap, seen=None):
     """bvi_run and serial_bvi_run give the same counts, values, action
     values and policy, or raise the same error."""
     n = mdp.state_count
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(mdp.pair_ptr[mdp.state_ptr]))
-    rev_ptr, rev_src = _predecessor_lists(src, mdp.col, n)
+    rev_ptr, rev_src = _predecessor_lists(mdp.pair_ptr[mdp.state_ptr], mdp.col)
     flags = np.asarray(is_transient, dtype=np.uint8)
     seeds = np.asarray(seeds, dtype=np.int64)
     model = (

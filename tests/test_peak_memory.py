@@ -46,6 +46,12 @@ def test_support_sorts_its_keys_in_place(liquidation):
     assert scratch <= 1.1 * 0.65 * MiB, scratch / MiB
 
 
+def test_union_chain_adds_masses_to_the_support(liquidation):
+    # The chain's rows are the support's; only its masses are new.
+    _, scratch = scratch_peak(liquidation.union_chain)
+    assert scratch <= 1.1 * 1.74 * MiB, scratch / MiB
+
+
 def test_condensation_builds_its_keys_in_blocks(liquidation):
     support = liquidation.support()
     _, scratch = scratch_peak(lambda: absorbing_decomposition(support))

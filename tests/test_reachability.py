@@ -31,6 +31,7 @@ from rmdp import (
     self_loop_states,
     spiral_chain,
     spiral_state_id,
+    successors,
     verify_reductive,
     verify_reductive_mdp,
 )
@@ -542,6 +543,54 @@ def test_predecessors_rejects_out_of_range_target(state):
 
 # ---------------------------------------------------------------------------
 # randomized properties
+
+
+def scalar_reach(chain, x):
+    """reachable_set by a pure-Python breadth-first search over successors()."""
+    seen = frontier = {x}
+    while frontier:
+        frontier = {y for s in frontier for y, _ in successors(chain, s)} - seen
+        seen |= frontier
+    return seen
+
+
+def scalar_predecessors(chain, target, steps):
+    """predecessors by a pure-Python breadth-first search back over successors()."""
+    succ = [{y for y, _ in successors(chain, x)} for x in range(chain.state_count)]
+    seen = frontier = set(target)
+    for _ in range(steps):
+        frontier = {x for x, ys in enumerate(succ) if x not in seen and ys & frontier}
+        seen = seen | frontier
+    return seen - set(target)
+
+
+@st.composite
+def chains_and_targets(draw):
+    """A random chain, self-loops included, and a target that may repeat states."""
+    n = draw(st.integers(1, 12))
+    rows = []
+    for x in range(n):
+        succs = draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
+        )
+        if draw(st.booleans()) and x not in succs:
+            succs.append(x)
+        rows.append([(s, 1.0 / len(succs)) for s in sorted(succs)])
+    target = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    return MarkovChain.from_rows(rows), target
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains_and_targets())
+def test_walks_match_a_scalar_breadth_first_search(case):
+    chain, target = case
+    for k in range(1, 6):
+        assert predecessors(chain, target, k) == scalar_predecessors(chain, target, k)
+    # Any step count is accepted, however large.
+    everything = scalar_predecessors(chain, target, chain.state_count)
+    assert predecessors(chain, target, 2**70) == everything
+    for x in range(chain.state_count):
+        assert reachable_set(chain, x) == scalar_reach(chain, x)
 
 
 @st.composite
@@ -1182,11 +1231,16 @@ def structure(model):
 
 
 def mdp_structure(mdp):
-    """structure() of mdp's support, the support's arrays, and rvi_solve's
-    values and policy on the height schedule when mdp is reductive."""
+    """structure() of mdp's support, the support's and the union chain's
+    arrays, and rvi_solve's values and policy on the height schedule when
+    mdp is reductive."""
     support = mdp.support()
     out = structure(support)
     out.update(row_ptr=support.row_ptr, col=support.col)
+    union = mdp.union_chain()
+    out.update(
+        union_row_ptr=union.row_ptr, union_col=union.col, union_prob=union.prob
+    )
     out["loops"] = np.array(sorted(self_loop_states(mdp.support())))
     if verify_reductive_mdp(mdp, support).reductive:
         decomp = absorbing_decomposition(support)

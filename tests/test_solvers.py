@@ -13,6 +13,7 @@ from rmdp import (
     InvalidParams,
     MarkovChain,
     MaxSweepsExceeded,
+    ModelError,
     NonContractive,
     NonFiniteValue,
     NotReductive,
@@ -956,6 +957,15 @@ def test_simulate_policy_rejects_bad_params():
         rmdp.simulate_policy(mdp, pol, start=0, horizon=0, trials=1, seed=0)
     with pytest.raises(InvalidParams):
         rmdp.simulate_policy(mdp, pol, start=0, horizon=1, trials=0, seed=0)
+
+
+@pytest.mark.parametrize("start", [-3, -1, 25])
+def test_simulate_policy_rejects_a_start_outside_the_model(start):
+    # The spiral has 25 states; a negative start must not wrap around.
+    mdp = mdp_from_chain(rmdp.spiral_chain())
+    pol = Policy(choice=np.zeros(mdp.state_count, dtype=np.int64))
+    with pytest.raises(ModelError, match=f"^state {start} out of range$"):
+        rmdp.simulate_policy(mdp, pol, start, horizon=5, trials=2, seed=0)
 
 
 def simulate_one_trial_at_a_time(mdp, policy, start, horizon, trials, seed):
