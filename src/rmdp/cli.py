@@ -284,6 +284,7 @@ def _cmd_verify(res):
     mdp, _, _ = _resolve_model(res)
     support = mdp.support()
     verdict = verify_reductive_mdp(mdp, support)
+    del mdp  # nothing below reads the model, and the support holds none of it
     payload = {
         "reductive": verdict.reductive,
         "violations": [

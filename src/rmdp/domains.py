@@ -299,15 +299,13 @@ def build_spiral(step_reward=-1.0, mix_levels=(0.0, 0.25, 0.5, 0.75, 1.0)):
             entry_cols.extend(s for s, _ in row)
             entry_probs.extend(pr for _, pr in row)
             entry_rews.extend(reward for _ in row)
-    pair_ptr = np.zeros(pair_action.size + 1, dtype=np.int64)
-    np.cumsum(entry_lens, out=pair_ptr[1:])
     mdp = Mdp(
         state_count=n,
         action_count=len(mixes),
         discount=1.0,
         state_ptr=state_ptr,
         pair_action=pair_action,
-        pair_ptr=pair_ptr,
+        pair_ptr=_offsets(entry_lens),
         col=np.array(entry_cols, dtype=np.int64),
         prob=np.array(entry_probs, dtype=np.float64),
         rew=np.array(entry_rews, dtype=np.float64),

@@ -133,9 +133,29 @@ def _compact(arr, keep):
 
 def _offsets(lengths):
     """Start offsets of consecutive segments of the given lengths, plus the end."""
-    out = np.zeros(lengths.size + 1, dtype=np.int64)
+    out = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=out[1:])
     return out
+
+
+def _edge_rows(keys, count, shift):
+    """Rows of the distinct edges among keys: (row_ptr, targets).
+
+    keys are int64 (source << shift) | target with sources below count,
+    owned by the caller and with no view of them in use: they are sorted
+    unless they ascend, rid of repeats (_compact) and masked into the
+    targets, all in place.  Source s has the targets targets[row_ptr[s]:
+    row_ptr[s + 1]], ascending.
+    """
+    if np.any(keys[1:] < keys[:-1]):
+        keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = _compact(keys, first)
+    del first
+    row_ptr = np.searchsorted(keys, np.arange(count + 1, dtype=np.int64) << shift)
+    keys &= (1 << shift) - 1
+    return row_ptr, keys
 
 
 def _unique_sorted(keys):
@@ -153,15 +173,14 @@ def _unique_sorted(keys):
 def _same_row(row_ptr, size):
     """Flags of entries 1..size - 1: is entry e + 1 in the same row as entry e.
 
-    Entries count from row_ptr[0]; row_ptr spans size of them and does
-    not decrease.  One boolean per entry, where a row id per entry would
-    take eight bytes.
+    row_ptr runs from 0 to size and does not decrease.  One boolean per
+    entry, where a row id per entry would take eight bytes.
     """
     # A row that starts at entry c clears flag c - 1.  Only empty rows
     # start at entry 0 or at the end; their flags -1 and size - 1 fall on
     # the two spare flags past the returned ones.
     same = np.ones(size + 1, dtype=bool)
-    same[row_ptr[1:-1] - (row_ptr[0] + 1)] = False
+    same[row_ptr[1:-1] - 1] = False
     return same[: max(size - 1, 0)]
 
 
@@ -169,7 +188,8 @@ def _check_rows(row_ptr, col, prob, rew, state_count, what):
     """Shared row validation.
 
     Probabilities and rewards must be finite, successors in range,
-    probabilities positive, successors distinct per row and rows sum to 1.
+    probabilities positive, successors strictly ascending per row and
+    rows sum to 1.  row_ptr runs from 0 to col.size.
     """
     for name, values in (("probability", prob), ("reward", rew)):
         if values is not None and not np.all(np.isfinite(values)):
@@ -190,22 +210,18 @@ def _check_rows(row_ptr, col, prob, rew, state_count, what):
             r = int(np.where(counts == 0)[0][0])
             raise NonStochasticRow(f"{what}: row {r} has no entries (sum 0)")
         raise ModelError(f"{what}: row pointers must not decrease")
-    dup = _same_row(row_ptr, col.size) & (col[1:] == col[:-1])
-    if dup.any():
-        e = int(np.where(dup)[0][0])
-        r = int(np.searchsorted(row_ptr, row_ptr[0] + e, side="right")) - 1
-        raise DuplicateSuccessor(f"{what}: duplicate successor {col[e]} in row {r}")
+    bad = _same_row(row_ptr, col.size) & (col[1:] <= col[:-1])
+    if bad.any():
+        e = int(np.where(bad)[0][0])
+        r = int(np.searchsorted(row_ptr, e, side="right")) - 1
+        if col[e + 1] == col[e]:
+            raise DuplicateSuccessor(f"{what}: duplicate successor {col[e]} in row {r}")
+        raise ModelError(f"{what}: successors of row {r} do not ascend")
     sums = np.add.reduceat(prob, row_ptr[:-1])
     off = np.abs(sums - 1.0) > ROW_SUM_TOL
     if np.any(off):
         r = int(np.where(off)[0][0])
         raise NonStochasticRow(f"{what}: row {r} sums to {float(sums[r])!r}")
-
-
-def _sort_entries(key_row, col, prob, rew):
-    """Order entries by (row, successor); returns sorted copies."""
-    order = np.lexsort((col, key_row))
-    return col[order], prob[order], None if rew is None else rew[order]
 
 
 class MarkovChain:
@@ -231,20 +247,24 @@ class MarkovChain:
         self.rew = None if rew is None else np.asarray(rew, dtype=np.float64)
         if self.row_ptr.size != self.state_count + 1:
             raise ModelError("row_ptr length mismatch")
+        if self.prob.size != self.col.size or (
+            self.rew is not None and self.rew.size != self.col.size
+        ):
+            raise ModelError("entry array length mismatch")
         if (self.row_ptr[1:] < self.row_ptr[:-1]).any():
             raise ModelError("chain: row pointers must not decrease")
-        if self.row_ptr[-1] - self.row_ptr[0] != self.col.size:
+        if self.row_ptr[0] != 0 or self.row_ptr[-1] != self.col.size:
             raise ModelError("row_ptr does not match the entry count")
         # Callers such as Mdp.union_chain already emit (row, successor)
         # order; the stable sort would return the arrays unchanged.
         same_row = _same_row(self.row_ptr, self.col.size)
         if (same_row & (self.col[1:] < self.col[:-1])).any():
-            row_of_entry = np.repeat(
-                np.arange(self.state_count, dtype=np.int64), np.diff(self.row_ptr)
-            )
-            self.col, self.prob, self.rew = _sort_entries(
-                row_of_entry, self.col, self.prob, self.rew
-            )
+            rows = np.arange(self.state_count, dtype=np.int64)
+            rows = rows.repeat(np.diff(self.row_ptr))
+            order = np.lexsort((self.col, rows))
+            self.col, self.prob = self.col[order], self.prob[order]
+            if self.rew is not None:
+                self.rew = self.rew[order]
         del same_row  # _check_rows builds its own
         _check_rows(
             self.row_ptr, self.col, self.prob, self.rew, self.state_count, "chain"
@@ -260,9 +280,7 @@ class MarkovChain:
 
         rewards, if given, mirrors the nesting of rows with one real per entry.
         """
-        lengths = [len(r) for r in rows]
-        row_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=row_ptr[1:])
+        row_ptr = _offsets([len(r) for r in rows])
         col = np.array([xp for r in rows for xp, _ in r], dtype=np.int64)
         prob = np.array([p for r in rows for _, p in r], dtype=np.float64)
         rew = None
@@ -419,9 +437,9 @@ class Mdp:
         if n_pairs:
             if self.pair_action.min() < 0 or self.pair_action.max() >= self.action_count:
                 raise ModelError("action id out of range")
-        if self.state_ptr[-1] - self.state_ptr[0] != n_pairs:
+        if self.state_ptr[0] != 0 or self.state_ptr[-1] != n_pairs:
             raise ModelError("state_ptr does not match the pair count")
-        if self.pair_ptr[-1] - self.pair_ptr[0] != self.col.size:
+        if self.pair_ptr[0] != 0 or self.pair_ptr[-1] != self.col.size:
             raise ModelError("pair_ptr does not match the entry count")
         same_state = _same_row(self.state_ptr, n_pairs)
         if (same_state & (self.pair_action[1:] <= self.pair_action[:-1])).any():
@@ -464,23 +482,19 @@ class Mdp:
     def support(self):
         """The union chain's support, without its probabilities.
 
-        One sort of the entries' (state, successor) keys; no probabilities
-        are mixed and no rows are checked, so this is the cheap way to
-        certify and order the MDP (see Support).  The keys are sorted,
-        rid of their repeats and turned into the successors in place.
+        One sort of the entries' (state << shift) | successor keys; no
+        probabilities are mixed and no rows are checked, so this is the
+        cheap way to certify and order the MDP (see Support).  The keys
+        become the rows in place (_edge_rows).
         """
         n = self.state_count
-        per_state = np.diff(self.pair_ptr[self.state_ptr])
-        keys = np.repeat(np.arange(n, dtype=np.int64) * n, per_state)
-        keys += self.col
-        keys.sort()
-        first = np.ones(keys.size, dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keys = _compact(keys, first)
-        del first
-        row_ptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-        keys %= n
-        return Support(n, row_ptr, keys, self.certain_self_loops())
+        shift = max(n - 1, 1).bit_length()
+        keys = np.arange(n, dtype=np.int64)
+        keys = keys.repeat(np.diff(self.pair_ptr[self.state_ptr]))
+        keys <<= shift
+        keys |= self.col
+        row_ptr, col = _edge_rows(keys, n, shift)
+        return Support(n, row_ptr, col, self.certain_self_loops())
 
     def union_chain(self):
         """Chain whose rows are the unions of all admissible action supports.
@@ -493,13 +507,14 @@ class Mdp:
         its shares in model order: by action, as the Mdp stores its
         entries.  The states are taken in blocks of whole states
         (_block_cuts).  In a block, a searchsorted of each entry's
-        state * n + successor key among the support's keys finds the
-        slot of its mass, and one bincount adds the shares in input
-        order, which is the model's, so the sums, down to the last bit,
-        depend on it.
+        (state << shift) | successor key, as support() spells it, among
+        the support's keys finds the slot of its mass, and one bincount
+        adds the shares in input order, which is the model's, so the
+        sums, down to the last bit, depend on it.
         """
         support = self.support()
         n = self.state_count
+        shift = max(n - 1, 1).bit_length()
         row_ptr, col = support.row_ptr, support.col
         entry_ptr = self.pair_ptr[self.state_ptr]
         actions = self.mask_sizes()
@@ -507,12 +522,12 @@ class Mdp:
         cuts = _block_cuts(entry_ptr)
         for a, b in zip(cuts, cuts[1:]):
             lo, hi, ra, rb = entry_ptr[a], entry_ptr[b], row_ptr[a], row_ptr[b]
-            base = np.arange(a * n, b * n, n, dtype=np.int64)
+            base = np.arange(a, b, dtype=np.int64) << shift
             per_state = entry_ptr[a + 1 : b + 1] - entry_ptr[a:b]
             keys = base.repeat(per_state)
-            keys += self.col[lo:hi]
+            keys |= self.col[lo:hi]
             row_keys = base.repeat(row_ptr[a + 1 : b + 1] - row_ptr[a:b])
-            row_keys += col[ra:rb]
+            row_keys |= col[ra:rb]
             slot = np.searchsorted(row_keys, keys)
             del keys, row_keys
             share = self.prob[lo:hi] / actions[a:b].repeat(per_state)
@@ -572,10 +587,8 @@ def induced_chain(mdp, policy):
     starts = mdp.pair_ptr[pairs]
     lengths = mdp.pair_ptr[pairs + 1] - starts
     idx = gather_ranges(starts, lengths)
-    row_ptr = np.zeros(mdp.state_count + 1, dtype=np.int64)
-    np.cumsum(lengths, out=row_ptr[1:])
     return MarkovChain(
-        mdp.state_count, row_ptr, mdp.col[idx], mdp.prob[idx], mdp.rew[idx]
+        mdp.state_count, _offsets(lengths), mdp.col[idx], mdp.prob[idx], mdp.rew[idx]
     )
 
 
@@ -629,8 +642,7 @@ def build_mdp(spec):
     if not isinstance(mask, list) or len(mask) != state_count:
         raise ModelError("mask must list actions for every state")
     sizes, pair_action = _mask_columns(mask, action_count)
-    state_ptr = np.zeros(state_count + 1, dtype=np.int64)
-    np.cumsum(sizes, out=state_ptr[1:])
+    state_ptr = _offsets(sizes)
 
     records = spec["transitions"]
     if not isinstance(records, list):
@@ -676,15 +688,13 @@ def build_mdp(spec):
         raise NonStochasticRow(
             f"pair (state {x}, action {pair_action[i]}) has no transitions"
         )
-    pair_ptr = np.zeros(pair_action.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=pair_ptr[1:])
     return Mdp(
         state_count=state_count,
         action_count=action_count,
         discount=discount,
         state_ptr=state_ptr,
         pair_action=pair_action,
-        pair_ptr=pair_ptr,
+        pair_ptr=_offsets(counts),
         col=xps[order],
         prob=ps[order],
         rew=rs[order],

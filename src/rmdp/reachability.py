@@ -41,7 +41,9 @@ of a row, and the height's ORs and probes read and write those alone.
 The passes over the edges (self-loops, condensation keys, heights, the
 potential's reads) take them in blocks of whole rows, frontiers or
 heights with at most mdp._BLOCK_ENTRIES edges (mdp._block_cuts), so
-their temporaries stay small next to the model.
+their temporaries stay small next to the model.  The condensation's
+edges and bvi's predecessor lists become rows as Mdp.support()'s do, by
+mdp._edge_rows, from int64 keys (source << shift) | target.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, NotReductive
-from .mdp import _block_cuts, _compact, _offsets, _unique_sorted, gather_ranges
+from .mdp import _block_cuts, _edge_rows, _offsets, _unique_sorted, gather_ranges
 
 # Violation kinds reported in a ReductivityVerdict.
 NO_ABSORBING_SET = "NoAbsorbingSet"
@@ -168,12 +170,12 @@ def _condensation(model):
     The components come from one pass over the model's support
     (_strong_components).  The edge keys are (source << shift) | target
     of the cross-component entries, made in blocks of rows (_block_cuts),
-    and their repeats are dropped in place (_compact).  The keys are
-    sorted only when the entries do not already come in that order, which
-    they do when the numbering by smallest member keeps the order of the
-    states and no multi-state component has edges out of it from two of
-    its states: for example when every multi-state component is a closed
-    class of consecutive states.
+    and become the rows in place (_edge_rows).  They need no sort when
+    the entries already come in their order, which they do when the
+    numbering by smallest member keeps the order of the states and no
+    multi-state component has edges out of it from two of its states: for
+    example when every multi-state component is a closed class of
+    consecutive states.
     """
     if model._condensation is not None:
         return model._condensation
@@ -202,15 +204,8 @@ def _condensation(model):
         keys[size : size + part.size] = part
         size += part.size
     keys.resize(size, refcheck=False)
-    if np.any(keys[1:] < keys[:-1]):
-        keys.sort()
-    first = np.ones(size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    succ = _compact(keys, first)
-    del keys, first
-    succ_ptr = np.searchsorted(succ, np.arange(n_comp + 1, dtype=np.int64) << shift)
+    succ_ptr, succ = _edge_rows(keys, n_comp, shift)
     out_degree = succ_ptr[1:] - succ_ptr[:-1]
-    succ &= (1 << shift) - 1  # the keys become their targets in place
 
     # The peeled states are components of their own, in the peel's
     # frontiers.  The other components only reach one another; they
@@ -218,9 +213,7 @@ def _condensation(model):
     rest = np.ones(n_comp, dtype=bool)
     rest[labels[peeled]] = False
     rest = np.flatnonzero(rest)
-    waiting = np.bincount(
-        succ[gather_ranges(succ_ptr[rest], out_degree[rest])], minlength=n_comp
-    )
+    waiting = np.bincount(_out_edges((succ_ptr, succ), rest)[0], minlength=n_comp)
     order, order_ptr = _peel((succ_ptr, succ), waiting, rest[waiting[rest] == 0])
     cond = _Condensation(
         labels=labels,
@@ -251,7 +244,6 @@ def _strong_components(row_ptr, col):
     self-loop.
     """
     n = row_ptr.size - 1
-    deg = row_ptr[1:] - row_ptr[:-1]
     loops = _self_loops(row_ptr, col)
     waiting = np.bincount(col, minlength=n)
     waiting -= loops
@@ -259,10 +251,10 @@ def _strong_components(row_ptr, col):
     rep = np.arange(n, dtype=np.int64)
     rest = np.flatnonzero(waiting > 0)
     if rest.size:
-        lens = deg[rest]
+        nxt, lens = _out_edges((row_ptr, col), rest)
         local = np.zeros(n, dtype=np.int64)
         local[rest] = np.arange(rest.size, dtype=np.int64)
-        succ = local[col[gather_ranges(row_ptr[rest], lens)]]
+        succ = local[nxt]
         comp = np.array(_tarjan(_offsets(lens).tolist(), succ.tolist()))
         smallest = np.full(rest.size, rest.size, dtype=np.int64)
         np.minimum.at(smallest, comp, np.arange(rest.size, dtype=np.int64))
@@ -313,7 +305,7 @@ def _peel(graph, waiting, frontier):
     parts = [f for f, _, _ in _kahn(graph, waiting, frontier)]
     if not parts:
         return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    return np.concatenate(parts), _offsets(np.array([p.size for p in parts]))
+    return np.concatenate(parts), _offsets([p.size for p in parts])
 
 
 def _tarjan(ptr, succ):
@@ -396,14 +388,13 @@ def _predecessor_lists(row_ptr, col):
 
     State x has the successors col[row_ptr[x]:row_ptr[x + 1]], repeats
     allowed.  Returns (rev_ptr, rev_src): the states with an edge into y
-    are rev_src[rev_ptr[y]:rev_ptr[y + 1]], ascending.
+    are rev_src[rev_ptr[y]:rev_ptr[y + 1]], ascending (_edge_rows).
     """
     n = row_ptr.size - 1
-    keys = col * np.int64(n)
-    keys += np.arange(n, dtype=np.int64).repeat(np.diff(row_ptr))
-    keys = _unique_sorted(keys)
-    rev_ptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    return rev_ptr, keys % n
+    shift = max(n - 1, 1).bit_length()
+    keys = col << shift
+    keys |= np.arange(n, dtype=np.int64).repeat(np.diff(row_ptr))
+    return _edge_rows(keys, n, shift)
 
 
 def reachable_set(chain, x):
@@ -495,8 +486,7 @@ def counting_potential(chain):
     cuts = _block_cuts(height_ptr)
     for f, g in zip(cuts, cuts[1:]):
         a, b, base = row_ptr[f], row_ptr[g], height_ptr[f]
-        starts = cond.succ_ptr[rows[a:b]]
-        reads = rank[cond.succ[gather_ranges(starts, out_degree[a:b])]]
+        reads = rank[_out_edges((cond.succ_ptr, cond.succ), rows[a:b])[0]]
         probe = word_of[reads]
         probe += np.arange(a * words, b * words, words).repeat(out_degree[a:b])
         probe_bit = first_bit[reads]
@@ -608,13 +598,12 @@ def _back_heights(graph, order, bounds):
     """
     ptr, succ = graph
     height = np.zeros(ptr.size - 1, dtype=np.int64)
-    starts = ptr[order]
-    lens = ptr[order + 1] - starts
+    lens = ptr[order + 1] - ptr[order]
     cut = _offsets(lens)[bounds]
     blocks = _block_cuts(cut)
     for f, g in zip(blocks[-2::-1], blocks[:0:-1]):
         a, b = bounds[f], bounds[g]
-        dst = succ[gather_ranges(starts[a:b], lens[a:b])]
+        dst, _ = _out_edges(graph, order[a:b])
         owner = order[a:b].repeat(lens[a:b])
         edges = (cut[f : g + 1] - cut[f]).tolist()
         for lo, hi in zip(edges[-2::-1], edges[:0:-1]):
@@ -661,11 +650,11 @@ def absorbing_decomposition(chain):
     is_open = cond.is_open[cond.labels]
     transient = np.flatnonzero(is_open)
     absorbing = np.flatnonzero(~is_open)
+    # Components are numbered by smallest member: so are the classes.
     groups = [
         cond.members[cond.member_ptr[c] : cond.member_ptr[c + 1]]
         for c in np.flatnonzero(~cond.is_open)
     ]
-    groups.sort(key=lambda g: int(g[0]))
     return AbsorbingDecomposition(
         transient=transient, absorbing=absorbing, classes=tuple(groups)
     )

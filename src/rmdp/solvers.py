@@ -35,10 +35,11 @@ from .errors import (
     NotReductive,
     ScheduleMismatch,
 )
-from .mdp import Policy, ValueTable, _offsets, gather_ranges, induced_chain
+from .mdp import Policy, ValueTable, _offsets, induced_chain
 from .reachability import (
     _condensation,
     _heights,
+    _out_edges,
     _predecessor_lists,
     _walk,
     absorbing_decomposition,
@@ -135,9 +136,8 @@ def q_update(mdp, values, x, u):
 
 
 def _absorbing_rewards_nonzero(mdp, states):
-    starts = mdp.pair_ptr[mdp.state_ptr[states]]
-    lens = mdp.pair_ptr[mdp.state_ptr[states + 1]] - starts
-    return bool(np.any(mdp.rew[gather_ranges(starts, lens)] != 0.0))
+    rew, _ = _out_edges((mdp.pair_ptr[mdp.state_ptr], mdp.rew), states)
+    return bool(np.any(rew != 0.0))
 
 
 def _tables(mdp):
@@ -177,10 +177,8 @@ def _components(mdp):
     cond = _condensation(support)
     labels = cond.labels
     big = np.flatnonzero(np.diff(cond.member_ptr)[labels] > 1)
-    starts = support.row_ptr[big]
-    lens = support.row_ptr[big + 1] - starts
+    dst, lens = _out_edges((support.row_ptr, support.col), big)
     src = np.repeat(big, lens)
-    dst = support.col[gather_ranges(starts, lens)]
     inner = (labels[src] == labels[dst]) & (src != dst)
     return _heights(cond)[labels], src[inner], dst[inner]
 
@@ -268,7 +266,7 @@ def _check_schedule(mdp, schedule, decomp):
     total = np.concatenate([np.empty(0, dtype=np.int64), *levels]).astype(np.int64)
     if not np.array_equal(np.sort(total), np.sort(decomp.transient)):
         raise ScheduleMismatch("schedule does not enumerate the transient set")
-    return _offsets(np.array([lv.size for lv in levels], dtype=np.int64)), total
+    return _offsets([lv.size for lv in levels]), total
 
 
 def rvi_solve(mdp, schedule, decomp, cfg=None):

@@ -370,6 +370,72 @@ def test_row_pointers_must_cover_the_entries_in_order():
         Mdp(**dict(spec, state_count=2, state_ptr=[0, 1, 2]))
 
 
+def raised(call):
+    """The exception call() raises."""
+    with pytest.raises(Exception) as got:
+        call()
+    return got.value
+
+
+def test_mdp_successors_must_ascend_within_a_pair():
+    # Pair 0 lists successor 1 twice, apart: a falling neighbour, where a
+    # check of equal neighbours alone let the repeat through.
+    spec = dict(
+        state_count=3,
+        action_count=1,
+        discount=1.0,
+        state_ptr=[0, 1, 2, 3],
+        pair_action=[0, 0, 0],
+        pair_ptr=[0, 3, 4, 5],
+        col=[1, 0, 1, 2, 2],
+        prob=[0.25, 0.5, 0.25, 1.0, 1.0],
+        rew=[0.0] * 5,
+    )
+    err = raised(lambda: Mdp(**spec))
+    assert type(err) is ModelError
+    assert str(err) == "mdp: successors of row 0 do not ascend"
+    # Equal neighbours keep their own error, as build_mdp reports them.
+    err = raised(lambda: Mdp(**dict(spec, col=[0, 1, 1, 2, 2])))
+    assert type(err) is DuplicateSuccessor
+    assert str(err) == "mdp: duplicate successor 1 in row 0"
+    records = [
+        {"x": x, "u": 0, "xp": xp, "p": p, "r": 0.0}
+        for x, xp, p in zip([0, 0, 0, 1, 2], spec["col"], spec["prob"])
+    ]
+    model = {"states": 3, "actions": 1, "discount": 1.0, "mask": [[0]] * 3}
+    err = raised(lambda: build_mdp(dict(model, transitions=records)))
+    assert type(err) is DuplicateSuccessor
+    assert str(err) == "mdp: duplicate successor 1 in row 0"
+
+
+def test_pointer_arrays_start_at_zero_and_entry_arrays_match():
+    # Each pointer array spans the right count, shifted off 0 by one.
+    def mdp(state_ptr, pair_ptr):
+        ones = [1.0, 1.0]
+        return Mdp(2, 1, 1.0, state_ptr, [0, 0], pair_ptr, [1, 1], ones, [0.0, 0.0])
+
+    cases = [
+        (lambda: mdp([1, 2, 3], [0, 1, 2]), "state_ptr does not match the pair count"),
+        (lambda: mdp([0, 1, 2], [1, 2, 3]), "pair_ptr does not match the entry count"),
+        (
+            lambda: MarkovChain(2, [1, 2, 3], [1, 1], [1.0, 1.0]),
+            "row_ptr does not match the entry count",
+        ),
+        (
+            lambda: MarkovChain(2, [0, 1, 2], [1, 1], [1.0, 1.0], [0.0]),
+            "entry array length mismatch",
+        ),
+        (
+            lambda: MarkovChain(2, [0, 1, 2], [1, 1], [1.0], [0.0, 0.0]),
+            "entry array length mismatch",
+        ),
+    ]
+    for call, message in cases:
+        err = raised(call)
+        assert type(err) is ModelError, (message, err)
+        assert str(err) == message
+
+
 def test_induced_chain_and_policy_validation():
     mdp = build_mdp(two_state_spec())
     pol = Policy(choice=np.array([1, 0], dtype=np.int64))

@@ -14,7 +14,7 @@ import pytest
 
 from rmdp import LiquidationParams, absorbing_decomposition, counting_potential
 from rmdp.domains import build_liquidation
-from rmdp.reachability import _condensation, _heights
+from rmdp.reachability import _condensation, _heights, _predecessor_lists
 
 MiB = 1 << 20
 
@@ -57,6 +57,13 @@ def test_condensation_builds_its_keys_in_blocks(liquidation):
     _, scratch = scratch_peak(lambda: absorbing_decomposition(support))
     assert support._condensation is not None
     assert scratch <= 1.1 * 2.28 * MiB, scratch / MiB
+
+
+def test_predecessor_lists_turn_their_keys_into_rows_in_place(liquidation):
+    # One entry-sized array of keys becomes the lists; bvi reads them.
+    row_ptr = liquidation.pair_ptr[liquidation.state_ptr]
+    _, scratch = scratch_peak(lambda: _predecessor_lists(row_ptr, liquidation.col))
+    assert scratch <= 1.1 * 3.83 * MiB, scratch / MiB
 
 
 def test_heights_gather_their_frontiers_in_blocks(liquidation):

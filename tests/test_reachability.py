@@ -38,7 +38,7 @@ from rmdp import (
 from rmdp import mdp as mdp_module
 from rmdp.domains import LiquidationParams, build_liquidation
 from rmdp.mdp import Support, gather_ranges
-from rmdp.reachability import _condensation, _heights
+from rmdp.reachability import _condensation, _heights, _predecessor_lists
 
 # Annotated reachable-set sizes of the spiral walk, row 0 first.
 SPIRAL_PHI = [
@@ -1231,12 +1231,14 @@ def structure(model):
 
 
 def mdp_structure(mdp):
-    """structure() of mdp's support, the support's and the union chain's
-    arrays, and rvi_solve's values and policy on the height schedule when
-    mdp is reductive."""
+    """structure() of mdp's support, the support's, the union chain's and
+    bvi's predecessor lists' arrays, and rvi_solve's values and policy on
+    the height schedule when mdp is reductive."""
     support = mdp.support()
     out = structure(support)
     out.update(row_ptr=support.row_ptr, col=support.col)
+    rev_ptr, rev_src = _predecessor_lists(mdp.pair_ptr[mdp.state_ptr], mdp.col)
+    out.update(rev_ptr=rev_ptr, rev_src=rev_src)
     union = mdp.union_chain()
     out.update(
         union_row_ptr=union.row_ptr, union_col=union.col, union_prob=union.prob
