@@ -18,13 +18,13 @@ two-copy buffer [v_new | v_old]: the new copy when the successor is
 placed before the entry's state in the sweep order.  A level reads only
 the new values of earlier levels, so the results are bit-identical to
 the one-state-at-a-time loop (level scheduling of a triangular solve).
-A plan for one fixed order (_order_plan) is gathered in that order,
-levelled by the order's own Kahn waves (gathered again in wave order
-when the waves do not already ascend) and indexed once.  A plan for
-sweeps in any order (_level_plan) is levelled by the height of each
-state's component in the condensation, a valid level for every order;
-each sweep re-indexes it and lays the multi-state components out in the
-waves its order needs (_level_steps).  rvi_pass gathers the levels in
+A plan for one fixed order (_order_plan) is levelled by the order's own
+Kahn waves, read off the entries' successors alone, then gathered once
+in wave order and indexed once.  A plan for sweeps in any order
+(_level_plan) is levelled by the height of each state's component in
+the condensation, a valid level for every order; each sweep re-indexes
+it and lays the multi-state components out in the waves its order needs
+(_level_steps).  rvi_pass gathers the levels in
 blocks of at most mdp._BLOCK_ENTRIES (2^16) entries, computes a block's
 value-free terms and schedule checks at once, and cuts the block's
 levels into greedy maximal runs that read none of their own states
@@ -293,43 +293,32 @@ def _point_reads(reads, ecol, pos, dest, state_ptr, pair_ptr):
 def _order_plan(order, state_ptr, pair_ptr, col, prob, rew, gamma):
     """Gather the distinct states of order into a LevelPlan for sweeps in it.
 
-    The states are gathered in order.  The levels are the order's own
-    waves: a state waits for its successors placed before it in order.
-    The states are gathered again in wave order unless the waves
-    already ascend along order, and the entries are indexed once.
-    Raises DivergentSelfLoop naming the first state of order with a pair
-    that stays forever at a gain.
+    The levels are the order's own waves: a state waits for its
+    successors placed before it in order, read off the entries' columns
+    alone.  The states are then gathered once, in wave order (a stable
+    sort, so order itself when the waves already ascend along it), and
+    the entries are indexed once.  Raises DivergentSelfLoop naming the
+    first state of order with a pair that stays forever at a gain.
     """
     m = order.size
     # Places are int32 to keep the wave graph small next to the plan; a
     # state outside order is placed after all of it.
     pos = np.full(state_ptr.size - 1, m, dtype=np.int32)
     pos[order] = np.arange(m, dtype=np.int32)
-    gathered = _gather(order, state_ptr, pair_ptr, col, prob, rew)
-    wave = _order_waves(pos, *gathered[1:4])
-    dest, key = order, wave
-    if np.any(wave[1:] < wave[:-1]):
-        lay = np.argsort(wave, kind="stable")
-        dest, key = order[lay], wave[lay]
-        gathered = _gather(dest, state_ptr, pair_ptr, col, prob, rew)
-    plan, _, _ = _layout(dest, key, gathered, state_ptr.size - 1, gamma)
+    starts, e_lens = _entry_spans(order, state_ptr, pair_ptr)
+    succ = pos[col[gather_ranges(starts, e_lens)]]
+    own = np.repeat(np.arange(m, dtype=np.int32), e_lens)
+    waits = succ < own
+    wave = _frontier_heights(own[waits], succ[waits], m)
+    del succ, own, waits  # entry-sized, and the gather below is the peak
+    lay = np.argsort(wave, kind="stable")
+    dest = order[lay]
+    gathered = _gather(dest, state_ptr, pair_ptr, col, prob, rew)
+    plan, _, _ = _layout(dest, wave[lay], gathered, state_ptr.size - 1, gamma)
     if plan.gains.size:
         raise _divergent(order[pos[plan.gains].min()])
     _point_reads(plan.reads, plan.reads, pos, plan.dest, state_ptr, pair_ptr)
     return plan
-
-
-def _order_waves(pos, pair_off, entry_off, ecol):
-    """Each gathered state's wave in a sweep over its order.
-
-    pos is each state's place in the order, and the states were gathered
-    in it.  A state waits for its successors placed before it.
-    """
-    m = pair_off.size - 1
-    succ = pos[ecol]
-    own = np.repeat(np.arange(m, dtype=pos.dtype), np.diff(entry_off[pair_off]))
-    waits = succ < own
-    return _frontier_heights(own[waits], succ[waits], m)
 
 
 def _slot_perm(perm, pair_off, entry_off):

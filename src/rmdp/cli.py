@@ -1,11 +1,17 @@
 """Command-line front end and benchmark harness.
 
 Subcommands: solve, verify, bench, simulate, policy-grid, shrink.  Models
-come either from a JSON file (--model) or a built-in domain (--domain);
-a JSON --config file can supply any flag value, with explicit flags
-winning.  CSV output is byte-deterministic given config and seed, except
-for the measured wall_nanos column.  Exit codes: 0 ok, 2 bad input,
-3 not reductive, 4 solver failure or out of memory.
+come either from a JSON file (--model) or a built-in domain (--domain).
+Each flag is declared once, with its type and default, in _parser().  A
+JSON --config file is a second way to spell the command line: an object
+whose keys are the command's flag dests (q_max for --q-max).  Each value
+is read as --flag=value, a list as its items joined by commas, before
+the command line's own flags, so an explicit flag wins.  A null value,
+and a key the command does not take, are skipped; a boolean, an object,
+or a list holding either exits 2, and so does any value the flag itself
+would refuse.  CSV output is byte-deterministic given config and seed,
+except for the measured wall_nanos column.  Exit codes: 0 ok, 2 bad
+input, 3 not reductive, 4 solver failure or out of memory.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -62,48 +68,19 @@ EXIT_INPUT = 2
 EXIT_NOT_REDUCTIVE = 3
 EXIT_SOLVER = 4
 
-_LIQ_FIELDS = {
-    "q_max": int,
-    "z_min": int,
-    "z_max": int,
-    "z0": int,
-    "p_down": float,
-    "p_stay": float,
-    "p_up": float,
-    "w0": float,
-    "w1": float,
-    "w2": float,
-    "discount": float,
-}
-
 
 def _fmt(x):
     return "%.17g" % float(x)
 
 
-class _Resolver:
-    """Flag lookup with config-file fallback: explicit flags win."""
+def _comma_list(cast):
+    """An argparse type: a comma list of cast values, blank items skipped."""
 
-    def __init__(self, args, config):
-        self._args = args
-        self._config = config
+    def parse(text):
+        return [cast(p) for p in map(str.strip, text.split(",")) if p]
 
-    def get(self, name, default=None):
-        value = self._args.get(name)
-        if value is None:
-            value = self._config.get(name, default)
-        return value
-
-
-def _as_list(value, cast):
-    if value is None:
-        return None
-    if isinstance(value, str):
-        parts = [p.strip() for p in value.split(",")]
-        return [cast(p) for p in parts if p]
-    if isinstance(value, (list, tuple)):
-        return [cast(x) for x in value]
-    return [cast(value)]
+    parse.__name__ = f"{cast.__name__} list"
+    return parse
 
 
 def _write_text(path, text):
@@ -160,21 +137,15 @@ def _write_json(path, payload):
     _write_text(path, _json_text(payload) + "\n")
 
 
-def _liq_params(res, **overrides):
-    kwargs = {}
-    for name, cast in _LIQ_FIELDS.items():
-        value = overrides.get(name, res.get(name))
-        if value is not None:
-            kwargs[name] = cast(value)
-    return LiquidationParams(**kwargs)
+def _call(factory, args, *names, **overrides):
+    """factory called with the values of names in args, then overrides.
 
-
-def _solver_config(res):
-    return SolverConfig(
-        epsilon=float(res.get("epsilon", 1e-10)),
-        max_sweeps=int(res.get("max_sweeps", 100_000)),
-        seed=int(res.get("seed", 0)),
-    )
+    Without names, they are the fields of factory, a dataclass.  A value
+    of None is left out, so that factory's own default holds.
+    """
+    names = names or [f.name for f in fields(factory)]
+    values = {name: getattr(args, name, None) for name in names} | overrides
+    return factory(**{k: v for k, v in values.items() if v is not None})
 
 
 def _read_json(path):
@@ -190,34 +161,18 @@ def _read_json(path):
             raise ModelError(f"{path}: JSON nested too deeply to read") from None
 
 
-def _resolve_model(res):
+def _resolve_model(args):
     """Build (mdp, schedule, decomp); schedule/decomp may be None."""
-    model = res.get("model")
-    domain = res.get("domain")
-    if (model is None) == (domain is None):
+    if (args.model is None) == (args.domain is None):
         raise InvalidParams("give exactly one of --model and --domain")
-    if model is not None:
-        return build_mdp(_read_json(model)), None, None
-    if domain == "liquidation":
-        return build_liquidation(_liq_params(res))
-    if domain == "spiral":
-        kwargs = {}
-        step = res.get("step_reward")
-        if step is not None:
-            kwargs["step_reward"] = float(step)
-        mixes = _as_list(res.get("mix_levels"), float)
-        if mixes is not None:
-            kwargs["mix_levels"] = tuple(mixes)
-        return build_spiral(**kwargs)
-    if domain in ("fig2a", "fig2b"):
-        loop = res.get("loop_prob")
-        chain = (
-            build_fig2(domain[-1].upper(), loop_prob=float(loop))
-            if loop is not None
-            else build_fig2(domain[-1].upper())
-        )
-        return mdp_from_chain(chain), None, None
-    raise InvalidParams(f"unknown domain {domain!r}")
+    if args.model is not None:
+        return build_mdp(_read_json(args.model)), None, None
+    if args.domain == "liquidation":
+        return build_liquidation(_call(LiquidationParams, args))
+    if args.domain == "spiral":
+        return _call(build_spiral, args, "step_reward", "mix_levels")
+    chain = _call(build_fig2, args, "loop_prob", variant=args.domain[-1].upper())
+    return mdp_from_chain(chain), None, None
 
 
 def _dispatch(solver, mdp, schedule, decomp, cfg):
@@ -248,15 +203,14 @@ def _dispatch(solver, mdp, schedule, decomp, cfg):
     raise InvalidParams(f"unknown solver {solver!r}")
 
 
-def _cmd_solve(res):
-    mdp, schedule, decomp = _resolve_model(res)
-    solver = res.get("solver", "rvi")
-    if solver not in SOLVER_NAMES:
-        raise InvalidParams(f"unknown solver {solver!r}")
-    if solver == "rvi":
+def _cmd_solve(args):
+    mdp, schedule, decomp = _resolve_model(args)
+    if args.solver == "rvi":
         schedule, decomp = _verified_schedule(mdp, schedule, decomp)
-    result = _dispatch(solver, mdp, schedule, decomp, _solver_config(res))
-    _write_json(res.get("out"), result.to_json_dict())
+    result = _dispatch(
+        args.solver, mdp, schedule, decomp, _call(SolverConfig, args)
+    )
+    _write_json(args.out, result.to_json_dict())
     return EXIT_OK
 
 
@@ -280,8 +234,8 @@ def _verified_schedule(mdp, schedule, decomp):
     return schedule, decomp
 
 
-def _cmd_verify(res):
-    mdp, _, _ = _resolve_model(res)
+def _cmd_verify(args):
+    mdp, _, _ = _resolve_model(args)
     support = mdp.support()
     verdict = verify_reductive_mdp(mdp, support)
     del mdp  # nothing below reads the model, and the support holds none of it
@@ -296,32 +250,29 @@ def _cmd_verify(res):
         pt = counting_potential(support)
         perm = canonical_permutation(support, decomp, pt)
         payload["order"] = [int(s) for s in perm.order]
-    _write_json(res.get("out"), payload)
+    _write_json(args.out, payload)
     return EXIT_OK
 
 
-def _cmd_bench(res):
-    q_maxes = _as_list(res.get("q_max", [10, 20, 40]), int)
-    solvers = _as_list(res.get("solvers", list(SOLVER_NAMES)), str)
-    for s in solvers:
+def _cmd_bench(args):
+    for s in args.solvers:
         if s not in SOLVER_NAMES:
             raise InvalidParams(f"unknown solver {s!r}")
-    if "rvi" not in solvers:
+    if "rvi" not in args.solvers:
         raise InvalidParams("bench needs rvi among the solvers as reference")
-    repeats = int(res.get("repeats", 1))
-    if repeats < 1:
+    if args.repeats < 1:
         raise InvalidParams("repeats must be at least 1")
-    base_seed = int(res.get("seed", 0))
 
     lines = [BENCH_HEADER]
-    for qm in q_maxes:
-        params = _liq_params(res, q_max=qm)
-        mdp, schedule, decomp = build_liquidation(params)
-        ref_cfg = _solver_config(res)
+    for qm in args.q_max:
+        mdp, schedule, decomp = build_liquidation(
+            _call(LiquidationParams, args, q_max=qm)
+        )
+        ref_cfg = _call(SolverConfig, args)
         v_ref = rvi_solve(mdp, schedule, decomp, ref_cfg).values.v
-        for solver in solvers:
-            for rep in range(repeats):
-                cfg = replace(ref_cfg, seed=base_seed + rep)
+        for solver in args.solvers:
+            for rep in range(args.repeats):
+                cfg = replace(ref_cfg, seed=args.seed + rep)
                 result = _dispatch(solver, mdp, schedule, decomp, cfg)
                 err = float(np.max(np.abs(result.values.v - v_ref)))
                 st = result.stats
@@ -329,24 +280,18 @@ def _cmd_bench(res):
                     f"{solver},{qm},{mdp.state_count},{st.q_updates},"
                     f"{st.sweeps},{st.wall_nanos},{_fmt(err)}"
                 )
-    _write_text(res.get("out"), "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _cmd_simulate(res):
-    w1s = _as_list(res.get("w1", [0.1, 0.2, 0.4]), float)
-    trials = int(res.get("trials", 2000))
-    horizon = int(res.get("horizon", 1000))
-    solver = res.get("solver", "rvi")
-    if solver not in SOLVER_NAMES:
-        raise InvalidParams(f"unknown solver {solver!r}")
-    seed = int(res.get("seed", 0))
-
+def _cmd_simulate(args):
+    trials, horizon, seed = args.trials, args.horizon, args.seed
+    cfg = _call(SolverConfig, args)
     lines = [SIMULATE_HEADER]
-    for w1 in w1s:
-        params = _liq_params(res, w1=w1)
+    for w1 in args.w1:
+        params = _call(LiquidationParams, args, w1=w1)
         mdp, schedule, decomp = build_liquidation(params)
-        result = _dispatch(solver, mdp, schedule, decomp, _solver_config(res))
+        result = _dispatch(args.solver, mdp, schedule, decomp, cfg)
         start = liquidation_state_id(params, params.q_max, params.z0)
         trajs = simulate_policy(mdp, result.policy, start, horizon, trials, seed)
         # Every trial holds its last state after it ends, so the columns
@@ -366,14 +311,14 @@ def _cmd_simulate(res):
         for t in range(horizon + 1):
             c = min(t, width - 1)
             lines.append(f"{_fmt(w1)},{t},{_fmt(mean_q[c])},{_fmt(stderr_q[c])}")
-    _write_text(res.get("out"), "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _cmd_policy_grid(res):
-    params = _liq_params(res)
+def _cmd_policy_grid(args):
+    params = _call(LiquidationParams, args)
     mdp, schedule, decomp = build_liquidation(params)
-    result = rvi_solve(mdp, schedule, decomp, _solver_config(res))
+    result = rvi_solve(mdp, schedule, decomp, _call(SolverConfig, args))
     start = liquidation_state_id(params, params.q_max, params.z0)
     reach = _reachable_mask(mdp.pair_ptr[mdp.state_ptr], mdp.col, start)
     choice = result.policy.choice
@@ -385,19 +330,12 @@ def _cmd_policy_grid(res):
             lines.append(
                 f"{q},{z},{int(choice[sid])},{1 if reach[sid] else 0}"
             )
-    _write_text(res.get("out"), "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _cmd_shrink(res):
-    delta = res.get("delta")
-    params = ShrinkParams(
-        trials=int(res.get("trials", 10_000)),
-        steps=int(res.get("steps", 100)),
-        seed=int(res.get("seed", 0)),
-        mode=res.get("mode", MULTIPLICATIVE),
-        delta=float(delta) if delta is not None else None,
-    )
+def _cmd_shrink(args):
+    params = _call(ShrinkParams, args)
     out = shrink_simulate(params)
     payload = {
         "mode": params.mode,
@@ -409,7 +347,7 @@ def _cmd_shrink(res):
         "mean_final": float(out.final_abs.mean()),
         "all_monotone": out.all_monotone,
     }
-    _write_json(res.get("out"), payload)
+    _write_json(args.out, payload)
     return EXIT_OK
 
 
@@ -426,32 +364,37 @@ _COMMANDS = {
 def _add_model_flags(sp):
     sp.add_argument("--model", help="path to a model JSON file")
     sp.add_argument("--domain", choices=DOMAIN_NAMES, help="built-in domain")
-    sp.add_argument("--q-max", type=int, dest="q_max")
+    sp.add_argument("--q-max", type=int)
     sp.add_argument("--w1", type=float)
-    sp.add_argument("--step-reward", type=float, dest="step_reward")
-    sp.add_argument("--mix-levels", dest="mix_levels", help="comma list in [0,1]")
-    sp.add_argument("--loop-prob", type=float, dest="loop_prob")
+    sp.add_argument("--step-reward", type=float)
+    sp.add_argument("--mix-levels", type=_comma_list(float), help="comma list in [0,1]")
+    sp.add_argument("--loop-prob", type=float)
 
 
 @functools.cache
 def _parser():
-    """The argument parser, built on the first call and shared after it."""
+    """The argument parser, built on the first call and shared after it.
+
+    Every flag's dest is argparse's own, its name with _ for -, so that a
+    config key spells its flag back.  A default of None leaves the value
+    to the default of the function or dataclass that takes it (_call).
+    """
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--config", default=None, help="JSON config file")
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out", help="output path (default stdout)")
+    common.add_argument("--config", help="JSON config file")
 
     solver_flags = argparse.ArgumentParser(add_help=False)
-    solver_flags.add_argument("--epsilon", type=float, default=None)
-    solver_flags.add_argument("--max-sweeps", type=int, dest="max_sweeps")
+    solver_flags.add_argument("--epsilon", type=float)
+    solver_flags.add_argument("--max-sweeps", type=int)
 
     liq = argparse.ArgumentParser(add_help=False)
-    liq.add_argument("--z-min", type=int, dest="z_min")
-    liq.add_argument("--z-max", type=int, dest="z_max")
+    liq.add_argument("--z-min", type=int)
+    liq.add_argument("--z-max", type=int)
     liq.add_argument("--z0", type=int)
-    liq.add_argument("--p-down", type=float, dest="p_down")
-    liq.add_argument("--p-stay", type=float, dest="p_stay")
-    liq.add_argument("--p-up", type=float, dest="p_up")
+    liq.add_argument("--p-down", type=float)
+    liq.add_argument("--p-stay", type=float)
+    liq.add_argument("--p-up", type=float)
     liq.add_argument("--w0", type=float)
     liq.add_argument("--w2", type=float)
     liq.add_argument("--discount", type=float)
@@ -468,7 +411,7 @@ def _parser():
         help="solve a model and write SolveResult JSON",
     )
     _add_model_flags(sp)
-    sp.add_argument("--solver", choices=SOLVER_NAMES, default=None)
+    sp.add_argument("--solver", choices=SOLVER_NAMES, default="rvi")
 
     sp = sub.add_parser(
         "verify",
@@ -482,28 +425,43 @@ def _parser():
         parents=[common, solver_flags, liq],
         help="time solvers on liquidation instances, write CSV",
     )
-    sp.add_argument("--q-max", dest="q_max", help="comma list of inventory bounds")
+    sp.add_argument(
+        "--q-max",
+        type=_comma_list(int),
+        default=(10, 20, 40),
+        help="comma list of inventory bounds",
+    )
     sp.add_argument("--w1", type=float)
-    sp.add_argument("--solvers", help="comma list of solver names")
-    sp.add_argument("--repeats", type=int, default=None)
+    sp.add_argument(
+        "--solvers",
+        type=_comma_list(str),
+        default=SOLVER_NAMES,
+        help="comma list of solver names",
+    )
+    sp.add_argument("--repeats", type=int, default=1)
 
     sp = sub.add_parser(
         "simulate",
         parents=[common, solver_flags, liq],
         help="mean liquidation inventory paths per w1, write CSV",
     )
-    sp.add_argument("--q-max", type=int, dest="q_max")
-    sp.add_argument("--w1", dest="w1", help="comma list of transaction weights")
-    sp.add_argument("--solver", choices=SOLVER_NAMES, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--horizon", type=int, default=None)
+    sp.add_argument("--q-max", type=int)
+    sp.add_argument(
+        "--w1",
+        type=_comma_list(float),
+        default=(0.1, 0.2, 0.4),
+        help="comma list of transaction weights",
+    )
+    sp.add_argument("--solver", choices=SOLVER_NAMES, default="rvi")
+    sp.add_argument("--trials", type=int, default=2000)
+    sp.add_argument("--horizon", type=int, default=1000)
 
     sp = sub.add_parser(
         "policy-grid",
         parents=[common, solver_flags, liq],
         help="optimal liquidation action per (q, z), write CSV",
     )
-    sp.add_argument("--q-max", type=int, dest="q_max")
+    sp.add_argument("--q-max", type=int)
     sp.add_argument("--w1", type=float)
 
     sp = sub.add_parser(
@@ -512,23 +470,46 @@ def _parser():
         help="Monte-Carlo summary of the shrinking-intervals process",
     )
     sp.add_argument("--mode", choices=(MULTIPLICATIVE, DELTA_INTERVAL))
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--steps", type=int, default=None)
-    sp.add_argument("--delta", type=float, default=None)
+    sp.add_argument("--trials", type=int, default=10_000)
+    sp.add_argument("--steps", type=int, default=100)
+    sp.add_argument("--delta", type=float)
 
     return parser
 
 
+def _config_flags(config, taken):
+    """The values of a config file, spelled as the flags they stand for.
+
+    taken holds the command's dests.  A key outside it, the config and
+    command keys, and a null value are skipped.  A list is its items
+    joined by commas.
+    """
+    if not isinstance(config, dict):
+        raise InvalidParams("config file must hold a JSON object")
+    flags = []
+    for key, value in config.items():
+        if key in ("config", "command") or key not in taken or value is None:
+            continue
+        items = value if type(value) is list else [value]
+        if any(type(x) not in (str, int, float) for x in items):
+            raise InvalidParams(
+                f"config value of {key!r} must be a string, a number or a list of them"
+            )
+        flags.append(f"--{key.replace('_', '-')}=" + ",".join(map(str, items)))
+    return flags
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
     try:
-        config = {}
         if args.config is not None:
-            config = _read_json(args.config)
-            if not isinstance(config, dict):
-                raise InvalidParams("config file must hold a JSON object")
-        res = _Resolver(vars(args), config)
-        return _COMMANDS[args.command](res)
+            flags = _config_flags(_read_json(args.config), vars(args))
+            # The command first, then the config, then the explicit flags,
+            # so that argparse keeps an explicit flag's value.
+            args = parser.parse_args(argv[:1] + flags + argv[1:])
+        return _COMMANDS[args.command](args)
     except NotReductive as exc:
         print(f"rmdp: {exc}", file=sys.stderr)
         return EXIT_NOT_REDUCTIVE

@@ -66,6 +66,9 @@ class LiquidationParams:
             raise InvalidParams("need 0 < z_min < z_max")
         if not self.z_min <= self.z0 <= self.z_max:
             raise InvalidParams("z0 must lie within the price bounds")
+        for name in ("p_down", "p_stay", "p_up", "w0", "w1", "w2", "discount"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidParams(f"{name} must be finite")
         probs = (self.p_down, self.p_stay, self.p_up)
         if min(probs) < 0.0:
             raise InvalidParams("walk probabilities must be nonnegative")

@@ -278,7 +278,7 @@ def _self_loops(row_ptr, col):
     return np.bincount(np.concatenate(hits), minlength=row_ptr.size - 1)
 
 
-def _kahn(graph, waiting, frontier):
+def _peel(graph, waiting, frontier):
     """Walk a graph in Kahn frontiers, starting from frontier.
 
     graph is (ptr, succ): node x has the successors succ[ptr[x]:ptr[x +
@@ -286,23 +286,20 @@ def _kahn(graph, waiting, frontier):
     frontier's nodes wait for none.  A node joins the next frontier once
     its count falls to 0.  waiting is updated in place: a walked node's
     count is negative, and a node never reached keeps a positive one.
-    Yields each frontier with its nodes' out-degrees and successors.
+    Returns the walked nodes, frontier by frontier, and the frontiers'
+    bounds.
     """
+    parts = []
     while frontier.size:
         # Mark the frontier's nodes as walked; of the copies of a node
         # that two edges made ready, one matches the mark that landed.
         mark = -1 - np.arange(frontier.size, dtype=np.int64)
         waiting[frontier] = mark
         frontier = frontier[waiting[frontier] == mark]
-        nxt, lens = _out_edges(graph, frontier)
-        yield frontier, lens, nxt
+        parts.append(frontier)
+        nxt, _ = _out_edges(graph, frontier)
         np.subtract.at(waiting, nxt, 1)
         frontier = nxt[waiting[nxt] == 0]
-
-
-def _peel(graph, waiting, frontier):
-    """The nodes of _kahn's frontiers, frontier by frontier, and their bounds."""
-    parts = [f for f, _, _ in _kahn(graph, waiting, frontier)]
     if not parts:
         return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
     return np.concatenate(parts), _offsets([p.size for p in parts])

@@ -9,6 +9,7 @@ hard-edge model files call the CLI's main() in-process instead.
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -34,6 +35,9 @@ from rmdp import (
 )
 
 SMALL = ["--z-min", "100", "--z-max", "110", "--z0", "105"]
+# A five-price grid, as flags and as config values.
+TINY = ["--z-min", "100", "--z-max", "104", "--z0", "102"]
+TINY_CONFIG = {"z_min": 100, "z_max": 104, "z0": 102}
 
 TWO_CYCLE_SPEC = {
     "states": 3,
@@ -751,6 +755,125 @@ def test_config_file_supplies_values_and_flags_override(cli, tmp_path):
     rows = overridden.stdout.splitlines()[1:]
     assert len(rows) == 1
     assert rows[0].split(",")[1] == "5"
+
+
+def masked(text):
+    """text with every measured wall_nanos set to 0, in JSON and in CSV."""
+    text = re.sub(r'"wall_nanos": \d+', '"wall_nanos": 0', text)
+    if text.startswith(rmdp.cli.BENCH_HEADER):
+        text = re.sub(r"^((?:[^,\n]*,){5})\d+", r"\g<1>0", text, flags=re.M)
+    return text
+
+
+# Per subcommand: a config, the same values as flags, and a flag that
+# overrides the config and changes the output.
+CONFIG_CASES = {
+    "solve": (
+        {"domain": "liquidation", "q_max": 2, **TINY_CONFIG, "solver": "bvi",
+         "epsilon": 1e-9},
+        ["--domain", "liquidation", "--q-max", "2", *TINY, "--solver", "bvi",
+         "--epsilon", "1e-9"],
+        ["--q-max", "3"],
+    ),
+    "verify": (
+        {"domain": "fig2b", "loop_prob": 0.25},
+        ["--domain", "fig2b", "--loop-prob", "0.25"],
+        ["--domain", "spiral"],
+    ),
+    "bench": (
+        {"q_max": [3, 4], "solvers": ["rvi", "qvi-reversed"], "seed": 3,
+         **TINY_CONFIG},
+        ["--q-max", "3,4", "--solvers", "rvi,qvi-reversed", "--seed", "3",
+         *TINY],
+        ["--repeats", "2"],
+    ),
+    "simulate": (
+        {"q_max": 3, "w1": [0.1, 0.3], "trials": 20, "horizon": 6,
+         **TINY_CONFIG},
+        ["--q-max", "3", "--w1", "0.1,0.3", "--trials", "20", "--horizon", "6",
+         *TINY],
+        ["--horizon", "4"],
+    ),
+    "policy-grid": (
+        {"q_max": 3, "w1": 0.5, **TINY_CONFIG},
+        ["--q-max", "3", "--w1", "0.5", *TINY],
+        ["--w1", "0.05"],
+    ),
+    "shrink": (
+        {"mode": "DeltaInterval", "delta": 0.2, "trials": 30, "steps": 10},
+        ["--mode", "DeltaInterval", "--delta", "0.2", "--trials", "30",
+         "--steps", "10"],
+        ["--seed", "4"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_CASES))
+def test_config_matches_its_flags_and_explicit_flags_win(cli, tmp_path, command):
+    config, flags, override = CONFIG_CASES[command]
+    cfg = write_json(tmp_path / "cfg.json", config)
+    runs = {
+        "config": cli(command, "--config", cfg),
+        "flags": cli(command, *flags),
+        "config+override": cli(command, "--config", cfg, *override),
+        "flags+override": cli(command, *flags, *override),
+    }
+    for name, proc in runs.items():
+        assert proc.returncode == 0, (name, proc.stderr)
+        assert proc.stderr == "", name
+    out = {name: masked(proc.stdout) for name, proc in runs.items()}
+    assert out["config"] == out["flags"]
+    assert out["config+override"] == out["flags+override"]
+    assert out["config+override"] != out["config"]
+
+
+def test_config_list_scalar_null_and_unknown_keys(cli, tmp_path):
+    base = {"solvers": "rvi", **TINY_CONFIG}
+    three = ["--q-max", "3", "--solvers", "rvi", *TINY]
+    # A null is no value: the flag's default holds (q_max 10,20,40).
+    defaults = ["--solvers", "rvi", *TINY]
+    cases = {
+        "list": ({"q_max": [3]}, three),
+        "int": ({"q_max": 3}, three),
+        "text": ({"q_max": " 3, "}, three),
+        "unknown keys": (
+            {"q_max": 3, "no_such_flag": [True, {}], "command": "verify",
+             "config": "elsewhere.json"},
+            three,
+        ),
+        "null": ({"q_max": None, "repeats": None}, defaults),
+    }
+    for name, (values, argv) in cases.items():
+        cfg = write_json(tmp_path / "cfg.json", {**base, **values})
+        proc = cli("bench", "--config", cfg)
+        expected = cli("bench", *argv)
+        assert proc.returncode == expected.returncode == 0, (name, proc.stderr)
+        assert masked(proc.stdout) == masked(expected.stdout), name
+
+
+@pytest.mark.parametrize(
+    "command, values, message",
+    [
+        ("solve", {"q_max": 3.9}, "argument --q-max: invalid int value: '3.9'"),
+        ("solve", {"q_max": True}, "config value of 'q_max' must be"),
+        ("bench", {"repeats": 2.0}, "argument --repeats: invalid int value: '2.0'"),
+        ("bench", {"q_max": [3, True]}, "config value of 'q_max' must be"),
+        ("bench", {"q_max": [[3]]}, "config value of 'q_max' must be"),
+        ("solve", {"out": {"path": "x"}}, "config value of 'out' must be"),
+        ("solve", {"solver": "nope"}, "argument --solver: invalid choice: 'nope'"),
+        ("simulate", {"w1": "0.1,x"}, "argument --w1: invalid float list value"),
+        ("shrink", {"mode": "Exotic"}, "argument --mode: invalid choice: 'Exotic'"),
+    ],
+)
+def test_bad_config_values_exit_2_naming_the_key(
+    cli, tmp_path, command, values, message
+):
+    config = {} if command == "shrink" else {"domain": "liquidation", **TINY_CONFIG}
+    cfg = write_json(tmp_path / "cfg.json", {**config, **values})
+    proc = cli(command, "--config", cfg)
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr.splitlines()[-1]
+    assert proc.stdout == ""
 
 
 def test_shrink_multiplicative_payload(cli):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rmdp
+import rmdp.cli
 from rmdp import (
     DomainError,
     InvalidParams,
@@ -37,6 +38,29 @@ def assert_schedule_is_dependency_order(mdp, schedule, decomp):
 
 # ---------------------------------------------------------------------------
 # liquidation
+
+
+FLOAT_FIELDS = ("p_down", "p_stay", "p_up", "w0", "w1", "w2", "discount")
+
+
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_liquidation_params_reject_non_finite_fields(field, value):
+    # Before the check, nan reached the model builder (ModelError) and
+    # inf an overflowing reward with a numpy RuntimeWarning.
+    with pytest.raises(InvalidParams, match=f"^{field} must be finite$"):
+        LiquidationParams(q_max=2, z_min=100, z_max=104, z0=102, **{field: value})
+
+
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_non_finite_liquidation_flags_exit_2(field, capsys):
+    flag = "--" + field.replace("_", "-")
+    for value in ("nan", "inf", "-inf"):
+        argv = ["solve", "--domain", "liquidation", "--q-max", "2", f"{flag}={value}"]
+        assert rmdp.cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rmdp: {field} must be finite\n"
 
 
 def test_liquidation_params_validation():
