@@ -9,9 +9,11 @@ is read as --flag=value, a list as its items joined by commas, before
 the command line's own flags, so an explicit flag wins.  A null value,
 and a key the command does not take, are skipped; a boolean, an object,
 or a list holding either exits 2, and so does any value the flag itself
-would refuse.  CSV output is byte-deterministic given config and seed,
-except for the measured wall_nanos column.  Exit codes: 0 ok, 2 bad
-input, 3 not reductive, 4 solver failure or out of memory.
+would refuse, as does a comma list with no item left.  Each JSON file is
+json.dumps(payload, indent=2) plus a newline.  CSV and JSON output is
+byte-deterministic given config and seed, except for the measured
+wall_nanos.  Exit codes: 0 ok, 2 bad input, 3 not reductive, 4 solver
+failure or out of memory.
 """
 
 from __future__ import annotations
@@ -74,10 +76,16 @@ def _fmt(x):
 
 
 def _comma_list(cast):
-    """An argparse type: a comma list of cast values, blank items skipped."""
+    """An argparse type: a comma list of cast values, blank items skipped.
+
+    A list with no item left is refused: it would run no work.
+    """
 
     def parse(text):
-        return [cast(p) for p in map(str.strip, text.split(",")) if p]
+        items = [cast(p) for p in map(str.strip, text.split(",")) if p]
+        if not items:
+            raise argparse.ArgumentTypeError(f"expected at least one value in {text!r}")
+        return items
 
     parse.__name__ = f"{cast.__name__} list"
     return parse
@@ -91,50 +99,8 @@ def _write_text(path, text):
             fh.write(text)
 
 
-# How json spells the floats that float.__repr__ writes as nan and inf.
-_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_floats(reprs):
-    if "nan" in reprs or "inf" in reprs or "-inf" in reprs:
-        return [_JSON_FLOATS.get(r, r) for r in reprs]
-    return reprs
-
-
-def _json_text(obj, depth=0):
-    """json.dumps(obj, indent=2), byte for byte, placed at nesting depth.
-
-    With indent, json encodes in pure Python, one call per number.  Here
-    a list of plain floats or of plain ints is one join of float.__repr__
-    or int.__repr__ strings; strings and any other type go to json.dumps,
-    whose newlines get this depth's indent.
-    """
-    inner = "\n" + "  " * (depth + 1)
-    if type(obj) is list:
-        if not obj:
-            return "[]"
-        kinds = set(map(type, obj))
-        if kinds == {float}:
-            items = _json_floats(list(map(float.__repr__, obj)))
-        elif kinds == {int}:
-            items = map(int.__repr__, obj)
-        else:
-            items = [_json_text(x, depth + 1) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
-    if type(obj) is dict and all(type(k) is str for k in obj):
-        if not obj:
-            return "{}"
-        items = [
-            json.dumps(k) + ": " + _json_text(x, depth + 1) for k, x in obj.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "}"
-    if type(obj) is float:
-        return _json_floats([float.__repr__(obj)])[0]
-    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
-
-
 def _write_json(path, payload):
-    _write_text(path, _json_text(payload) + "\n")
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _call(factory, args, *names, **overrides):
@@ -249,7 +215,7 @@ def _cmd_verify(args):
         decomp = absorbing_decomposition(support)
         pt = counting_potential(support)
         perm = canonical_permutation(support, decomp, pt)
-        payload["order"] = [int(s) for s in perm.order]
+        payload["order"] = perm.order.tolist()
     _write_json(args.out, payload)
     return EXIT_OK
 

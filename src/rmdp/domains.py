@@ -372,6 +372,8 @@ class ShrinkParams:
     def __post_init__(self):
         if self.trials < 1 or self.steps < 1:
             raise InvalidParams("trials and steps must be at least 1")
+        if self.seed < 0:
+            raise InvalidParams("seed must be nonnegative")
         if self.mode not in (MULTIPLICATIVE, DELTA_INTERVAL):
             raise InvalidParams(f"unknown mode {self.mode!r}")
         if self.mode == DELTA_INTERVAL:

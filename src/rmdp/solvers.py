@@ -72,6 +72,8 @@ class SolverConfig:
             raise InvalidParams("max_sweeps must be at least 1")
         if self.ordering not in _ORDERINGS:
             raise InvalidParams(f"unknown ordering {self.ordering!r}")
+        if self.seed < 0:
+            raise InvalidParams("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,8 @@ class SolveResult:
 
     def to_json_dict(self):
         return {
-            "v": [float(x) for x in self.values.v],
-            "policy": [int(a) for a in self.policy.choice],
+            "v": self.values.v.tolist(),
+            "policy": self.policy.choice.tolist(),
             "stats": {
                 "q_updates": self.stats.q_updates,
                 "sweeps": self.stats.sweeps,
@@ -464,6 +466,8 @@ def simulate_policy(mdp, policy, start, horizon, trials, seed):
     """
     if horizon < 1 or trials < 1:
         raise InvalidParams("horizon and trials must be at least 1")
+    if seed < 0:
+        raise InvalidParams("seed must be nonnegative")
     if not 0 <= start < mdp.state_count:
         raise ModelError(f"state {start} out of range")
     chain = induced_chain(mdp, policy)

@@ -914,6 +914,73 @@ def test_unknown_subcommand_exits_2(cli):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--q-max", ","],
+        ["bench", "--solvers", ","],
+        ["simulate", "--w1", ","],
+        ["solve", "--domain", "spiral", "--mix-levels", ","],
+    ],
+)
+def test_empty_comma_list_exits_2_naming_the_flag(cli, tmp_path, argv):
+    """A comma list with no item left is refused, as a flag and as a
+    config value, rather than run as no work."""
+    flag = argv[-2]
+    key = flag[2:].replace("-", "_")
+    runs = [argv]
+    for i, value in enumerate(([], " , ")):
+        cfg = write_json(tmp_path / f"cfg{i}.json", {key: value})
+        runs.append([*argv[:-2], "--config", cfg])
+    for args in runs:
+        proc = cli(*args)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert proc.stdout == ""
+        last = proc.stderr.splitlines()[-1]
+        assert f"argument {flag}: expected at least one value in" in last, args
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shrink", "--seed", "-1"],
+        ["solve", "--domain", "spiral", "--solver", "qvi-random", "--seed", "-1"],
+        ["solve", "--domain", "spiral", "--seed", "-1"],
+        ["bench", "--q-max", "3", *TINY, "--seed", "-1"],
+        ["simulate", "--q-max", "3", *TINY, "--seed", "-1"],
+        ["policy-grid", "--q-max", "3", *TINY, "--seed", "-1"],
+    ],
+)
+def test_negative_seed_exits_2_naming_seed(cli, argv):
+    proc = cli(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == ["rmdp: seed must be nonnegative"]
+    assert proc.stdout == ""
+
+
+def test_undecodable_json_files_exit_2_with_the_decoders_line(tmp_path, capsys):
+    """A model or config file that is not UTF-8, or not JSON, is refused
+    by main's ValueError handler with the decoder's own message."""
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("{not json")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    lines = {
+        garbage: "rmdp: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)",
+        binary: "rmdp: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte",
+    }
+    for path, line in lines.items():
+        for argv in (
+            ["verify", "--model", str(path)],
+            ["verify", "--domain", "spiral", "--config", str(path)],
+        ):
+            assert rmdp.cli.main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert (out, err.splitlines()) == ("", [line]), argv
+
+
 def test_out_files_use_unix_newlines(cli, tmp_path):
     out = tmp_path / "bench.csv"
     proc = cli(
@@ -928,20 +995,6 @@ def test_out_files_use_unix_newlines(cli, tmp_path):
 
 # ---------------------------------------------------------------------------
 # the JSON writer
-
-
-def test_json_writer_matches_json_dumps_on_edge_payloads():
-    nan, inf = float("nan"), float("inf")
-    payloads = [
-        {"v": [0.1, -0.0, nan, inf, -inf, 1e308, 5e-324], "policy": [0, 3, -2]},
-        {"x": nan, "y": -inf, "z": -0.0, "w": 2**70, "t": True, "n": None},
-        {"empty": {}, "none": [], "nested": {"a": {"b": [[], [1.0], {"c": [True]}]}}},
-        {"s": "caf\u00e9 \u4e2d \U0001f600 \"q\"\n\t", "\u00e9": ["\u00e9", 1, 1.5]},
-        [], {}, [[1, 2], [3.0, nan]], [1, True, None, "a"], "\u00e9", 1.0, nan, -inf,
-        {"tuple": (1, 2.5), "ints": {1: "a"}, "deep": [{"k": {2: [1.0]}}]},
-    ]
-    for payload in payloads:
-        assert rmdp.cli._json_text(payload) == json.dumps(payload, indent=2)
 
 
 @pytest.mark.parametrize(

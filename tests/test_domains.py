@@ -391,6 +391,8 @@ def test_shrink_params_validation():
         ShrinkParams(trials=0, steps=1, seed=0)
     with pytest.raises(InvalidParams):
         ShrinkParams(trials=1, steps=0, seed=0)
+    with pytest.raises(InvalidParams, match="^seed must be nonnegative$"):
+        ShrinkParams(trials=1, steps=1, seed=-1)
     with pytest.raises(InvalidParams):
         ShrinkParams(trials=1, steps=1, seed=0, mode="Wobble")
     with pytest.raises(InvalidParams):

@@ -412,6 +412,8 @@ def test_solver_config_validation():
         SolverConfig(max_sweeps=0)
     with pytest.raises(InvalidParams):
         SolverConfig(ordering="Sideways")
+    with pytest.raises(InvalidParams, match="^seed must be nonnegative$"):
+        SolverConfig(seed=-1)
 
 
 def test_bellman_residual_zero_at_fixed_point():
@@ -957,6 +959,8 @@ def test_simulate_policy_rejects_bad_params():
         rmdp.simulate_policy(mdp, pol, start=0, horizon=0, trials=1, seed=0)
     with pytest.raises(InvalidParams):
         rmdp.simulate_policy(mdp, pol, start=0, horizon=1, trials=0, seed=0)
+    with pytest.raises(InvalidParams, match="^seed must be nonnegative$"):
+        rmdp.simulate_policy(mdp, pol, start=0, horizon=1, trials=1, seed=-1)
 
 
 @pytest.mark.parametrize("start", [-3, -1, 25])
